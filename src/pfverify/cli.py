@@ -14,7 +14,14 @@ import os
 import sys
 
 from . import genesis, sieve
-from .exact import gauss_to_str, is_prime, next_prime, ratfunc_is_zero, ratfunc_to_str
+from .exact import (
+    PRIME_LIMIT,
+    gauss_to_str,
+    is_prime,
+    next_prime,
+    ratfunc_is_zero,
+    ratfunc_to_str,
+)
 from .lift import (
     domain_key,
     enumerate_u25,
@@ -64,10 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_PRIME_START_RANGE = "must be at least 2 and below 3.3e24, where primality is proven"
+
+
 def _prime_start_arg(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be at least 2")
+    if not 2 <= value < PRIME_LIMIT:
+        raise argparse.ArgumentTypeError(_PRIME_START_RANGE)
     return value
 
 
@@ -146,8 +156,8 @@ def _resolve_prime_start(args: argparse.Namespace) -> int | None:
         value = int(raw)
     except ValueError:
         raise _UsageError(f"PFVERIFY_PRIME_START is not an integer: {raw!r}")
-    if value < 2:
-        raise _UsageError("PFVERIFY_PRIME_START must be at least 2")
+    if not 2 <= value < PRIME_LIMIT:
+        raise _UsageError(f"PFVERIFY_PRIME_START {_PRIME_START_RANGE}")
     return value
 
 
@@ -166,13 +176,18 @@ def _with_prime_start(
     if start is None or spec.is_gauss:
         return spec
     p = start if is_prime(start) else next_prime(start)
-    while True:
+    for _ in range(sieve.MAX_PRIMES_TRIED):
         try:
             spec.mod_map(p)
         except ValueError:
             p = next_prime(p)
             continue
         break
+    else:
+        raise VerificationError(
+            f"{spec.name}: a generator residue vanishes at each of "
+            f"{sieve.MAX_PRIMES_TRIED} primes from {start}"
+        )
     lines = []
     for line in spec.source_text.splitlines():
         if line.split() and line.split()[0] == "prime":

@@ -462,11 +462,17 @@ def mod_eval(m: ModMap, sign: int, exps: Sequence[int]) -> int:
     return total
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes as Miller-Rabin witnesses.  The smallest strong
+# pseudoprime to all of them is 3317044064679887385961981; without 41 it
+# would be 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# is_prime is proven deterministic below this bound.
+PRIME_LIMIT = 33 * 10**23
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n below 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n below PRIME_LIMIT."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:

@@ -3,21 +3,29 @@
 Every unit of a field is sign * prod(generators ** exps).  Mapping the
 indeterminates to Gaussian dyadic units turns each generator into a unit
 whose log2-norm is an exact half-integer, so every such map yields one
-linear row r with |r . exps| <= 1.  Fourier-Motzkin elimination over exact
-rationals turns those rows into per-exponent bounds, and rounding outward
-gives a finite integer box guaranteed to contain every fundamental element.
+linear row r with |r . exps| <= 1.  Doubling the rows makes them integer
+rows, and Fourier-Motzkin elimination over those (gcd-normalised, with
+exact right-hand sides) bounds each exponent in the real relaxation.  A
+depth-first search then shrinks every box end until some integer point
+attains it, giving the bounding box of the integer points, which contains
+every fundamental element.
 
 The box is then sieved: each candidate gets a fingerprint (its residue
-under the spec's modular map, or its exact value for the Gaussian field),
-fingerprints are checked to be pairwise distinct (advancing to larger
-primes until they are), and a candidate survives iff the fingerprint of
-1 - candidate also appears.  Survivors are cross-checked exactly.
+under the spec's modular map, or its exact value for the Gaussian field).
+For each prime tried, every generator's residue powers are tabled once and
+each candidate's fingerprint is a product of table entries, inserted into
+one fingerprint -> candidate dict in the same pass.  A repeated key is a
+collision: an exact check tells a dependent generator set (a FAIL) from an
+unlucky prime (advance to the next one, up to a fixed count).  A candidate
+survives iff the fingerprint of 1 - candidate also appears.  Survivors are
+cross-checked exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import gcd, prod
+from operator import getitem
 from typing import NamedTuple
 
 from .exact import (
@@ -37,7 +45,6 @@ from .exact import (
     gauss_mul,
     gauss_neg,
     gauss_sub,
-    mod_eval,
     next_prime,
     ratfunc_arith,
     ratfunc_const,
@@ -113,36 +120,46 @@ def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin bounding
+# Fourier-Motzkin bounding on doubled integer rows
+#
+# A row (coeffs, rhs, hist) stands for coeffs . exps <= rhs with integer
+# coeffs and rhs whose common gcd is 1, so the right-hand side stays exact;
+# hist is the bitmask of the original rows it was combined from.
 
 
-def _normalize(coeffs: tuple[Fraction, ...], rhs: Fraction):
-    scale = max((abs(c) for c in coeffs if c), default=Fraction(0))
-    if not scale:
-        return coeffs, rhs
-    return tuple(c / scale for c in coeffs), rhs / scale
-
-
-def _dedup(ineqs):
-    """Keep, per normalized coefficient vector, the tightest right side."""
-    best: dict[tuple[Fraction, ...], tuple[Fraction, frozenset]] = {}
-    for coeffs, rhs, hist in ineqs:
-        coeffs, rhs = _normalize(coeffs, rhs)
-        if not any(coeffs):
+def _dedup(rows):
+    """Keep, per primitive coefficient direction, the tightest right side."""
+    best: dict[tuple[int, ...], tuple] = {}
+    for coeffs, rhs, hist in rows:
+        g = gcd(*coeffs)
+        if not g:
             if rhs < 0:
                 raise VerificationError("exponent constraints are infeasible")
             continue
-        cur = best.get(coeffs)
-        if cur is None or rhs < cur[0] or (rhs == cur[0] and len(hist) < len(cur[1])):
-            best[coeffs] = (rhs, hist)
-    return [(c, r, h) for c, (r, h) in best.items()]
+        common = gcd(g, rhs)
+        if common > 1:
+            coeffs = tuple(c // common for c in coeffs)
+            rhs //= common
+            g //= common
+        key = coeffs if g == 1 else tuple(c // g for c in coeffs)
+        cur = best.get(key)
+        # Along one direction the bound is rhs / g; compare cross-multiplied.
+        if cur is None:
+            best[key] = (coeffs, rhs, hist, g)
+            continue
+        lhs, rhs_cur = rhs * cur[3], cur[1] * g
+        if lhs < rhs_cur or (
+            lhs == rhs_cur and hist.bit_count() < cur[2].bit_count()
+        ):
+            best[key] = (coeffs, rhs, hist, g)
+    return [(c, r, h) for c, r, h, _ in best.values()]
 
 
-def _eliminate(ineqs, j: int, max_hist: int):
+def _eliminate(rows, j: int, max_hist: int):
     """One Fourier-Motzkin step.  Combinations drawing on more than
     max_hist original rows are redundant (Imbert) and dropped."""
     pos, neg, rest = [], [], []
-    for row in ineqs:
+    for row in rows:
         c = row[0][j]
         if c > 0:
             pos.append(row)
@@ -151,20 +168,20 @@ def _eliminate(ineqs, j: int, max_hist: int):
         else:
             rest.append(row)
     for pc, pr, ph in pos:
+        a = pc[j]
         for nc, nr, nh in neg:
             hist = ph | nh
-            if len(hist) > max_hist:
+            if hist.bit_count() > max_hist:
                 continue
-            ps, ns = pc[j], -nc[j]
-            coeffs = tuple(a / ps + b / ns for a, b in zip(pc, nc))
-            rest.append((coeffs, pr / ps + nr / ns, hist))
+            b = -nc[j]
+            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
+            rest.append((coeffs, b * pr + a * nr, hist))
     return _dedup(rest)
 
 
-def _fm_bounds(ineqs, target: int, width: int) -> tuple[Fraction, Fraction]:
-    cur = _dedup(
-        [(c, r, frozenset([i])) for i, (c, r) in enumerate(ineqs)]
-    )
+def _fm_bounds(int_rows, target: int, width: int) -> tuple[int, int]:
+    """Integer range of one slot over the real relaxation of the rows."""
+    cur = _dedup([(c, r, 1 << i) for i, (c, r) in enumerate(int_rows)])
     remaining = [j for j in range(1, width) if j != target]
     eliminated = 0
     while remaining:
@@ -182,10 +199,10 @@ def _fm_bounds(ineqs, target: int, width: int) -> tuple[Fraction, Fraction]:
     for coeffs, rhs, _ in cur:
         c = coeffs[target]
         if c > 0:
-            bound = rhs / c
+            bound = rhs // c
             hi = bound if hi is None else min(hi, bound)
         elif c < 0:
-            bound = rhs / c
+            bound = -(rhs // -c)
             lo = bound if lo is None else max(lo, bound)
     if lo is None or hi is None:
         raise VerificationError(f"exponent slot {target} is unbounded")
@@ -194,53 +211,86 @@ def _fm_bounds(ineqs, target: int, width: int) -> tuple[Fraction, Fraction]:
 
 def _slice_feasible(int_rows, ranges, pin_slot: int, pin_value: int) -> bool:
     """True iff some integer point of the box with slot pinned satisfies
-    every row.  Rows carry integer coefficients (scaled by 2)."""
+    every row.
+
+    Depth-first search fixing one slot at a time.  Each row keeps its slack:
+    the right side minus the row's partial sum and the least the unfixed
+    slots can still add.  A branch is cut as soon as any slack goes
+    negative."""
     spans = []
     for j, (lo, hi) in enumerate(ranges):
         if j == pin_slot:
-            spans.append((pin_value,))
-        else:
-            spans.append(tuple(sorted(range(lo, hi + 1), key=abs)))
-    points = [()]
-    for span in spans:
-        points = [p + (e,) for p in points for e in span]
-    for point in points:
-        if all(
-            sum(c * e for c, e in zip(coeffs, point)) <= rhs
-            for coeffs, rhs in int_rows
-        ):
+            lo = hi = pin_value
+        spans.append((lo, hi))
+    slack = [
+        rhs - sum(min(c * lo, c * hi) for c, (lo, hi) in zip(coeffs, spans))
+        for coeffs, rhs in int_rows
+    ]
+    if min(slack, default=0) < 0:
+        return False
+    # Per free slot, one vector per value (smallest |value| first) of what
+    # fixing it there costs each row beyond its least contribution.
+    levels = []
+    for j, (lo, hi) in enumerate(spans):
+        if lo == hi:
+            continue
+        least = [min(coeffs[j] * lo, coeffs[j] * hi) for coeffs, _ in int_rows]
+        levels.append([
+            [coeffs[j] * e - m for (coeffs, _), m in zip(int_rows, least)]
+            for e in sorted(range(lo, hi + 1), key=abs)
+        ])
+
+    def search(depth: int, slack: list[int]) -> bool:
+        if depth == len(levels):
             return True
-    return False
+        for cost in levels[depth]:
+            child = [s - c for s, c in zip(slack, cost)]
+            if min(child, default=0) >= 0 and search(depth + 1, child):
+                return True
+        return False
+
+    return search(0, slack)
+
+
+def _doubled_rows(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...], int]]:
+    """Integer inequalities: each half-integer norm row r gives
+    +-2r . exps <= 2, and each extra bound lo <= exps[slot] <= hi gives
+    two unit rows."""
+    int_rows = []
+    for i, row in enumerate(rows):
+        doubled = [2 * Fraction(c) for c in row]
+        if any(c.denominator != 1 for c in doubled):
+            raise VerificationError(f"norm row {i} is not a half-integer row")
+        coeffs = tuple(int(c) for c in doubled)
+        int_rows.append((coeffs, 2))
+        int_rows.append((tuple(-c for c in coeffs), 2))
+    for slot, lo_extra, hi_extra in extra_bounds:
+        unit = [0] * width
+        unit[slot] = 1
+        int_rows.append((tuple(unit), hi_extra))
+        int_rows.append((tuple(-u for u in unit), -lo_extra))
+    return int_rows
 
 
 def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     """Integer exponent box from norm rows.
 
-    Fourier-Motzkin over exact rationals bounds each slot in the real
-    relaxation; rounding inward to integers can still leave box ends no
-    integer point attains, so ends are then shrunk until attainable,
-    iterated to a fixpoint.  Extra per-slot bounds join the system."""
+    The half-integer norm rows are doubled into integer rows, and
+    Fourier-Motzkin elimination over those (gcd-normalised, exact right
+    sides, Imbert's history bound) bounds each slot in the real relaxation.
+    Rounding inward to integers can still leave box ends no integer point
+    attains, so each end is then shrunk, by a depth-first search over the
+    other slots, until some integer point attains it, iterated to a
+    fixpoint.  The result is the bounding box of the integer points.  Extra
+    per-slot bounds join the system."""
+    if not rows:
+        raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
-    ineqs = []
-    for row in rows:
-        coeffs = tuple(Fraction(c) for c in row)
-        ineqs.append((coeffs, Fraction(1)))
-        ineqs.append((tuple(-c for c in coeffs), Fraction(1)))
-    for slot, lo_extra, hi_extra in extra_bounds:
-        unit = [Fraction(0)] * width
-        unit[slot] = Fraction(1)
-        ineqs.append((tuple(unit), Fraction(hi_extra)))
-        ineqs.append((tuple(-u for u in unit), Fraction(-lo_extra)))
+    int_rows = _doubled_rows(rows, extra_bounds, width)
     ranges = [(0, 0)]
     for j in range(1, width):
-        lo, hi = _fm_bounds(ineqs, j, width)
-        ranges.append((ceil(lo), floor(hi)))
+        ranges.append(_fm_bounds(int_rows, j, width))
 
-    int_rows = []
-    for coeffs, rhs in ineqs:
-        scaled = tuple(2 * c for c in coeffs)
-        assert all(c.denominator == 1 for c in scaled)
-        int_rows.append((tuple(int(c) for c in scaled), int(2 * rhs)))
     changed = True
     while changed:
         changed = False
@@ -295,33 +345,81 @@ def enumerate_candidates(box: CandidateBox) -> list[FactoredElement]:
 # Fingerprint sieve
 
 
+# Most fingerprint primes one prime search tries before it gives up.
+MAX_PRIMES_TRIED = 256
+
+
+def _fill_fingerprints(fps: dict, mm: ModMap, candidates, slot_exps):
+    """Fill fps with fingerprint -> candidate in one residue pass.
+
+    Each slot's powers are tabled once per exponent it takes; negative
+    exponents go through one Fermat inverse per slot.  Returns the first
+    pair of candidates whose fingerprints collide, else None."""
+    p = mm.prime
+    tables = []
+    for r, exps in zip(mm.gen_residues, slot_exps):
+        inverse = pow(r, p - 2, p)
+        tables.append(
+            {e: pow(r, e, p) if e >= 0 else pow(inverse, -e, p) for e in exps}
+        )
+    sign_residue = {1: 1, -1: p - 1, 0: 0}
+    for fe in candidates:
+        fp = prod(map(getitem, tables, fe.exps), start=sign_residue[fe.sign]) % p
+        if fp in fps:
+            return fps[fp], fe
+        fps[fp] = fe
+    return None
+
+
 def resolve_mod_map(
     spec: PartialFieldSpec,
     candidates: list[FactoredElement],
     prime_start: int | None = None,
+    fingerprints: dict | None = None,
 ) -> tuple[ModMap, int]:
     """Modular map whose fingerprints separate all candidates and 0.
 
     Starts at the spec prime (or an override) and advances to the next
     prime whenever a generator residue vanishes or two candidates collide.
+    A collision is checked exactly: two equal candidates mean the
+    generators are dependent, which no prime can separate.  If given,
+    fingerprints is filled with the separating fingerprint -> candidate
+    map, 0 included.
     """
     p = spec.mod_prime if prime_start is None else prime_start
     assert p is not None
-    expected = len(candidates)
-    if all(fe.sign != 0 for fe in candidates):
-        expected += 1
-    while True:
+    start = p
+    fps: dict = {} if fingerprints is None else fingerprints
+    width = len(spec.generators)
+    if any(len(fe.exps) != width for fe in candidates):
+        raise ValueError("exponent vector length mismatch")
+    # Slot by slot: transposing every exponent vector at once allocates
+    # candidate-sized tuples that raise the process's peak RSS.
+    slot_exps = [{fe.exps[j] for fe in candidates} for j in range(width)]
+    zero = FactoredElement(0, (0,) * width)
+    for _ in range(MAX_PRIMES_TRIED):
         try:
             mm = spec.mod_map(p)
         except ValueError:
             p = next_prime(p)
             continue
         assert mm is not None
-        residues = {mod_eval(mm, fe.sign, fe.exps) for fe in candidates}
-        residues.add(0)
-        if len(residues) == expected:
-            return mm, expected
+        fps.clear()
+        collision = _fill_fingerprints(fps, mm, candidates, slot_exps)
+        if collision is None:
+            fps.setdefault(0, zero)
+            return mm, len(fps)
+        first, second = collision
+        if ratfunc_eq(expand_element(spec, first), expand_element(spec, second)):
+            raise VerificationError(
+                f"{spec.name}: candidates {first} and {second} are exactly "
+                "equal, so their quotient is a relation among the generators"
+            )
         p = next_prime(p)
+    raise VerificationError(
+        f"{spec.name}: no fingerprint prime among {MAX_PRIMES_TRIED} from "
+        f"{start} separates the {len(candidates)} candidates"
+    )
 
 
 def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
@@ -349,12 +447,11 @@ def fingerprint_sieve(
     """Keep the candidates c with both c and 1 - c in the fingerprint image."""
     if spec.is_gauss:
         return _gauss_sieve(spec, candidates)
-    mm, distinct = resolve_mod_map(spec, candidates, prime_start)
+    fps: dict = {}
+    mm, distinct = resolve_mod_map(spec, candidates, prime_start, fps)
     p = mm.prime
-    fps = {mod_eval(mm, fe.sign, fe.exps): fe for fe in candidates}
-    fps.setdefault(0, FactoredElement(0, (0,) * len(spec.generators)))
     survivors = {
-        fp: fps[fp] for fp in sorted(fps) if (1 - fp) % p in fps
+        fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)
     }
     return SieveResult(mm, survivors, distinct, len(candidates))
 

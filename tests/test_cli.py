@@ -71,6 +71,24 @@ def test_funs_with_prime_override(capsys) -> None:
     assert data["prime"] == 2000003
 
 
+def test_prime_start_beyond_proven_primality_is_a_usage_error(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "funs", "H3", "--prime-start", "3300000000000000000000000"
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_prime_start_env_beyond_proven_primality_is_a_usage_error(
+    capsys, monkeypatch
+) -> None:
+    monkeypatch.setenv("PFVERIFY_PRIME_START", "3300000000000000000000000")
+    code, out, err = run_cli(capsys, "funs", "H3")
+    assert code == 2
+    assert out == ""
+    assert "PFVERIFY_PRIME_START" in err
+
+
 def test_unsuitable_prime_override_fails_honestly(capsys) -> None:
     code, out, _ = run_cli(
         capsys, "funs", "H3", "--prime-start", "59", "--format", "json"
@@ -190,6 +208,23 @@ def test_corrupted_spec_file_fails_with_counterexample(capsys, tmp_path) -> None
     assert code == 1
     assert "FAIL" in out
     assert "fundamentals" in out
+
+
+def test_prime_start_with_an_always_vanishing_generator_fails(
+    capsys, tmp_path
+) -> None:
+    # a^2 - 5a is 0 at the modvar a = 5 modulo every prime.
+    text = builtin_specs()["H3"].source_text.replace(
+        "gen a^2 - a + 1\n", "gen a^2 - a + 1\ngen a^2 - 5*a\n"
+    )
+    path = tmp_path / "vanishing.pfs"
+    path.write_text(text)
+    code, out, _ = run_cli(
+        capsys, "funs", "--spec", str(path), "--prime-start", "2000003"
+    )
+    assert code == 1
+    assert "FAIL" in out
+    assert "vanishes" in out
 
 
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:

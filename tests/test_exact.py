@@ -17,6 +17,7 @@ from pfverify.exact import (
     gauss_lognorm,
     gauss_make,
     gauss_mul,
+    is_prime,
     mod_eval,
     next_prime,
     parse_expr,
@@ -272,6 +273,13 @@ def test_mod_eval_is_a_homomorphism_of_the_exponent_lattice() -> None:
 def test_mod_eval_rejects_zero_generator_residue() -> None:
     with pytest.raises(ValueError):
         ModMap(7, (0, 3))
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37() -> None:
+    # This product passes Miller-Rabin for every prime base up to 37; base
+    # 41 exposes it, which keeps is_prime exact below PRIME_LIMIT.
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
 
 
 def test_next_prime_advances_deterministically() -> None:

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfverify import sieve
-from pfverify.exact import gauss_from_text
+from pfverify.exact import gauss_from_text, mod_eval
 from pfverify.pfield import (
+    H3_SPEC_TEXT,
     FactoredElement,
     VerificationError,
     builtin_specs,
     fundamental_table,
+    parse_field_spec,
 )
 
 H = Fraction(1, 2)
@@ -102,6 +111,83 @@ def test_pinned_coordinate_in_a_trivial_system() -> None:
 def test_unbounded_exponent_is_an_error() -> None:
     with pytest.raises(VerificationError):
         sieve.bound_exponents([(0, Fraction(1), 0)], (), False)
+
+
+def test_no_norm_rows_is_an_error() -> None:
+    with pytest.raises(VerificationError):
+        sieve.bound_exponents([], (), False)
+
+
+def test_non_half_integer_row_is_an_error() -> None:
+    with pytest.raises(VerificationError):
+        sieve.bound_exponents([(0, Fraction(1, 3))], (), False)
+
+
+def _satisfies(int_rows, point) -> bool:
+    return all(
+        sum(c * e for c, e in zip(coeffs, point)) <= rhs for coeffs, rhs in int_rows
+    )
+
+
+def _integer_bounding_box(int_rows, outer):
+    """Bounding box of the integer points of the outer box satisfying
+    every row, by brute force."""
+    points = [
+        point
+        for point in itertools.product(*(range(lo, hi + 1) for lo, hi in outer))
+        if _satisfies(int_rows, point)
+    ]
+    return tuple((min(column), max(column)) for column in zip(*points))
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_box_is_the_bounding_box_of_the_integer_points(specs, name) -> None:
+    spec = specs[name]
+    rows = sieve.lognorm_rows(spec)
+    width = len(rows[0])
+    int_rows = sieve._doubled_rows(rows, spec.extra_bounds, width)
+    outer = [(0, 0)] + [
+        sieve._fm_bounds(int_rows, j, width) for j in range(1, width)
+    ]
+    assert sieve.candidate_box(spec).ranges == _integer_bounding_box(
+        int_rows, outer
+    )
+
+
+def _slice_feasible_by_enumeration(int_rows, ranges, pin_slot, pin_value):
+    spans = [
+        (pin_value,) if j == pin_slot else range(lo, hi + 1)
+        for j, (lo, hi) in enumerate(ranges)
+    ]
+    return any(_satisfies(int_rows, point) for point in itertools.product(*spans))
+
+
+@st.composite
+def _small_systems(draw):
+    width = draw(st.integers(1, 4))
+    ranges = []
+    for _ in range(width):
+        lo = draw(st.integers(-3, 1))
+        ranges.append((lo, lo + draw(st.integers(0, 4))))
+    int_rows = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-3, 3)] * width), st.integers(-4, 6)
+            ),
+            max_size=6,
+        )
+    )
+    pin_slot = draw(st.integers(0, width - 1))
+    lo, hi = ranges[pin_slot]
+    return int_rows, ranges, pin_slot, draw(st.integers(lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_systems())
+def test_slice_search_agrees_with_enumeration(system) -> None:
+    assert sieve._slice_feasible(*system) == _slice_feasible_by_enumeration(
+        *system
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +286,64 @@ def test_prime_advances_until_fingerprints_separate(specs) -> None:
     mm, distinct = sieve.resolve_mod_map(specs["H3"], small, prime_start=59)
     assert mm.prime > 59
     assert distinct == 55
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+@pytest.mark.parametrize("prime_start", [None, 100000000003])
+def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
+    spec = specs[name]
+    candidates = sieve.enumerate_candidates(sieve.candidate_box(spec))
+    fps: dict = {}
+    mm, distinct = sieve.resolve_mod_map(spec, candidates, prime_start, fps)
+    if prime_start is not None:
+        assert mm.prime >= prime_start
+    assert distinct == len(fps)
+    assert set(fps.values()) >= set(candidates)
+    for fp, fe in fps.items():
+        assert fp == mod_eval(mm, fe.sign, fe.exps)
+
+
+def test_prime_search_is_capped(specs, monkeypatch) -> None:
+    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H3"]))
+    monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 3)
+    with pytest.raises(VerificationError, match="no fingerprint prime"):
+        sieve.resolve_mod_map(specs["H3"], candidates, prime_start=59)
+
+
+def _spec_with_repeated_generator() -> str:
+    # A second copy of the generator a makes a/a' and 1 exactly equal
+    # candidates, which no fingerprint prime can separate.
+    text = H3_SPEC_TEXT.replace("gen a\n", "gen a\ngen a\n", 1)
+    return text + "extrabound 1 -1 1\nextrabound 2 -1 1\n"
+
+
+def test_equal_candidates_are_a_verification_error() -> None:
+    spec = parse_field_spec(_spec_with_repeated_generator())
+    candidates = sieve.enumerate_candidates(sieve.candidate_box(spec))
+    with pytest.raises(VerificationError, match="exactly equal"):
+        sieve.resolve_mod_map(spec, candidates)
+
+
+def test_repeated_generator_spec_fails_without_hanging(tmp_path) -> None:
+    path = tmp_path / "repeated.pfs"
+    path.write_text(_spec_with_repeated_generator())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfverify.cli", "funs", "--spec", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    fail = [line for line in proc.stdout.splitlines() if line.startswith("FAIL:")]
+    assert len(fail) == 1
+    assert "exactly equal" in fail[0]
+    assert fail[0].count("FactoredElement") == 2
 
 
 # ---------------------------------------------------------------------------
