@@ -64,13 +64,6 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 _PRIME_START_RANGE = "must be at least 2 and below 3.3e24, where primality is proven"
 
 
@@ -102,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=None, help="output format"
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="parallel workers for the symmetry search",
-    )
-    parser.add_argument(
         "--prime-start",
         type=_prime_start_arg,
         default=None,
@@ -129,21 +116,6 @@ def _resolve_format(args: argparse.Namespace) -> str:
     if fmt not in ("text", "json"):
         raise _UsageError(f"unknown format {fmt!r}")
     return fmt
-
-
-def _resolve_workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return args.workers
-    raw = os.environ.get("PFVERIFY_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"PFVERIFY_WORKERS is not an integer: {raw!r}")
-    if value < 1:
-        raise _UsageError("PFVERIFY_WORKERS must be a positive integer")
-    return value
 
 
 def _resolve_prime_start(args: argparse.Namespace) -> int | None:
@@ -266,7 +238,7 @@ def _funs_text(payload: dict) -> list[str]:
 
 def _auts_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
     _status(f"{spec.name}: searching for symmetries")
-    group = find_automorphisms(spec, workers=_resolve_workers(args))
+    group = find_automorphisms(spec)
     perms = sorted(aut.coord_perm for aut in group.elements)
     return {
         "command": "auts",
@@ -367,9 +339,7 @@ def _bounds_text(payload: dict) -> list[str]:
 
 def _report_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
     _status(f"{spec.name}: running all verification stages")
-    payload = theorem1_report(
-        spec.report_index, spec=spec, workers=_resolve_workers(args)
-    )
+    payload = theorem1_report(spec.report_index, spec=spec)
     payload["command"] = "report"
     payload["spec_fingerprint"] = spec.source_hash
     return payload
@@ -450,12 +420,11 @@ def _emit(payloads: list[dict], renderer, fmt: str) -> int:
 
 def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     start = _resolve_prime_start(args)
-    workers = _resolve_workers(args)
     reports = []
     for name in FIELD_NAMES:
         spec = _with_prime_start(builtin_specs()[name], start)
         _status(f"{spec.name}: running all verification stages")
-        payload = theorem1_report(spec.report_index, spec=spec, workers=workers)
+        payload = theorem1_report(spec.report_index, spec=spec)
         payload["spec_fingerprint"] = spec.source_hash
         reports.append(payload)
     genesis_payload = _genesis_payload()

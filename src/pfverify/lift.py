@@ -205,9 +205,7 @@ def _require(ok: bool, stage: str, detail: str) -> None:
         raise _StageFailure(stage, detail)
 
 
-def _run_stages(
-    spec: PartialFieldSpec, k: int, counts: dict, workers: int
-) -> None:
+def _run_stages(spec: PartialFieldSpec, k: int, counts: dict) -> None:
     expect_funs, expect_auts, expect_pairs, expect_domain = EXPECTED_COUNTS[k]
 
     try:
@@ -222,7 +220,7 @@ def _run_stages(
     )
 
     try:
-        group = find_automorphisms(spec, workers=workers)
+        group = find_automorphisms(spec)
     except (VerificationError, ValueError) as exc:
         raise _StageFailure("automorphisms", str(exc)) from exc
     counts["automorphisms"] = len(group.elements)
@@ -298,8 +296,9 @@ def _run_stages(
     )
 
 
-def theorem1_report(k: int, spec: PartialFieldSpec | None = None, workers: int = 1) -> dict:
-    """Run every verification stage for one field and bundle the verdict.
+def theorem1_report(k: int, spec: PartialFieldSpec | None = None) -> dict:
+    """Run every verification stage for one field in this process and
+    bundle the counts and the first failing stage into one verdict.
 
     Defined for k in 2..5; the k=1 and k=6 cases need no computation and
     are out of scope."""
@@ -310,7 +309,7 @@ def theorem1_report(k: int, spec: PartialFieldSpec | None = None, workers: int =
     counts = {"fundamentals": 0, "automorphisms": 0, "u25_pairs": 0, "domain": 0}
     violations: list[dict] = []
     try:
-        _run_stages(spec, k, counts, workers)
+        _run_stages(spec, k, counts)
     except _StageFailure as failure:
         violations.append({"stage": failure.stage, "detail": failure.detail})
     return {

@@ -111,6 +111,12 @@ class PartialFieldSpec:
             raise ValueError(f"{self.name}: no fingerprint prime configured")
         env = dict(zip(self.var_names, self.mod_var_residues))
         residues = tuple(expr_eval_mod(ast, env, p) for ast in self.generator_asts)
+        for expr, r in zip(self.generator_exprs, residues):
+            if r % p == 0:
+                raise ValueError(
+                    f"{self.name}: generator {expr!r} vanishes mod {p} "
+                    "at the fingerprint residues"
+                )
         return ModMap(p, residues)
 
 

@@ -2,17 +2,17 @@
 
 A symmetry of a field is determined by where it sends the indeterminates,
 so candidates are ordered tuples of distinct nonzero-one fundamentals.
-Candidates pass two stages.  The first is a fingerprint walk: from the
-candidate's fingerprints, derive a residue for every generator, then map
-each fundamental's exponent vector through those residues and require the
-result to be a fresh member of the table's fingerprint set, stopping at
-the first miss.  A completed walk is a full multiset match, and a random
-non-symmetry dies on the first non-constant step (miss probability about
-1 - n/p per step).  The second stage is exact: substitute the candidate
-images into every seed and test fundamental membership.  Confirmed
-symmetries are stored through the factored images of all generators,
-which makes applying and composing them integer arithmetic on exponent
-vectors.
+One backtracking search binds the indeterminates one at a time, next the
+one that completes the most seeds, and cuts a branch once a fully bound
+seed, evaluated mod p at the fingerprints of the chosen images, is not a
+table fingerprint (a zero denominator residue decides nothing).  Each
+complete tuple then passes the fingerprint walk, in which every
+fundamental's image must be a fresh table fingerprint, and one exact
+check: the images substituted into every generator must factor into
+nonzero units, and exponent arithmetic must permute the table.
+Fingerprints only reject; the exact check decides.  Symmetries are stored
+through the factored images of all generators, which makes applying and
+composing them integer arithmetic on exponent vectors.
 
 The Gaussian field has no indeterminates; its two symmetries (identity
 and conjugation) are checked by direct value substitution instead.
@@ -21,7 +21,6 @@ and conjugation) are checked by direct value substitution instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .exact import (
     ModMap,
@@ -38,13 +37,10 @@ from .pfield import (
     PartialFieldSpec,
     TableEntry,
     VerificationError,
-    builtin_specs,
     expand_element,
     factor_over_generators,
     fundamental_table,
     hom_gf5,
-    is_fundamental_exact,
-    parse_field_spec,
 )
 
 __all__ = [
@@ -88,6 +84,10 @@ class AutGroup:
 # Candidate stages
 
 
+def _live_fingerprints(table: FundamentalTable) -> frozenset[int]:
+    return frozenset(e.fingerprint for e in table.entries if e.element.sign != 0)
+
+
 def _gen_residues(
     spec: PartialFieldSpec, fps: tuple[int, ...], p: int
 ) -> list[int] | None:
@@ -105,58 +105,29 @@ def _gen_residues(
     return out
 
 
-def _walk_order(table: FundamentalTable) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Nonzero fundamentals as (sign, exps), constants last so the first
-    walk step already discriminates."""
-    live = [e.element for e in table.entries if e.element.sign != 0]
-    live.sort(key=lambda fe: not any(fe.exps))
-    return tuple((fe.sign, fe.exps) for fe in live)
-
-
-def _fingerprint_walk(
-    spec: PartialFieldSpec,
-    walk: tuple[tuple[int, tuple[int, ...]], ...],
-    fp_set: frozenset[int],
-    fps: tuple[int, ...],
-    p: int,
-) -> bool:
-    """True when every fundamental's image fingerprint is a fresh member
-    of the fingerprint set; a completed walk is a full multiset match."""
-    residues = _gen_residues(spec, fps, p)
-    if residues is None:
-        return False
-    seen = set()
-    for sign, exps in walk:
-        total = 1 if sign > 0 else p - 1
-        for r, e in zip(residues, exps):
-            if e:
-                total = total * pow(r, e, p) % p
-        if total not in fp_set or total in seen:
-            return False
-        seen.add(total)
-    return True
-
-
 def prefilter_candidate(
     spec: PartialFieldSpec, table: FundamentalTable, fps: tuple[int, ...]
 ) -> bool:
-    """Multiset test: images of the nonzero fundamentals, fingerprinted at
-    the candidate residues, must reproduce the table's fingerprints."""
+    """Fingerprint walk: from the candidate image residues, every nonzero
+    fundamental's image must be a fresh member of the table's nonzero
+    fingerprints; a completed walk is a full multiset match, and the walk
+    stops at the first miss."""
     assert table.mod_map is not None
     p = table.mod_map.prime
     residues = _gen_residues(spec, fps, p)
     if residues is None:
         return False
-    derived_map = ModMap(p, tuple(residues))
-    derived = sorted(
-        mod_eval(derived_map, e.element.sign, e.element.exps)
-        for e in table.entries
-        if e.element.sign != 0
-    )
-    expected = sorted(
-        e.fingerprint for e in table.entries if e.element.sign != 0
-    )
-    return derived == expected
+    derived = ModMap(p, tuple(residues))
+    live = _live_fingerprints(table)
+    seen = set()
+    for e in table.entries:
+        if e.element.sign == 0:
+            continue
+        image = mod_eval(derived, e.element.sign, e.element.exps)
+        if image not in live or image in seen:
+            return False
+        seen.add(image)
+    return True
 
 
 def _substitute(x: RatFunc, images: list[RatFunc]) -> RatFunc:
@@ -167,22 +138,34 @@ def _substitute(x: RatFunc, images: list[RatFunc]) -> RatFunc:
 
 def confirm_candidate(
     spec: PartialFieldSpec, table: FundamentalTable, entries: tuple[TableEntry, ...]
-) -> bool:
-    """Exact confirmation: every seed, with the indeterminates replaced by
-    the candidate images, must land on a fundamental element."""
+) -> Automorphism | None:
+    """Exact confirmation: the symmetry sending the indeterminates to the
+    candidate images, or None when there is none.
+
+    Every generator, with the indeterminates replaced by the images, must
+    be a nonzero unit over the generators, and exponent arithmetic through
+    those factored images must permute the table.  A confirmed symmetry
+    whose GF(5) images match no coordinate permutation is a
+    VerificationError."""
     images = [e.value for e in entries]
-    for seed in spec.seeds:
+    gen_fes = [_sign_gen_image(spec)]
+    for gen in spec.generators[1:]:
         try:
-            value = _substitute(seed, images)
+            fe = factor_over_generators(spec, _substitute(gen, images))
         except ValueError:
-            return False
-        if not is_fundamental_exact(spec, value):
-            return False
-    return True
+            return None
+        if fe.sign == 0:
+            return None
+        gen_fes.append(fe)
+    aut = Automorphism(tuple(entries), tuple(gen_fes), coord_perm=())
+    if not _permutes_table(table, aut):
+        return None
+    aut.coord_perm = _induced_perm(spec, aut.gen_images)
+    return aut
 
 
 # ---------------------------------------------------------------------------
-# Assembling confirmed symmetries
+# Symmetry arithmetic
 
 
 def _base_columns(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
@@ -247,38 +230,16 @@ def _canonical_image(
     return img
 
 
-def _verify_table_permutation(table: FundamentalTable, aut: Automorphism) -> None:
+def _permutes_table(table: FundamentalTable, aut: Automorphism) -> bool:
     images = {
         _canonical_image(table.spec, aut, e.element) for e in table.entries
     }
-    if images != set(table.by_element):
-        raise VerificationError(
-            f"{table.spec.name}: confirmed symmetry does not permute the table"
-        )
+    return images == set(table.by_element)
 
 
 def _sign_gen_image(spec: PartialFieldSpec) -> FactoredElement:
     n = len(spec.generators)
     return FactoredElement(1, tuple(int(j == 0) for j in range(n)))
-
-
-def _assemble(
-    spec: PartialFieldSpec,
-    table: FundamentalTable,
-    image_entries: tuple[TableEntry, ...],
-) -> Automorphism:
-    images = [e.value for e in image_entries]
-    gen_fes = [_sign_gen_image(spec)]
-    for gen in spec.generators[1:]:
-        value = _substitute(gen, images)
-        gen_fes.append(factor_over_generators(spec, value))
-    aut = Automorphism(
-        var_images=image_entries,
-        gen_images=tuple(gen_fes),
-        coord_perm=_induced_perm(spec, tuple(gen_fes)),
-    )
-    _verify_table_permutation(table, aut)
-    return aut
 
 
 def compose_gen_images(
@@ -298,32 +259,59 @@ def compose_gen_images(
 # Search
 
 
-def _scan_chunk(text: str, first_index: int) -> list[tuple[int, ...]]:
-    """Fingerprint-walk all candidate tuples starting with one image."""
-    spec = parse_field_spec(text)
-    table = fundamental_table(spec)
+def _binding_order(spec: PartialFieldSpec) -> list[tuple[int, list[RatFunc]]]:
+    """Indeterminates in binding order, each with the seeds it completes:
+    next is always the one completing the most seeds, ties in spec order."""
+    seeds = [
+        (s, {i for poly in (s.num, s.den) for m in poly for i, e in enumerate(m) if e})
+        for s in spec.seeds
+    ]
+    order: list[int] = []
+    while len(order) < spec.arity:
+        free = [v for v in range(spec.arity) if v not in order]
+        order.append(
+            max(free, key=lambda v: sum(used <= {*order, v} for _, used in seeds))
+        )
+    checks: list[list[RatFunc]] = [[] for _ in order]
+    for s, used in seeds:
+        if used:
+            checks[max(order.index(v) for v in used)].append(s)
+    return list(zip(order, checks))
+
+
+def _seed_consistent_tuples(
+    spec: PartialFieldSpec, table: FundamentalTable
+) -> list[tuple[int, ...]]:
+    """Sorted tuples of distinct indices into table.nonzero_one, in
+    variable order, whose images send every seed to a table fingerprint
+    mod p.  A seed is tested as soon as its variables are bound."""
     assert table.mod_map is not None
     p = table.mod_map.prime
-    walk = _walk_order(table)
-    fp_set = frozenset(
-        e.fingerprint for e in table.entries if e.element.sign != 0
-    )
+    live = _live_fingerprints(table)
     entries = table.nonzero_one
-    n = len(entries)
-    others = [i for i in range(n) if i != first_index]
-    tuples: list[tuple[int, ...]] = [(first_index,)]
-    for _ in range(spec.arity - 1):
-        tuples = [t + (i,) for t in tuples for i in others if i not in t]
-    passed = []
-    for t in tuples:
-        fps = tuple(entries[i].fingerprint for i in t)
-        if _fingerprint_walk(spec, walk, fp_set, fps, p):
-            passed.append(t)
-    return passed
+    steps = _binding_order(spec)
+    order = [var for var, _ in steps]
+    residues = [0] * spec.arity
+    leaves: list[tuple[int, ...]] = []
 
+    def fits(seed: RatFunc) -> bool:
+        den = poly_eval_mod(seed.den, residues, p)
+        if den == 0:
+            return True
+        return poly_eval_mod(seed.num, residues, p) * pow(den, -1, p) % p in live
 
-def _scan_worker(args: tuple[str, int]) -> list[tuple[int, ...]]:
-    return _scan_chunk(*args)
+    def extend(picked: tuple[int, ...]) -> None:
+        if len(picked) == len(steps):
+            leaves.append(tuple(i for _, i in sorted(zip(order, picked))))
+            return
+        var, seeds = steps[len(picked)]
+        for i, entry in enumerate(entries):
+            residues[var] = entry.fingerprint
+            if i not in picked and all(fits(seed) for seed in seeds):
+                extend(picked + (i,))
+
+    extend(())
+    return sorted(leaves)
 
 
 def _find_gauss_automorphisms(spec: PartialFieldSpec) -> AutGroup:
@@ -341,7 +329,10 @@ def _find_gauss_automorphisms(spec: PartialFieldSpec) -> AutGroup:
             gen_images=gen_fes,
             coord_perm=_induced_perm(spec, gen_fes),
         )
-        _verify_table_permutation(table, aut)
+        if not _permutes_table(table, aut):
+            raise VerificationError(
+                f"{spec.name}: confirmed symmetry does not permute the table"
+            )
         elements.append(aut)
     return _finish_group(spec, table, elements)
 
@@ -370,36 +361,32 @@ def _finish_group(
 _group_cache: dict[str, AutGroup] = {}
 
 
-def find_automorphisms(spec: PartialFieldSpec, workers: int = 1) -> AutGroup:
-    """All symmetries of the field, via pretest, prefilter, and exact
-    confirmation.  `workers` parallelizes the pretest scan."""
-    key = spec.source_hash
-    if key in _group_cache:
-        return _group_cache[key]
-    if spec.is_gauss:
-        group = _find_gauss_automorphisms(spec)
-        _group_cache[key] = group
-        return group
-
+def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
     entries = table.nonzero_one
-    n = len(entries)
-    if workers > 1 and spec.arity >= 2:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            chunks = pool.map(
-                _scan_worker,
-                [(spec.source_text, i) for i in range(n)],
-            )
-    else:
-        chunks = [_scan_chunk(spec.source_text, i) for i in range(n)]
-
     elements = []
-    for t in (t for chunk in chunks for t in chunk):
-        image_entries = tuple(entries[i] for i in t)
-        if not confirm_candidate(spec, table, image_entries):
+    for t in _seed_consistent_tuples(spec, table):
+        fps = tuple(entries[i].fingerprint for i in t)
+        if not prefilter_candidate(spec, table, fps):
             continue
-        elements.append(_assemble(spec, table, image_entries))
-    group = _finish_group(spec, table, elements)
-    _group_cache[key] = group
-    return group
+        aut = confirm_candidate(spec, table, tuple(entries[i] for i in t))
+        if aut is not None:
+            elements.append(aut)
+    return _finish_group(spec, table, elements)
+
+
+def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
+    """All symmetries of the field, cached per spec text.
+
+    Over indeterminates, the seed-pruned backtracking search proposes
+    image tuples, the fingerprint prefilter rejects what it can, and the
+    exact check decides every survivor; the symmetries come out in the
+    order of their image tuples.  The Gaussian field's two candidate
+    symmetries are checked directly."""
+    key = spec.source_hash
+    if key not in _group_cache:
+        if spec.is_gauss:
+            _group_cache[key] = _find_gauss_automorphisms(spec)
+        else:
+            _group_cache[key] = _search_automorphisms(spec)
+    return _group_cache[key]

@@ -34,11 +34,6 @@ def test_unknown_command_is_a_usage_error(capsys) -> None:
     assert code == 2
 
 
-def test_zero_workers_is_a_usage_error(capsys) -> None:
-    code, _, _ = run_cli(capsys, "funs", "H3", "--workers", "0")
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
 # Table commands
 
@@ -116,10 +111,8 @@ def test_auts_json_output(capsys) -> None:
     assert len(data["coord_perms"]) == 6
 
 
-def test_auts_with_two_workers(capsys) -> None:
-    code, out, _ = run_cli(
-        capsys, "auts", "H4", "--format", "json", "--workers", "2"
-    )
+def test_auts_h4_json_output(capsys) -> None:
+    code, out, _ = run_cli(capsys, "auts", "H4", "--format", "json")
     assert code == 0
     assert json.loads(out)["order"] == 24
 
@@ -225,6 +218,26 @@ def test_prime_start_with_an_always_vanishing_generator_fails(
     assert code == 1
     assert "FAIL" in out
     assert "vanishes" in out
+
+
+@pytest.mark.parametrize(
+    "old, new, generator",
+    [
+        # a^2 - a + 1 is 21 = 3 * 7 at the modvar a = 5.
+        ("prime 1299709", "prime 7", "a^2 - a + 1"),
+        ("modvar a 5", "modvar a 0", "a"),
+    ],
+    ids=["prime-7", "modvar-a-0"],
+)
+def test_vanishing_generator_residue_names_field_and_generator(
+    capsys, tmp_path, old, new, generator
+) -> None:
+    path = tmp_path / "vanishing.pfs"
+    path.write_text(builtin_specs()["H3"].source_text.replace(old, new))
+    code, out, _ = run_cli(capsys, "funs", "--spec", str(path))
+    assert code == 1
+    assert out.startswith("FAIL: H3: ")
+    assert f"generator {generator!r} vanishes" in out
 
 
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:

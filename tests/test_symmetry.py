@@ -94,6 +94,14 @@ def test_shifted_reciprocal_square_map_is_not_an_automorphism(specs) -> None:
     assert not symmetry.confirm_candidate(specs["H3"], table, (entry,))
 
 
+def test_zero_generator_image_is_rejected_exactly(specs) -> None:
+    # (a, b) -> (a, 1/a) sends the generator a*b - 1 to zero.
+    spec = specs["H4"]
+    table = fundamental_table(spec)
+    pair = (entry_for("H4", "a"), entry_for("H4", "1/a"))
+    assert symmetry.confirm_candidate(spec, table, pair) is None
+
+
 def test_known_two_variable_image_pair_is_found() -> None:
     first = entry_for("H4", "1 - b")
     second = entry_for("H4", "a*(1 - b)/(a + b - 2*a*b)")
@@ -135,6 +143,29 @@ def test_single_variable_prefilter_is_a_superset_of_the_group(specs) -> None:
     }
     assert len(confirmed) == 6
     assert confirmed <= prefiltered
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
+    spec = specs[name]
+    table = fundamental_table(spec)
+    brute = set()
+    for images in permutations(table.nonzero_one, spec.arity):
+        fps = tuple(e.fingerprint for e in images)
+        if not symmetry.prefilter_candidate(spec, table, fps):
+            continue
+        aut = symmetry.confirm_candidate(spec, table, images)
+        if aut is not None:
+            brute.add(aut.gen_images)
+    assert brute == set(group(name).by_gen_images)
+
+
+def test_seed_pruning_leaves_few_of_the_ordered_tuples(specs) -> None:
+    spec = specs["H5"]
+    table = fundamental_table(spec)
+    n = len(table.nonzero_one)
+    assert n * (n - 1) * (n - 2) == 704880
+    assert len(symmetry._seed_consistent_tuples(spec, table)) <= 1440
 
 
 # ---------------------------------------------------------------------------
