@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -102,13 +102,6 @@ def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
 def poly_neg(a: Poly) -> Poly:
     """Return -a."""
     return {mono: -coeff for mono, coeff in a.items()}
-
-
-def poly_scale(a: Poly, c: int) -> Poly:
-    """Return c*a for an integer scalar c."""
-    if c == 0:
-        return {}
-    return {mono: c * coeff for mono, coeff in a.items()}
 
 
 def poly_pow(a: Poly, n: int) -> Poly:
@@ -382,6 +375,33 @@ def gauss_div(a: GaussDyadic, b: GaussDyadic) -> GaussDyadic:
     )
 
 
+def gauss_pow(base: GaussDyadic, e: int) -> GaussDyadic:
+    """base**e for any integer e; a negative e divides exactly."""
+    acc = GAUSS_ONE
+    for _ in range(abs(e)):
+        acc = gauss_mul(acc, base) if e > 0 else gauss_div(acc, base)
+    return acc
+
+
+def _poly_eval_gauss(poly: Poly, point: Sequence[GaussDyadic]) -> GaussDyadic:
+    total = GAUSS_ZERO
+    for mono, coeff in poly.items():
+        term = gauss_make(coeff, 0)
+        for value, e in zip(point, mono):
+            if e:
+                term = gauss_mul(term, gauss_pow(value, e))
+        total = gauss_add(total, term)
+    return total
+
+
+def ratfunc_eval_gauss(x: RatFunc, point: Sequence[GaussDyadic]) -> GaussDyadic:
+    """Value of x with its variables replaced by the point's Gaussian dyadic
+    numbers: numerator over denominator in one exact division, which raises
+    ValueError when the denominator vanishes or the quotient leaves
+    Z[1/2, i]."""
+    return gauss_div(_poly_eval_gauss(x.num, point), _poly_eval_gauss(x.den, point))
+
+
 def gauss_is_unit(a: GaussDyadic) -> bool:
     """True iff a is invertible in Z[1/2, i] (its norm is a power of two)."""
     n = a.re_num * a.re_num + a.im_num * a.im_num
@@ -440,6 +460,16 @@ class ModMap:
         for r in self.gen_residues:
             if r % self.prime == 0:
                 raise ValueError(f"generator residue divisible by {self.prime}")
+
+
+def ratfunc_eval_mod(x: RatFunc, point: Sequence[int], p: int) -> int | None:
+    """Residue of x with its variables replaced by the point's residues,
+    mod the prime p, or None when the denominator vanishes there."""
+    den = poly_eval_mod(x.den, point, p)
+    if den == 0:
+        return None
+    num = poly_eval_mod(x.num, point, p)
+    return num if den == 1 else num * pow(den, -1, p) % p
 
 
 def _mod_pow(r: int, e: int, p: int) -> int:
@@ -519,8 +549,17 @@ def to_gf5(x: Fraction | int) -> int:
 # Expression parsing (ASCII math for the declarative field format)
 
 # AST nodes: ('num', int) | ('var', str) | ('neg', e) | ('pow', e, int)
-#            | ('add'|'sub'|'mul'|'div', lhs, rhs)
+#            | ('chain', e, ((op, e), ...)) with op 'add'|'sub'|'mul'|'div',
+#              a left-to-right run of one precedence level, kept flat so
+#              that a long run adds no recursion depth
 Expr = tuple
+
+# Caps on one expression, checked before anything is expanded.  Nesting
+# counts parentheses and unary minus, the only recursion in the parser and
+# in the walks over its output.  Degree bounds the rational function the
+# expression expands to.  The builtin fields reach nesting 2 and degree 3.
+MAX_NESTING = 32
+MAX_DEGREE = 8
 
 
 def _tokenize(text: str) -> list[str]:
@@ -554,6 +593,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -570,26 +610,32 @@ class _Parser:
         if got != tok:
             raise ValueError(f"expected {tok!r}, got {got!r}")
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+    def nested(self, parse) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
+        node = parse()
+        self.nesting -= 1
         return node
 
+    def parse_chain(self, parse_operand, ops: dict[str, str]) -> Expr:
+        first = parse_operand()
+        rest = []
+        while self.peek() in ops:
+            op = ops[self.take()]
+            rest.append((op, parse_operand()))
+        return ("chain", first, tuple(rest)) if rest else first
+
+    def parse_expr(self) -> Expr:
+        return self.parse_chain(self.parse_term, {"+": "add", "-": "sub"})
+
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+        return self.parse_chain(self.parse_unary, {"*": "mul", "/": "div"})
 
     def parse_unary(self) -> Expr:
         if self.peek() == "-":
             self.take()
-            return ("neg", self.parse_unary())
+            return ("neg", self.nested(self.parse_unary))
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -605,7 +651,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.take()
         if tok == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr)
             self.expect(")")
             return node
         if tok.isdigit():
@@ -615,27 +661,45 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
 
+def _degrees(expr: Expr) -> tuple[int, int]:
+    """Degree bounds of the numerator and denominator that expr_to_ratfunc
+    builds, raising ValueError where any subexpression exceeds MAX_DEGREE.
+    A power x^k counts k times the degree of x and at least k, so powers of
+    constants are bounded too."""
+    kind = expr[0]
+    if kind == "num":
+        num, den = 0, 0
+    elif kind == "var":
+        num, den = 1, 0
+    elif kind == "neg":
+        num, den = _degrees(expr[1])
+    elif kind == "pow":
+        num, den = _degrees(expr[1])
+        num, den = expr[2] * max(num, 1), expr[2] * den
+    else:
+        num, den = _degrees(expr[1])
+        for op, operand in expr[2]:
+            n, d = _degrees(operand)
+            if op == "mul":
+                num, den = num + n, den + d
+            elif op == "div":
+                num, den = num + d, den + n
+            else:
+                num, den = max(num + d, n + den), den + d
+    if max(num, den) > MAX_DEGREE:
+        raise ValueError(f"expression degree exceeds {MAX_DEGREE}")
+    return num, den
+
+
 def parse_expr(text: str) -> Expr:
-    """Parse ASCII math (+ - * / ^ and parentheses) into an AST."""
+    """Parse ASCII math (+ - * / ^ and parentheses) into an AST; raises
+    ValueError on malformed text or on an expression over a cap."""
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     if parser.peek() is not None:
         raise ValueError(f"trailing tokens in {text!r}")
+    _degrees(node)
     return node
-
-
-def expr_vars(expr: Expr) -> set[str]:
-    """All variable names appearing in the expression."""
-    kind = expr[0]
-    if kind == "num":
-        return set()
-    if kind == "var":
-        return {expr[1]}
-    if kind == "neg":
-        return expr_vars(expr[1])
-    if kind == "pow":
-        return expr_vars(expr[1])
-    return expr_vars(expr[1]) | expr_vars(expr[2])
 
 
 def expr_to_ratfunc(expr: Expr, var_names: Sequence[str]) -> RatFunc:
@@ -653,58 +717,10 @@ def expr_to_ratfunc(expr: Expr, var_names: Sequence[str]) -> RatFunc:
     if kind == "pow":
         base = expr_to_ratfunc(expr[1], var_names)
         return RatFunc(poly_pow(base.num, expr[2]), poly_pow(base.den, expr[2]))
-    lhs = expr_to_ratfunc(expr[1], var_names)
-    rhs = expr_to_ratfunc(expr[2], var_names)
-    return ratfunc_arith(lhs, rhs, kind)
-
-
-def expr_to_gauss(expr: Expr) -> GaussDyadic:
-    """Evaluate an AST over Z[1/2, i]; the only allowed name is 'i'."""
-    kind = expr[0]
-    if kind == "num":
-        return gauss_make(expr[1], 0)
-    if kind == "var":
-        if expr[1] != "i":
-            raise ValueError(f"unknown constant {expr[1]!r}")
-        return GAUSS_I
-    if kind == "neg":
-        return gauss_neg(expr_to_gauss(expr[1]))
-    if kind == "pow":
-        base = expr_to_gauss(expr[1])
-        result = GAUSS_ONE
-        for _ in range(expr[2]):
-            result = gauss_mul(result, base)
-        return result
-    lhs = expr_to_gauss(expr[1])
-    rhs = expr_to_gauss(expr[2])
-    ops = {"add": gauss_add, "sub": gauss_sub, "mul": gauss_mul, "div": gauss_div}
-    return ops[kind](lhs, rhs)
-
-
-def expr_eval_mod(expr: Expr, var_residues: Mapping[str, int], p: int) -> int:
-    """Evaluate an AST mod p; division uses the Fermat inverse."""
-    kind = expr[0]
-    if kind == "num":
-        return expr[1] % p
-    if kind == "var":
-        if expr[1] not in var_residues:
-            raise ValueError(f"no residue for variable {expr[1]!r}")
-        return var_residues[expr[1]] % p
-    if kind == "neg":
-        return -expr_eval_mod(expr[1], var_residues, p) % p
-    if kind == "pow":
-        return pow(expr_eval_mod(expr[1], var_residues, p), expr[2], p)
-    lhs = expr_eval_mod(expr[1], var_residues, p)
-    rhs = expr_eval_mod(expr[2], var_residues, p)
-    if kind == "add":
-        return (lhs + rhs) % p
-    if kind == "sub":
-        return (lhs - rhs) % p
-    if kind == "mul":
-        return lhs * rhs % p
-    if rhs == 0:
-        raise ValueError("division by a zero residue")
-    return lhs * pow(rhs, p - 2, p) % p
+    acc = expr_to_ratfunc(expr[1], var_names)
+    for op, operand in expr[2]:
+        acc = ratfunc_arith(acc, expr_to_ratfunc(operand, var_names), op)
+    return acc
 
 
 def ratfunc_from_text(text: str, var_names: Sequence[str]) -> RatFunc:
@@ -713,5 +729,5 @@ def ratfunc_from_text(text: str, var_names: Sequence[str]) -> RatFunc:
 
 
 def gauss_from_text(text: str) -> GaussDyadic:
-    """Parse ASCII math into a Gaussian dyadic number."""
-    return expr_to_gauss(parse_expr(text))
+    """Parse ASCII math in the one name 'i' into a Gaussian dyadic number."""
+    return ratfunc_eval_gauss(ratfunc_from_text(text, ("i",)), (GAUSS_I,))

@@ -14,40 +14,42 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache, wraps
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .exact import (
-    Expr,
+    PRIME_LIMIT,
     GaussDyadic,
     GAUSS_ONE,
     GAUSS_ZERO,
     ModMap,
     Poly,
     RatFunc,
-    expr_eval_mod,
-    expr_to_gauss,
-    expr_to_ratfunc,
     gauss_div,
     gauss_eq,
+    gauss_from_text,
     gauss_is_one,
     gauss_is_unit,
     gauss_is_zero,
     gauss_lognorm,
     gauss_mul,
     gauss_neg,
+    gauss_pow,
     gauss_re_im,
     gauss_sub,
     grlex_key,
+    is_prime,
     make_const,
     mod_eval,
-    parse_expr,
     poly_arith,
     poly_arity,
-    poly_eval_mod,
     poly_pow,
     ratfunc_arith,
     ratfunc_const,
     ratfunc_eq,
+    ratfunc_eval_mod,
+    ratfunc_from_text,
     ratfunc_is_one,
     ratfunc_is_zero,
 )
@@ -75,7 +77,6 @@ class PartialFieldSpec:
     report_index: int
     var_names: tuple[str, ...]
     generator_exprs: tuple[str, ...]
-    generator_asts: tuple[Expr, ...]
     generators: tuple[RatFunc | GaussDyadic, ...]
     seed_exprs: tuple[str, ...]
     seeds: tuple[RatFunc | GaussDyadic, ...]
@@ -109,15 +110,17 @@ class PartialFieldSpec:
         p = self.mod_prime if prime is None else prime
         if p is None:
             raise ValueError(f"{self.name}: no fingerprint prime configured")
-        env = dict(zip(self.var_names, self.mod_var_residues))
-        residues = tuple(expr_eval_mod(ast, env, p) for ast in self.generator_asts)
-        for expr, r in zip(self.generator_exprs, residues):
-            if r % p == 0:
+        residues = []
+        for expr, gen in zip(self.generator_exprs, self.generators):
+            r = ratfunc_eval_mod(gen, self.mod_var_residues, p)
+            if not r:
+                what = "vanishes" if r == 0 else "has a vanishing denominator"
                 raise ValueError(
-                    f"{self.name}: generator {expr!r} vanishes mod {p} "
+                    f"{self.name}: generator {expr!r} {what} mod {p} "
                     "at the fingerprint residues"
                 )
-        return ModMap(p, residues)
+            residues.append(r)
+        return ModMap(p, tuple(residues))
 
 
 def parse_field_spec(text: str) -> PartialFieldSpec:
@@ -160,6 +163,10 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             hom_rows.append(tuple(part.strip() for part in rest.split(",")))
         elif keyword == "prime":
             prime = int(rest)
+            if not (prime < PRIME_LIMIT and is_prime(prime)):
+                raise ValueError(
+                    f"fingerprint prime {prime} is not a prime below 3.3e24"
+                )
         elif keyword == "modvar":
             var, value = rest.split()
             var_residues[var] = int(value)
@@ -177,11 +184,9 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         raise ValueError("field description needs generators and seeds")
 
     arity = len(var_names)
-    gen_asts = tuple(parse_expr(e) for e in gen_exprs)
-
     if arity == 0:
-        generators: tuple = tuple(expr_to_gauss(a) for a in gen_asts)
-        seeds: tuple = tuple(expr_to_gauss(parse_expr(e)) for e in seed_exprs)
+        generators: tuple = tuple(gauss_from_text(e) for e in gen_exprs)
+        seeds: tuple = tuple(gauss_from_text(e) for e in seed_exprs)
         if not gauss_eq(generators[0], gauss_neg(GAUSS_ONE)):
             raise ValueError("the first generator must be -1")
         if len(gf5_gen_rows) != len(gen_exprs):
@@ -198,8 +203,8 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             raise ValueError("h2hom/prime/modvar lines need indeterminates")
     else:
         vt = tuple(var_names)
-        generators = tuple(expr_to_ratfunc(a, vt) for a in gen_asts)
-        seeds = tuple(expr_to_ratfunc(parse_expr(e), vt) for e in seed_exprs)
+        generators = tuple(ratfunc_from_text(e, vt) for e in gen_exprs)
+        seeds = tuple(ratfunc_from_text(e, vt) for e in seed_exprs)
         if not ratfunc_eq(generators[0], ratfunc_const(arity, -1)):
             raise ValueError("the first generator must be -1")
         if set(gf5_var_images) != set(var_names):
@@ -211,22 +216,18 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         var_images = tuple(gf5_var_images[v] for v in var_names)
         gen_images = tuple(
             tuple(
-                expr_eval_mod(
-                    ast, {v: var_images[i][j] for i, v in enumerate(var_names)}, 5
-                )
+                ratfunc_eval_mod(gen, [images[j] for images in var_images], 5)
                 for j in range(width)
             )
-            for ast in gen_asts
+            for gen in generators
         )
         for expr, row in zip(gen_exprs, gen_images):
-            if 0 in row:
-                raise ValueError(f"generator {expr!r} maps to 0 in GF(5)")
+            if not all(row):
+                raise ValueError(f"generator {expr!r} has no unit image in GF(5)")
         for row in hom_rows:
             if len(row) != arity:
                 raise ValueError("h2hom rows must give one value per indeterminate")
-        hom_images = tuple(
-            tuple(expr_to_gauss(parse_expr(e)) for e in row) for row in hom_rows
-        )
+        hom_images = tuple(tuple(gauss_from_text(e) for e in row) for row in hom_rows)
         if prime is None:
             raise ValueError("fields with indeterminates need a fingerprint prime")
         if set(var_residues) != set(var_names):
@@ -242,7 +243,6 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         report_index=report_index,
         var_names=tuple(var_names),
         generator_exprs=tuple(gen_exprs),
-        generator_asts=gen_asts,
         generators=generators,
         seed_exprs=tuple(seed_exprs),
         seeds=seeds,
@@ -417,15 +417,38 @@ _BUILTIN_TEXTS = {
     "H5": H5_SPEC_TEXT,
 }
 
-_builtin_cache: dict[str, PartialFieldSpec] = {}
+
+@cache
+def builtin_specs() -> Mapping[str, PartialFieldSpec]:
+    """The four built-in field descriptions, parsed once; read-only."""
+    return MappingProxyType(
+        {name: parse_field_spec(text) for name, text in _BUILTIN_TEXTS.items()}
+    )
 
 
-def builtin_specs() -> dict[str, PartialFieldSpec]:
-    """The four built-in field descriptions, parsed once."""
-    if not _builtin_cache:
-        for name, text in _BUILTIN_TEXTS.items():
-            _builtin_cache[name] = parse_field_spec(text)
-    return dict(_builtin_cache)
+# One memo for every computation made from a whole spec, keyed by the
+# computation and the hash of the spec text, so a spec parsed again from the
+# same text reuses the results.
+_memo: dict[tuple, object] = {}
+
+
+def memo_by_spec(compute):
+    """Decorator: compute(spec) runs once per spec text.  The wrapper's
+    cache_clear() forgets that computation's results for every spec."""
+
+    @wraps(compute)
+    def memoised(spec: PartialFieldSpec):
+        key = (compute, spec.source_hash)
+        if key not in _memo:
+            _memo[key] = compute(spec)
+        return _memo[key]
+
+    def cache_clear() -> None:
+        for key in [key for key in _memo if key[0] is compute]:
+            del _memo[key]
+
+    memoised.cache_clear = cache_clear
+    return memoised
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +579,7 @@ def _factor_gauss(spec: PartialFieldSpec, x: GaussDyadic) -> FactoredElement:
     y = int(lognorm - Fraction(v, 2))
     base = GAUSS_ONE
     for gen, e in zip(spec.generators[1:], (y, 0, v)):
-        for _ in range(abs(e)):
-            base = gauss_mul(base, gen) if e > 0 else gauss_div(base, gen)
+        base = gauss_mul(base, gauss_pow(gen, e))
     phase = gauss_div(x, base)
     if phase.two_exp != 0 or (phase.re_num, phase.im_num) not in _GAUSS_UNIT_PHASES:
         raise ValueError(f"not expressible as a unit: {x}")
@@ -591,13 +613,6 @@ def factor_over_generators(
     return FactoredElement(sign, tuple(exps))
 
 
-def _gauss_pow(base: GaussDyadic, e: int) -> GaussDyadic:
-    acc = GAUSS_ONE
-    for _ in range(abs(e)):
-        acc = gauss_mul(acc, base) if e > 0 else gauss_div(acc, base)
-    return acc
-
-
 def expand_element(
     spec: PartialFieldSpec, fe: FactoredElement
 ) -> RatFunc | GaussDyadic:
@@ -608,7 +623,7 @@ def expand_element(
         acc = GAUSS_ONE if fe.sign > 0 else gauss_neg(GAUSS_ONE)
         for gen, e in zip(spec.generators, fe.exps):
             if e:
-                acc = gauss_mul(acc, _gauss_pow(gen, e))
+                acc = gauss_mul(acc, gauss_pow(gen, e))
         return acc
     arity = spec.arity
     if fe.sign == 0:
@@ -640,19 +655,6 @@ def hom_gf5(spec: PartialFieldSpec, fe: FactoredElement) -> tuple[int, ...]:
             k = e % 4
             acc = [x * pow(g, k, 5) % 5 for x, g in zip(acc, img)]
     return tuple(acc)
-
-
-def gf5_image_of_value(spec: PartialFieldSpec, x: RatFunc) -> tuple[int, ...] | None:
-    """GF(5)^m image of an exact value, or None if a denominator vanishes."""
-    out = []
-    for j in range(spec.gf5_width):
-        coords = tuple(images[j] for images in spec.gf5_var_images)
-        d = poly_eval_mod(x.den, coords, 5)
-        if d == 0:
-            return None
-        n = poly_eval_mod(x.num, coords, 5)
-        out.append(n * pow(d, 3, 5) % 5)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -719,20 +721,15 @@ def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
 
     mm = spec.mod_map()
     assert mm is not None
-    residues = spec.mod_var_residues
-    p = mm.prime
     values = []
     buckets: dict[int | None, list[int]] = {}
     queue = list(spec.seeds)
     while queue:
         v = queue.pop()
-        d = poly_eval_mod(v.den, residues, p)
-        if d == 0:
-            key: int | None = None
-            probe: list[int] = list(range(len(values)))
+        key = ratfunc_eval_mod(v, spec.mod_var_residues, mm.prime)
+        if key is None:
+            probe = list(range(len(values)))
         else:
-            n = poly_eval_mod(v.num, residues, p)
-            key = n * pow(d, p - 2, p) % p
             probe = buckets.get(key, []) + buckets.get(None, [])
         if any(ratfunc_eq(values[i], v) for i in probe):
             continue
@@ -791,15 +788,10 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     )
 
 
-_table_cache: dict[str, FundamentalTable] = {}
-
-
+@memo_by_spec
 def fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     """Cached fundamental table for a spec."""
-    key = spec.source_hash
-    if key not in _table_cache:
-        _table_cache[key] = build_fundamental_table(spec)
-    return _table_cache[key]
+    return build_fundamental_table(spec)
 
 
 def is_fundamental_exact(
@@ -813,13 +805,11 @@ def is_fundamental_exact(
         return True
     mm = table.mod_map
     assert mm is not None
-    d = poly_eval_mod(x.den, spec.mod_var_residues, mm.prime)
-    if d == 0:
+    fp = ratfunc_eval_mod(x, spec.mod_var_residues, mm.prime)
+    if fp is None:
         return any(
             not isinstance(e.value, GaussDyadic) and ratfunc_eq(x, e.value)
             for e in table.entries
         )
-    n = poly_eval_mod(x.num, spec.mod_var_residues, mm.prime)
-    fp = n * pow(d, mm.prime - 2, mm.prime) % mm.prime
     entry = table.by_fingerprint.get(fp)
     return entry is not None and ratfunc_eq(x, entry.value)

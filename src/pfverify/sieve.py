@@ -29,26 +29,19 @@ from operator import getitem
 from typing import NamedTuple
 
 from .exact import (
-    Expr,
     GAUSS_ONE,
-    GAUSS_ZERO,
     GaussDyadic,
     ModMap,
     RatFunc,
-    gauss_add,
-    gauss_div,
-    gauss_is_one,
     gauss_is_unit,
     gauss_is_zero,
     gauss_lognorm,
-    gauss_make,
-    gauss_mul,
-    gauss_neg,
     gauss_sub,
     next_prime,
     ratfunc_arith,
     ratfunc_const,
     ratfunc_eq,
+    ratfunc_eval_gauss,
 )
 from .pfield import (
     FactoredElement,
@@ -58,6 +51,7 @@ from .pfield import (
     expand_element,
     factor_over_generators,
     fingerprint_sort_key,
+    memo_by_spec,
 )
 
 
@@ -81,42 +75,12 @@ class SieveResult(NamedTuple):
 # Unit-norm rows
 
 
-def _gauss_eval(expr: Expr, env: dict[str, GaussDyadic]) -> GaussDyadic:
-    op = expr[0]
-    if op == "num":
-        return gauss_make(expr[1], 0, 0)
-    if op == "var":
-        return env[expr[1]]
-    if op == "neg":
-        return gauss_neg(_gauss_eval(expr[1], env))
-    if op == "pow":
-        base = _gauss_eval(expr[1], env)
-        acc = GAUSS_ONE
-        for _ in range(abs(expr[2])):
-            acc = gauss_mul(acc, base) if expr[2] > 0 else gauss_div(acc, base)
-        return acc
-    lhs = _gauss_eval(expr[1], env)
-    rhs = _gauss_eval(expr[2], env)
-    if op == "add":
-        return gauss_add(lhs, rhs)
-    if op == "sub":
-        return gauss_sub(lhs, rhs)
-    if op == "mul":
-        return gauss_mul(lhs, rhs)
-    if op == "div":
-        return gauss_div(lhs, rhs)
-    raise ValueError(f"unknown expression node {op!r}")
-
-
 def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
     """One log2-norm row per Gaussian-unit map of the indeterminates."""
-    rows = []
-    for images in spec.h2_hom_images:
-        env = dict(zip(spec.var_names, images))
-        rows.append(
-            tuple(gauss_lognorm(_gauss_eval(ast, env)) for ast in spec.generator_asts)
-        )
-    return rows
+    return [
+        tuple(gauss_lognorm(ratfunc_eval_gauss(gen, images)) for gen in spec.generators)
+        for images in spec.h2_hom_images
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +270,16 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     return CandidateBox(tuple(ranges), include_zero)
 
 
-_box_cache: dict[str, CandidateBox] = {}
-
-
+@memo_by_spec
 def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
     """Exponent box containing every fundamental element of the field."""
     if spec.is_gauss:
         # Units with |log2 norm| <= 1: 2-exponent in [-1, 1], i-exponent a
         # phase in [0, 3], and (1 - i)-exponent in [0, 1].
         return CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
-    key = spec.source_hash
-    if key not in _box_cache:
-        rows = lognorm_rows(spec)
-        _box_cache[key] = bound_exponents(
-            rows, spec.extra_bounds, spec.include_zero_candidate
-        )
-    return _box_cache[key]
+    return bound_exponents(
+        lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+    )
 
 
 # ---------------------------------------------------------------------------

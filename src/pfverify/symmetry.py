@@ -27,9 +27,9 @@ from .exact import (
     RatFunc,
     gauss_conj,
     mod_eval,
-    poly_eval_mod,
     poly_subst,
     ratfunc_arith,
+    ratfunc_eval_mod,
 )
 from .pfield import (
     FactoredElement,
@@ -41,6 +41,7 @@ from .pfield import (
     factor_over_generators,
     fundamental_table,
     hom_gf5,
+    memo_by_spec,
 )
 
 __all__ = [
@@ -95,13 +96,10 @@ def _gen_residues(
     None when one vanishes (the image of a unit never has residue 0)."""
     out = []
     for gen in spec.generators:
-        num = poly_eval_mod(gen.num, fps, p)
-        if num == 0:
+        r = ratfunc_eval_mod(gen, fps, p)
+        if not r:
             return None
-        den = poly_eval_mod(gen.den, fps, p)
-        if den == 0:
-            return None
-        out.append(num if den == 1 else num * pow(den, -1, p) % p)
+        out.append(r)
     return out
 
 
@@ -295,10 +293,8 @@ def _seed_consistent_tuples(
     leaves: list[tuple[int, ...]] = []
 
     def fits(seed: RatFunc) -> bool:
-        den = poly_eval_mod(seed.den, residues, p)
-        if den == 0:
-            return True
-        return poly_eval_mod(seed.num, residues, p) * pow(den, -1, p) % p in live
+        r = ratfunc_eval_mod(seed, residues, p)
+        return r is None or r in live
 
     def extend(picked: tuple[int, ...]) -> None:
         if len(picked) == len(steps):
@@ -358,9 +354,6 @@ def _finish_group(
     )
 
 
-_group_cache: dict[str, AutGroup] = {}
-
-
 def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
     entries = table.nonzero_one
@@ -375,6 +368,7 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     return _finish_group(spec, table, elements)
 
 
+@memo_by_spec
 def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     """All symmetries of the field, cached per spec text.
 
@@ -383,10 +377,6 @@ def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     exact check decides every survivor; the symmetries come out in the
     order of their image tuples.  The Gaussian field's two candidate
     symmetries are checked directly."""
-    key = spec.source_hash
-    if key not in _group_cache:
-        if spec.is_gauss:
-            _group_cache[key] = _find_gauss_automorphisms(spec)
-        else:
-            _group_cache[key] = _search_automorphisms(spec)
-    return _group_cache[key]
+    if spec.is_gauss:
+        return _find_gauss_automorphisms(spec)
+    return _search_automorphisms(spec)

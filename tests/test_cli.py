@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,40 @@ def test_vanishing_generator_residue_names_field_and_generator(
     assert code == 1
     assert out.startswith("FAIL: H3: ")
     assert f"generator {generator!r} vanishes" in out
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("prime 1299709", "prime 1299711"),  # 3 * 433237 once hung the closure
+        ("prime 1299709", "prime 0"),
+        ("prime 1299709", "prime -5"),
+        ("seed a\n", "seed " + "(" * 250 + "a" + ")" * 250 + "\n"),
+        ("seed a\n", "seed " + "-" * 1200 + "a\n"),
+        ("seed a\n", "seed ((1 - a)^40)^40\n"),
+    ],
+    ids=["composite-prime", "prime-0", "negative-prime", "deep-parens",
+         "unary-minus-run", "nested-powers"],
+)
+def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
+    text = builtin_specs()["H3"].source_text
+    assert old in text
+    path = tmp_path / "hostile.pfs"
+    path.write_text(text.replace(old, new))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfverify.cli", "funs", "--spec", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: cannot parse spec file: ")
 
 
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:

@@ -12,6 +12,7 @@ from pfverify.exact import (
     ModMap,
     gauss_div,
     gauss_eq,
+    GAUSS_I,
     gauss_from_text,
     gauss_is_unit,
     gauss_lognorm,
@@ -26,6 +27,8 @@ from pfverify.exact import (
     poly_subst,
     ratfunc_arith,
     ratfunc_eq,
+    ratfunc_eval_gauss,
+    ratfunc_eval_mod,
     ratfunc_from_text,
     to_gf5,
 )
@@ -221,7 +224,9 @@ H4_GENS = ("-1", "a", "b", "1 - a", "1 - b", "a*b - 1", "a + b - 2*a*b")
 
 
 def _residues(gen_texts: tuple[str, ...], var_res: dict[str, int], p: int) -> tuple[int, ...]:
-    return tuple(exact.expr_eval_mod(parse_expr(t), var_res, p) for t in gen_texts)
+    names = tuple(var_res)
+    point = tuple(var_res.values())
+    return tuple(ratfunc_eval_mod(rf(t, names), point, p) for t in gen_texts)
 
 
 def test_generator_residues_single_variable_map() -> None:
@@ -357,12 +362,67 @@ def test_gauss_parser_accepts_imaginary_unit_only() -> None:
         gauss_from_text("a + 1")
 
 
-def test_expr_eval_mod_handles_division() -> None:
-    e = parse_expr("(a - 1)/(a + 1)")
-    assert exact.expr_eval_mod(e, {"a": 3}, 7) == (2 * pow(4, 5, 7)) % 7
+def test_ratfunc_eval_mod_handles_division() -> None:
+    assert ratfunc_eval_mod(rf("(a - 1)/(a + 1)"), (3,), 7) == (2 * pow(4, 5, 7)) % 7
 
 
-def test_expr_eval_mod_rejects_division_by_zero_residue() -> None:
-    e = parse_expr("1/(a - 3)")
+def test_ratfunc_eval_mod_is_none_at_a_vanishing_denominator() -> None:
+    assert ratfunc_eval_mod(rf("1/(a - 3)"), (3,), 7) is None
+    # The numerator vanishing too decides nothing either.
+    assert ratfunc_eval_mod(rf("(a - 3)/(a - 3)"), (10,), 7) is None
+    assert ratfunc_eval_mod(rf("(a - 3)/(a - 4)"), (3,), 7) == 0
+
+
+def test_ratfunc_eval_mod_matches_fraction_arithmetic() -> None:
+    rng = random.Random(5)
+    x = rf("(a^2*b - 3)/(2*a - b^2 + 1)", ("a", "b"))
+    p = 1000003
+    for _ in range(100):
+        a, b = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        num, den = a * a * b - 3, 2 * a - b * b + 1
+        expected = num * pow(den, -1, p) % p if den else None
+        assert ratfunc_eval_mod(x, (a, b), p) == expected
+
+
+def test_ratfunc_eval_gauss_divides_once_at_the_point() -> None:
+    x = rf("(a - b)/(a*b)", ("a", "b"))
+    point = (gauss_from_text("1 - i"), gauss_from_text("2"))
+    # (1 - i - 2)/(2*(1 - i)) = (-1 - i)(1 + i)/4 = -i/2
+    assert gauss_eq(ratfunc_eval_gauss(x, point), gauss_make(0, -1, 1))
+    assert gauss_eq(ratfunc_eval_gauss(rf("a^3"), (GAUSS_I,)), gauss_from_text("-i"))
+
+
+def test_ratfunc_eval_gauss_rejects_zero_denominators_and_non_ring_values() -> None:
     with pytest.raises(ValueError):
-        exact.expr_eval_mod(e, {"a": 3}, 7)
+        ratfunc_eval_gauss(rf("1/(a - 2)"), (gauss_from_text("2"),))
+    with pytest.raises(ValueError):
+        ratfunc_eval_gauss(rf("1/a"), (gauss_from_text("3"),))
+
+
+def test_parser_rejects_nesting_beyond_the_cap() -> None:
+    depth = exact.MAX_NESTING
+    assert ratfunc_eq(rf("(" * depth + "a" + ")" * depth), rf("a"))
+    assert ratfunc_eq(rf("-" * depth + "a"), rf("a"))
+    for text in ("(" * (depth + 1) + "a" + ")" * (depth + 1), "-" * (depth + 1) + "a"):
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_expr(text)
+
+
+def test_parser_accepts_long_operator_chains() -> None:
+    assert ratfunc_eq(rf(" + ".join(["a"] * 3000)), rf("3000*a"))
+
+
+def test_parser_rejects_degree_beyond_the_cap() -> None:
+    cap = exact.MAX_DEGREE
+    assert ratfunc_eq(rf(f"a^{cap}/(1 - a)^{cap}"), rf(f"(a/(1 - a))^{cap}"))
+    for text in (
+        f"a^{cap + 1}",
+        "((1 - a)^40)^40",
+        "((1 - a)^40)^0",
+        f"1/a^{cap} + 1/a",
+        f"2^{cap + 1}",
+        "(2^16)^16",
+        "*".join(["a"] * (cap + 1)),
+    ):
+        with pytest.raises(ValueError, match="degree exceeds"):
+            parse_expr(text)

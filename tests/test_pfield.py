@@ -10,6 +10,7 @@ import pytest
 
 from pfverify import pfield
 from pfverify.exact import (
+    PRIME_LIMIT,
     gauss_eq,
     gauss_from_text,
     ratfunc_arith,
@@ -63,6 +64,13 @@ def test_first_generator_is_minus_one_everywhere() -> None:
 def test_spec_rejects_missing_minus_one_generator() -> None:
     text = "field X\nk 3\nvars a\ngen a\nseed a\ngf5map a 2 3 4\nprime 7\nmodvar a 3\n"
     with pytest.raises(ValueError):
+        pfield.parse_field_spec(text)
+
+
+@pytest.mark.parametrize("prime", ["1", "4", "1299711", str(PRIME_LIMIT + 1)])
+def test_spec_prime_must_be_a_prime_below_the_proven_limit(prime) -> None:
+    text = spec("H3").source_text.replace("prime 1299709", f"prime {prime}")
+    with pytest.raises(ValueError, match="is not a prime"):
         pfield.parse_field_spec(text)
 
 
@@ -226,6 +234,12 @@ def test_hom_is_multiplicative_on_random_unit_pairs() -> None:
 
 # ---------------------------------------------------------------------------
 # Fundamental tables (dual route)
+
+
+def test_tables_are_shared_by_specs_parsed_from_the_same_text() -> None:
+    again = pfield.parse_field_spec(spec("H3").source_text)
+    assert again is not spec("H3")
+    assert fundamental_table(again) is fundamental_table(spec("H3"))
 
 
 def test_gaussian_field_table_has_eleven_known_values() -> None:
