@@ -30,12 +30,12 @@ from .lift import (
     theorem1_report,
 )
 from .pfield import (
-    GaussDyadic,
     PartialFieldSpec,
     VerificationError,
     builtin_specs,
     fundamental_table,
     parse_field_spec,
+    value_text,
 )
 from .symmetry import find_automorphisms
 
@@ -193,12 +193,6 @@ def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
 # Command payloads (dicts that double as the JSON output)
 
 
-def _value_str(spec: PartialFieldSpec, value) -> str:
-    if isinstance(value, GaussDyadic):
-        return gauss_to_str(value)
-    return ratfunc_to_str(value, spec.var_names)
-
-
 def _funs_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
     _status(f"{spec.name}: building the fundamental table by both routes")
     table = fundamental_table(spec)
@@ -207,7 +201,7 @@ def _funs_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
         entries.append(
             {
                 "index": index,
-                "element": _value_str(spec, entry.value),
+                "element": value_text(spec, entry.value),
                 "fingerprint": gauss_to_str(entry.fingerprint)
                 if spec.is_gauss
                 else entry.fingerprint,
@@ -315,14 +309,13 @@ def _lift_check_text(payload: dict) -> list[str]:
 def _bounds_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
     _status(f"{spec.name}: bounding the exponent box")
     box = sieve.candidate_box(spec)
-    candidates = sieve.enumerate_candidates(box)
     return {
         "command": "bounds",
         "field": spec.name,
         "spec_fingerprint": spec.source_hash,
         "ranges": [list(r) for r in box.ranges],
         "include_zero": box.include_zero,
-        "candidates": len(candidates),
+        "candidates": sieve.candidate_count(box),
         "verdict": "PASS",
     }
 

@@ -11,7 +11,10 @@ Zero-coefficient terms are never stored; the zero polynomial is {}.  The
 canonical term order for printing and serialization is graded lexicographic.
 
 Rational functions are unreduced numerator/denominator pairs; equality is
-decided purely by cross-multiplication, so no multivariate GCD is ever needed.
+decided by cross-multiplication, so no multivariate GCD is ever needed.  A
+residue of both cross-products at one fixed point modulo a large prime is
+compared first: different residues prove inequality, and equal ones fall
+through to the exact comparison.
 
 Gaussian dyadic numbers are elements of Z[1/2, i], stored as
 (re_num + im_num*i) / 2^two_exp in lowest dyadic terms.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -211,6 +215,21 @@ def _pow_table(poly: Poly, max_power: int) -> list[Poly]:
 # ---------------------------------------------------------------------------
 # Rational functions
 
+# ratfunc_eq's screen evaluates at one point modulo this prime, 2^61 - 1.  A
+# nonzero cross-product difference of degree d vanishes at a random point
+# with probability at most d / SCREEN_PRIME (Schwartz-Zippel); where it does
+# vanish, the exact comparison still decides, so the screen never changes a
+# verdict.
+SCREEN_PRIME = (1 << 61) - 1
+
+
+def screen_point(arity: int) -> tuple[int, ...]:
+    """The screen's residue for each variable, derived from its index, so
+    any number of variables has one."""
+    return tuple(
+        (0x9E3779B97F4A7C15 * (j + 1)) % SCREEN_PRIME for j in range(arity)
+    )
+
 
 @dataclass(frozen=True, eq=False)
 class RatFunc:
@@ -224,6 +243,16 @@ class RatFunc:
             raise ValueError("zero denominator")
         _check_same_arity(self.num, self.den)
 
+    @cached_property
+    def screen_residues(self) -> tuple[int, int]:
+        """Numerator and denominator residues at screen_point, mod
+        SCREEN_PRIME; computed once per object."""
+        point = screen_point(poly_arity(self.den) or 0)
+        return (
+            poly_eval_mod(self.num, point, SCREEN_PRIME),
+            poly_eval_mod(self.den, point, SCREEN_PRIME),
+        )
+
 
 def ratfunc_const(arity: int, value: int) -> RatFunc:
     """Return the constant rational function `value`."""
@@ -236,7 +265,15 @@ def ratfunc_var(arity: int, idx: int) -> RatFunc:
 
 
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a.num*b.den - b.num*a.den is the zero polynomial."""
+    """True iff a.num*b.den - b.num*a.den is the zero polynomial.
+
+    A nonzero residue of that difference at the screen point proves it
+    nonzero; otherwise the two cross-products are compared exactly."""
+    _check_same_arity(a.den, b.den)
+    a_num, a_den = a.screen_residues
+    b_num, b_den = b.screen_residues
+    if (a_num * b_den - b_num * a_den) % SCREEN_PRIME:
+        return False
     lhs = poly_arith(a.num, b.den, "mul")
     rhs = poly_arith(b.num, a.den, "mul")
     return lhs == rhs

@@ -38,6 +38,7 @@ from .exact import (
     gauss_pow,
     gauss_re_im,
     gauss_sub,
+    gauss_to_str,
     grlex_key,
     is_prime,
     make_const,
@@ -52,6 +53,7 @@ from .exact import (
     ratfunc_from_text,
     ratfunc_is_one,
     ratfunc_is_zero,
+    ratfunc_to_str,
 )
 
 
@@ -739,6 +741,31 @@ def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
     return values
 
 
+def value_text(spec: PartialFieldSpec, value: RatFunc | GaussDyadic) -> str:
+    """A table value rendered in the spec's variable names."""
+    if isinstance(value, GaussDyadic):
+        return gauss_to_str(value)
+    return ratfunc_to_str(value, spec.var_names)
+
+
+def _factor_table_value(
+    spec: PartialFieldSpec,
+    x: RatFunc | GaussDyadic,
+    stage: str,
+    text: str | None = None,
+) -> FactoredElement:
+    """factor_over_generators, failing with the field, the stage and the
+    element named: by its spec text if given, else rendered."""
+    try:
+        return factor_over_generators(spec, x)
+    except ValueError:
+        if text is None:
+            text = value_text(spec, x)
+        raise VerificationError(
+            f"{spec.name}: {stage} {text!r} is not a unit over the generators"
+        ) from None
+
+
 def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     """Construct the fundamental table by two routes and cross-check them.
 
@@ -748,12 +775,16 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     """
     from . import sieve
 
-    closure = _closure_of_seeds(spec)
-    elements = [(factor_over_generators(spec, v), v) for v in closure]
+    # A seed that is no unit fails here, before its associates, which can be
+    # far larger than the seed, are built and compared.
+    for i, (text, seed) in enumerate(zip(spec.seed_exprs, spec.seeds), start=1):
+        _factor_table_value(spec, seed, f"seed {i}", text)
+    elements = [
+        (_factor_table_value(spec, v, "closure element"), v)
+        for v in _closure_of_seeds(spec)
+    ]
 
-    box = sieve.candidate_box(spec)
-    candidates = sieve.enumerate_candidates(box)
-    result = sieve.fingerprint_sieve(spec, candidates)
+    result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
     sieve.verify_survivors(spec, result, elements)
 
     mm = result.mod_map

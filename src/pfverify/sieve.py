@@ -12,10 +12,14 @@ every fundamental element.
 
 The box is then sieved: each candidate gets a fingerprint (its residue
 under the spec's modular map, or its exact value for the Gaussian field).
-For each prime tried, every generator's residue powers are tabled once and
-each candidate's fingerprint is a product of table entries, inserted into
-one fingerprint -> candidate dict in the same pass.  A repeated key is a
-collision: an exact check tells a dependent generator set (a FAIL) from an
+A candidate is known by its index in enumerate_candidates order, whose
+mixed-radix digits are its sign and exponents.  For each prime tried, one
+pass over the box builds every fingerprint in that order: start from the
+two sign residues and, slot by slot, multiply each partial product by every
+residue power the slot takes.  No candidate tuple is built; a
+fingerprint -> index dict detects collisions, and an index is decoded to a
+factored element only for a survivor or a colliding pair.  A collision gets
+an exact check that tells a dependent generator set (a FAIL) from an
 unlucky prime (advance to the next one, up to a fixed count).  A candidate
 survives iff the fingerprint of 1 - candidate also appears.  Survivors are
 cross-checked exactly.
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
-from operator import getitem
 from typing import NamedTuple
 
 from .exact import (
@@ -283,11 +286,24 @@ def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
 
 
 # ---------------------------------------------------------------------------
-# Candidate enumeration
+# Candidates
+
+
+def _box_size(box: CandidateBox) -> int:
+    """Exponent vectors in the box."""
+    return prod(hi - lo + 1 for lo, hi in box.ranges)
+
+
+def candidate_count(box: CandidateBox) -> int:
+    """Candidates in the box: both signs of every exponent vector, plus the
+    zero candidate if the box includes it."""
+    return 2 * _box_size(box) + box.include_zero
 
 
 def enumerate_candidates(box: CandidateBox) -> list[FactoredElement]:
-    """All (sign, exponent) tuples in the box, in a fixed order."""
+    """All (sign, exponent) tuples in the box, in a fixed order: sign +1
+    before -1, then the exponent vectors in mixed-radix order with the last
+    slot varying fastest, then the zero candidate if the box includes it."""
     out = []
     for sign in (1, -1):
         stack = [()]
@@ -299,6 +315,21 @@ def enumerate_candidates(box: CandidateBox) -> list[FactoredElement]:
     return out
 
 
+def candidate_at(box: CandidateBox, index: int) -> FactoredElement:
+    """The candidate at index in enumerate_candidates order, decoded from
+    its mixed-radix digits.  The index just past the signed candidates is
+    always the zero element, whether or not the box includes it."""
+    size = _box_size(box)
+    if index == 2 * size:
+        return FactoredElement(0, (0,) * len(box.ranges))
+    sign_digit, rest = divmod(index, size)
+    exps = []
+    for lo, hi in reversed(box.ranges):
+        rest, digit = divmod(rest, hi - lo + 1)
+        exps.append(lo + digit)
+    return FactoredElement(-1 if sign_digit else 1, tuple(reversed(exps)))
+
+
 # ---------------------------------------------------------------------------
 # Fingerprint sieve
 
@@ -307,31 +338,30 @@ def enumerate_candidates(box: CandidateBox) -> list[FactoredElement]:
 MAX_PRIMES_TRIED = 256
 
 
-def _fill_fingerprints(fps: dict, mm: ModMap, candidates, slot_exps):
-    """Fill fps with fingerprint -> candidate in one residue pass.
+def box_fingerprints(mm: ModMap, box: CandidateBox) -> list[int]:
+    """Residue of every candidate under mm, in enumerate_candidates order.
 
-    Each slot's powers are tabled once per exponent it takes; negative
-    exponents go through one Fermat inverse per slot.  Returns the first
-    pair of candidates whose fingerprints collide, else None."""
+    Mixed-radix evaluation: start from the two sign residues and, slot by
+    slot, multiply every partial product by each of the slot's residue
+    powers, so no candidate tuple is built.  Negative exponents go through
+    one Fermat inverse per slot."""
     p = mm.prime
-    tables = []
-    for r, exps in zip(mm.gen_residues, slot_exps):
+    fps = [1, p - 1]
+    for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
         inverse = pow(r, p - 2, p)
-        tables.append(
-            {e: pow(r, e, p) if e >= 0 else pow(inverse, -e, p) for e in exps}
-        )
-    sign_residue = {1: 1, -1: p - 1, 0: 0}
-    for fe in candidates:
-        fp = prod(map(getitem, tables, fe.exps), start=sign_residue[fe.sign]) % p
-        if fp in fps:
-            return fps[fp], fe
-        fps[fp] = fe
-    return None
+        table = [
+            pow(r, e, p) if e >= 0 else pow(inverse, -e, p)
+            for e in range(lo, hi + 1)
+        ]
+        fps = [f * t % p for f in fps for t in table]
+    if box.include_zero:
+        fps.append(0)
+    return fps
 
 
 def resolve_mod_map(
     spec: PartialFieldSpec,
-    candidates: list[FactoredElement],
+    box: CandidateBox,
     prime_start: int | None = None,
     fingerprints: dict | None = None,
 ) -> tuple[ModMap, int]:
@@ -342,19 +372,15 @@ def resolve_mod_map(
     A collision is checked exactly: two equal candidates mean the
     generators are dependent, which no prime can separate.  If given,
     fingerprints is filled with the separating fingerprint -> candidate
-    map, 0 included.
+    index map (enumerate_candidates order; see candidate_at), 0 included.
     """
     p = spec.mod_prime if prime_start is None else prime_start
     assert p is not None
     start = p
-    fps: dict = {} if fingerprints is None else fingerprints
-    width = len(spec.generators)
-    if any(len(fe.exps) != width for fe in candidates):
+    if len(box.ranges) != len(spec.generators):
         raise ValueError("exponent vector length mismatch")
-    # Slot by slot: transposing every exponent vector at once allocates
-    # candidate-sized tuples that raise the process's peak RSS.
-    slot_exps = [{fe.exps[j] for fe in candidates} for j in range(width)]
-    zero = FactoredElement(0, (0,) * width)
+    count = candidate_count(box)
+    fps: dict = {} if fingerprints is None else fingerprints
     for _ in range(MAX_PRIMES_TRIED):
         try:
             mm = spec.mod_map(p)
@@ -363,11 +389,14 @@ def resolve_mod_map(
             continue
         assert mm is not None
         fps.clear()
-        collision = _fill_fingerprints(fps, mm, candidates, slot_exps)
-        if collision is None:
-            fps.setdefault(0, zero)
+        for i, fp in enumerate(box_fingerprints(mm, box)):
+            j = fps.setdefault(fp, i)
+            if j != i:
+                break
+        else:
+            fps.setdefault(0, 2 * _box_size(box))
             return mm, len(fps)
-        first, second = collision
+        first, second = candidate_at(box, j), candidate_at(box, i)
         if ratfunc_eq(expand_element(spec, first), expand_element(spec, second)):
             raise VerificationError(
                 f"{spec.name}: candidates {first} and {second} are exactly "
@@ -376,7 +405,7 @@ def resolve_mod_map(
         p = next_prime(p)
     raise VerificationError(
         f"{spec.name}: no fingerprint prime among {MAX_PRIMES_TRIED} from "
-        f"{start} separates the {len(candidates)} candidates"
+        f"{start} separates the {count} candidates"
     )
 
 
@@ -399,19 +428,21 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
 
 def fingerprint_sieve(
     spec: PartialFieldSpec,
-    candidates: list[FactoredElement],
+    box: CandidateBox,
     prime_start: int | None = None,
 ) -> SieveResult:
-    """Keep the candidates c with both c and 1 - c in the fingerprint image."""
+    """Keep the candidates c with both c and 1 - c in the fingerprint image;
+    only the survivors are decoded to factored elements."""
     if spec.is_gauss:
-        return _gauss_sieve(spec, candidates)
+        return _gauss_sieve(spec, enumerate_candidates(box))
     fps: dict = {}
-    mm, distinct = resolve_mod_map(spec, candidates, prime_start, fps)
+    mm, distinct = resolve_mod_map(spec, box, prime_start, fps)
     p = mm.prime
     survivors = {
-        fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)
+        fp: candidate_at(box, fps[fp])
+        for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)
     }
-    return SieveResult(mm, survivors, distinct, len(candidates))
+    return SieveResult(mm, survivors, distinct, candidate_count(box))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_criterion_01_fundamental_counts_by_both_routes(specs) -> None:
         assert len(table.entries) == FUNDAMENTAL_COUNTS[name]
         assert elapsed < TABLE_BUDGETS[name], f"{name} build took {elapsed:.1f}s"
         box = sieve.candidate_box(spec)
-        result = sieve.fingerprint_sieve(spec, sieve.enumerate_candidates(box))
+        result = sieve.fingerprint_sieve(spec, box)
         assert len(result.fingerprints) == FUNDAMENTAL_COUNTS[name]
         assert set(result.fingerprints) == {e.fingerprint for e in table.entries}
     _pass(1, "fundamental counts 11/26/56/92 by both routes")
@@ -95,8 +95,7 @@ def test_criterion_03_exponent_bounds(specs) -> None:
 def test_criterion_04_fingerprint_injectivity(specs) -> None:
     for name in ("H3", "H4", "H5"):
         spec = specs[name]
-        candidates = sieve.enumerate_candidates(sieve.candidate_box(spec))
-        result = sieve.fingerprint_sieve(spec, candidates)
+        result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
         assert result.mod_map.prime == PRIMES[name]
         assert result.distinct_count == DISTINCT_COUNTS[name]
         if name == "H3":
@@ -315,9 +314,7 @@ def test_criterion_12_negative_controls(specs) -> None:
     spec = specs["H3"]
     table = fundamental_table(spec)
     elements = [(e.element, e.value) for e in table.entries]
-    result = sieve.fingerprint_sieve(
-        spec, sieve.enumerate_candidates(sieve.candidate_box(spec))
-    )
+    result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
     fps = dict(result.fingerprints)
     victim = list(fps)[3]
     fps[victim + 1] = fps.pop(victim)

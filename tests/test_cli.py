@@ -260,22 +260,43 @@ def test_vanishing_generator_residue_names_field_and_generator(
 def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
     text = builtin_specs()["H3"].source_text
     assert old in text
+    proc = _funs_on_spec_text(tmp_path, text.replace(old, new))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: cannot parse spec file: ")
+
+
+@pytest.mark.parametrize(
+    "seed",
+    ["(a+b+c+1)^8", "(a+b+c+1)^4/(a-b+c-1)^4"],
+    ids=["dense-power", "dense-quotient"],
+)
+def test_non_unit_seed_fails_promptly_and_names_the_seed(tmp_path, seed) -> None:
+    # Closing these seeds under associates once took minutes.
+    text = builtin_specs()["H5"].source_text + f"seed {seed}\n"
+    proc = _funs_on_spec_text(tmp_path, text)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == (
+        f"FAIL: H5: seed 17 {seed!r} is not a unit over the generators\n"
+    )
+
+
+def _funs_on_spec_text(tmp_path, text: str) -> subprocess.CompletedProcess:
+    """`pfverify funs --spec` on the text in a fresh process, cut at 10 s."""
     path = tmp_path / "hostile.pfs"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
     env["PYTHONPATH"] = src
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pfverify.cli", "funs", "--spec", str(path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=10,
     )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("usage error: cannot parse spec file: ")
 
 
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfverify import exact
 from pfverify.exact import (
@@ -144,6 +146,54 @@ def test_ratfunc_eq_is_an_equivalence_relation_on_random_triples() -> None:
         assert ratfunc_eq(b, c) and ratfunc_eq(base, c)
         if ratfunc_eq(base, other) and ratfunc_eq(other, b):
             assert ratfunc_eq(base, b)
+
+
+@st.composite
+def _ratfunc_pairs(draw):
+    """Two rational functions of one arity: unrelated, or the first written
+    again with a common factor or both signs flipped."""
+    arity = draw(st.integers(1, 3))
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * arity), st.integers(-3, 3), max_size=4
+    ).map(exact.canonicalize)
+    nonzero = polys.filter(bool)
+    a = exact.RatFunc(draw(polys), draw(nonzero))
+    how = draw(st.sampled_from(["unrelated", "common factor", "signs flipped"]))
+    if how == "unrelated":
+        b = exact.RatFunc(draw(polys), draw(nonzero))
+    elif how == "common factor":
+        f = draw(nonzero)
+        b = exact.RatFunc(poly_arith(a.num, f, "mul"), poly_arith(a.den, f, "mul"))
+    else:
+        b = exact.RatFunc(exact.poly_neg(a.num), exact.poly_neg(a.den))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratfunc_pairs())
+def test_ratfunc_eq_agrees_with_cross_multiplication(pair) -> None:
+    a, b = pair
+    expected = poly_arith(a.num, b.den, "mul") == poly_arith(b.num, a.den, "mul")
+    assert ratfunc_eq(a, b) == expected
+    assert ratfunc_eq(b, a) == expected
+
+
+def test_ratfunc_eq_confirms_a_difference_that_vanishes_at_the_screen_point() -> None:
+    # a - r + 5 and 5 differ, but agree at the screen point, where a = r.
+    r = exact.screen_point(2)[0]
+    x = exact.RatFunc({(1, 0): 1, (0, 0): 5 - r}, {(0, 0): 1})
+    five = exact.ratfunc_const(2, 5)
+    assert x.screen_residues == five.screen_residues
+    assert not ratfunc_eq(x, five)
+    assert ratfunc_eq(x, exact.RatFunc(x.num, x.den))
+
+
+def test_ratfunc_eq_screens_any_number_of_variables() -> None:
+    names = tuple(f"x{j}" for j in range(40))
+    total = rf(" + ".join(names), names)
+    assert len(exact.screen_point(40)) == 40
+    assert ratfunc_eq(total, rf(" + ".join(reversed(names)), names))
+    assert not ratfunc_eq(total, rf(" + ".join(names[:-1]), names))
 
 
 def test_poly_subst_composes_values_into_polynomial() -> None:

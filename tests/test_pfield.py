@@ -296,6 +296,55 @@ def test_one_minus_every_table_entry_is_fundamental() -> None:
         assert is_fundamental_exact(s, complement)
 
 
+def _h3_with_unused_indeterminates(names: list[str]) -> str:
+    text = spec("H3").source_text.replace("vars a\n", f"vars a {' '.join(names)}\n")
+    text = text.replace(
+        "gf5map a 2 3 4\n",
+        "gf5map a 2 3 4\n" + "".join(f"gf5map {v} 1 1 1\n" for v in names),
+    )
+    text = text.replace(
+        "modvar a 5\n",
+        "modvar a 5\n" + "".join(f"modvar {v} {7 + i}\n" for i, v in enumerate(names)),
+    )
+    return "\n".join(
+        line + ", 1" * len(names) if line.startswith("h2hom ") else line
+        for line in text.splitlines()
+    ) + "\n"
+
+
+def test_table_of_a_spec_with_many_indeterminates() -> None:
+    # Six indeterminates, more than any builtin field has; the ones besides
+    # a occur in no generator, so the table is H3's.
+    wide = pfield.parse_field_spec(_h3_with_unused_indeterminates(list("pqrst")))
+    assert wide.arity == 6
+    table = pfield.build_fundamental_table(wide)
+    h3 = fundamental_table(spec("H3"))
+    assert [e.element for e in table.entries] == [e.element for e in h3.entries]
+    assert [e.fingerprint for e in table.entries] == [
+        e.fingerprint for e in h3.entries
+    ]
+
+
+def test_non_unit_seed_fails_naming_field_seed_and_text() -> None:
+    text = spec("H3").source_text.replace("seed a\n", "seed a + 1\n")
+    broken = pfield.parse_field_spec(text)
+    with pytest.raises(
+        pfield.VerificationError,
+        match=r"^H3: seed 2 'a \+ 1' is not a unit over the generators$",
+    ):
+        pfield.build_fundamental_table(broken)
+
+
+def test_non_unit_closure_element_fails_naming_the_element() -> None:
+    # a^2 is a unit, but its associate 1 - a^2 = (1 - a)(1 + a) is not.
+    broken = pfield.parse_field_spec(spec("H3").source_text + "seed a^2\n")
+    with pytest.raises(
+        pfield.VerificationError,
+        match=r"^H3: closure element '.*' is not a unit over the generators$",
+    ):
+        pfield.build_fundamental_table(broken)
+
+
 # ---------------------------------------------------------------------------
 # Exact membership testing
 

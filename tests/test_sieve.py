@@ -35,8 +35,7 @@ def specs():
 @pytest.fixture(scope="module")
 def h3_result(specs):
     box = sieve.candidate_box(specs["H3"])
-    candidates = sieve.enumerate_candidates(box)
-    return candidates, sieve.fingerprint_sieve(specs["H3"], candidates)
+    return sieve.enumerate_candidates(box), sieve.fingerprint_sieve(specs["H3"], box)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,18 @@ def test_candidate_counts(specs) -> None:
     for name, expected in counts.items():
         box = sieve.candidate_box(specs[name])
         assert len(sieve.enumerate_candidates(box)) == expected
+        assert sieve.candidate_count(box) == expected
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5"])
+def test_candidate_at_decodes_the_enumeration_order(specs, name) -> None:
+    box = sieve.candidate_box(specs[name])
+    for boxed in (box, box._replace(include_zero=not box.include_zero)):
+        candidates = sieve.enumerate_candidates(boxed)
+        assert sieve.candidate_count(boxed) == len(candidates)
+        assert [sieve.candidate_at(boxed, i) for i in range(len(candidates))] == (
+            candidates
+        )
 
 
 def test_candidate_enumeration_is_deterministic(specs) -> None:
@@ -234,22 +245,19 @@ def test_single_variable_survivor_residues(h3_result) -> None:
 
 
 def test_two_variable_sieve_counts(specs) -> None:
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H4"]))
-    result = sieve.fingerprint_sieve(specs["H4"], candidates)
+    result = sieve.fingerprint_sieve(specs["H4"], sieve.candidate_box(specs["H4"]))
     assert result.distinct_count == 13231
     assert len(result.fingerprints) == 56
 
 
 def test_three_variable_sieve_counts(specs) -> None:
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H5"]))
-    result = sieve.fingerprint_sieve(specs["H5"], candidates)
+    result = sieve.fingerprint_sieve(specs["H5"], sieve.candidate_box(specs["H5"]))
     assert result.distinct_count == 65611
     assert len(result.fingerprints) == 92
 
 
 def test_gaussian_sieve_survivors(specs) -> None:
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H2"]))
-    result = sieve.fingerprint_sieve(specs["H2"], candidates)
+    result = sieve.fingerprint_sieve(specs["H2"], sieve.candidate_box(specs["H2"]))
     assert result.mod_map is None
     assert result.distinct_count == 21
     expected = {
@@ -266,9 +274,9 @@ def test_survivors_are_sorted_by_fingerprint(h3_result) -> None:
 
 
 def test_sieve_is_deterministic(specs) -> None:
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H3"]))
-    first = sieve.fingerprint_sieve(specs["H3"], candidates)
-    second = sieve.fingerprint_sieve(specs["H3"], candidates)
+    box = sieve.candidate_box(specs["H3"])
+    first = sieve.fingerprint_sieve(specs["H3"], box)
+    second = sieve.fingerprint_sieve(specs["H3"], box)
     assert list(first.fingerprints) == list(second.fingerprints)
     assert first.mod_map == second.mod_map
 
@@ -276,13 +284,8 @@ def test_sieve_is_deterministic(specs) -> None:
 def test_prime_advances_until_fingerprints_separate(specs) -> None:
     # 54 candidate units cannot have distinct residues modulo 59, so the
     # sieve must walk to a larger prime on its own.
-    small = [
-        FactoredElement(sign, (0, x, y, z))
-        for sign in (1, -1)
-        for x in (-1, 0, 1)
-        for y in (-1, 0, 1)
-        for z in (-1, 0, 1)
-    ]
+    small = sieve.CandidateBox(((0, 0), (-1, 1), (-1, 1), (-1, 1)), False)
+    assert sieve.candidate_count(small) == 54
     mm, distinct = sieve.resolve_mod_map(specs["H3"], small, prime_start=59)
     assert mm.prime > 59
     assert distinct == 55
@@ -292,22 +295,47 @@ def test_prime_advances_until_fingerprints_separate(specs) -> None:
 @pytest.mark.parametrize("prime_start", [None, 100000000003])
 def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
     spec = specs[name]
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(spec))
-    fps: dict = {}
-    mm, distinct = sieve.resolve_mod_map(spec, candidates, prime_start, fps)
+    box = sieve.candidate_box(spec)
+    candidates = sieve.enumerate_candidates(box)
+    index: dict = {}
+    mm, distinct = sieve.resolve_mod_map(spec, box, prime_start, index)
     if prime_start is not None:
         assert mm.prime >= prime_start
-    assert distinct == len(fps)
-    assert set(fps.values()) >= set(candidates)
-    for fp, fe in fps.items():
+    fps = sieve.box_fingerprints(mm, box)
+    assert len(fps) == len(candidates)
+    for fp, fe in zip(fps, candidates):
+        assert fp == mod_eval(mm, fe.sign, fe.exps)
+    assert distinct == len(index) == len(set(fps) | {0})
+    for fp, i in index.items():
+        fe = sieve.candidate_at(box, i)
         assert fp == mod_eval(mm, fe.sign, fe.exps)
 
 
+def _sieve_by_enumeration(spec, box):
+    """Survivors computed one candidate at a time, with mod_eval, over
+    enumerate_candidates at the prime the sieve resolved."""
+    mm = sieve.fingerprint_sieve(spec, box).mod_map
+    fps = {}
+    for fe in sieve.enumerate_candidates(box):
+        fps.setdefault(mod_eval(mm, fe.sign, fe.exps), fe)
+    fps.setdefault(0, FactoredElement(0, (0,) * len(box.ranges)))
+    p = mm.prime
+    return {fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)}
+
+
+@pytest.mark.parametrize("name", ["H3", "H4", "H5"])
+def test_survivors_equal_the_candidate_by_candidate_sieve(specs, name) -> None:
+    box = sieve.candidate_box(specs[name])
+    result = sieve.fingerprint_sieve(specs[name], box)
+    expected = _sieve_by_enumeration(specs[name], box)
+    assert list(result.fingerprints.items()) == list(expected.items())
+
+
 def test_prime_search_is_capped(specs, monkeypatch) -> None:
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(specs["H3"]))
+    box = sieve.candidate_box(specs["H3"])
     monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 3)
     with pytest.raises(VerificationError, match="no fingerprint prime"):
-        sieve.resolve_mod_map(specs["H3"], candidates, prime_start=59)
+        sieve.resolve_mod_map(specs["H3"], box, prime_start=59)
 
 
 def _spec_with_repeated_generator() -> str:
@@ -319,9 +347,8 @@ def _spec_with_repeated_generator() -> str:
 
 def test_equal_candidates_are_a_verification_error() -> None:
     spec = parse_field_spec(_spec_with_repeated_generator())
-    candidates = sieve.enumerate_candidates(sieve.candidate_box(spec))
     with pytest.raises(VerificationError, match="exactly equal"):
-        sieve.resolve_mod_map(spec, candidates)
+        sieve.resolve_mod_map(spec, sieve.candidate_box(spec))
 
 
 def test_repeated_generator_spec_fails_without_hanging(tmp_path) -> None:
