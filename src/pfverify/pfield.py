@@ -605,13 +605,14 @@ def factor_over_generators(
         num, up = _strip_generator(num, gen.num)
         den, down = _strip_generator(den, gen.num)
         exps[i] = up - down
-    if len(num) != 1 or len(den) != 1:
+    # What is left is +-1 written as a quotient, possibly with a common
+    # factor that is no generator, as in a*(a + 1)/(a + 1).
+    if num == den:
+        sign = 1
+    elif num == {mono: -c for mono, c in den.items()}:
+        sign = -1
+    else:
         raise ValueError("not expressible as a unit over the generators")
-    (num_mono, cn), = num.items()
-    (den_mono, cd), = den.items()
-    if any(num_mono) or any(den_mono) or abs(cn) != abs(cd):
-        raise ValueError("not expressible as a unit over the generators")
-    sign = 1 if (cn > 0) == (cd > 0) else -1
     return FactoredElement(sign, tuple(exps))
 
 

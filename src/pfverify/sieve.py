@@ -4,11 +4,13 @@ Every unit of a field is sign * prod(generators ** exps).  Mapping the
 indeterminates to Gaussian dyadic units turns each generator into a unit
 whose log2-norm is an exact half-integer, so every such map yields one
 linear row r with |r . exps| <= 1.  Doubling the rows makes them integer
-rows, and Fourier-Motzkin elimination over those (gcd-normalised, with
-exact right-hand sides) bounds each exponent in the real relaxation.  A
-depth-first search then shrinks every box end until some integer point
-attains it, giving the bounding box of the integer points, which contains
-every fundamental element.
+rows.  Each exponent is bounded in the real relaxation of those rows by an
+LP dual certificate: a float simplex picks the tight rows, and exact
+integer arithmetic solves for their multipliers and checks them.  A slot
+without a checked certificate is bounded by exact Fourier-Motzkin
+elimination instead.  A depth-first search then shrinks every box end until
+some integer point attains it, giving the bounding box of the integer
+points, which contains every fundamental element.
 
 The box is then sieved: each candidate gets a fingerprint (its residue
 under the spec's modular map, or its exact value for the Gaussian field).
@@ -87,7 +89,9 @@ def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin bounding on doubled integer rows
+# Fourier-Motzkin bounding on doubled integer rows: the exact fallback for
+# a slot without LP certificates, and the reference the tests compare them
+# against.
 #
 # A row (coeffs, rhs, hist) stands for coeffs . exps <= rhs with integer
 # coeffs and rhs whose common gcd is 1, so the right-hand side stays exact;
@@ -176,6 +180,158 @@ def _fm_bounds(int_rows, target: int, width: int) -> tuple[int, int]:
     return lo, hi
 
 
+# ---------------------------------------------------------------------------
+# Exact LP certificates
+#
+# By LP duality, y >= 0 with sum y_i a_i = s e_j proves s x_j <= y . b for
+# every real point of the rows a_i . x <= b_i.  A float simplex proposes the
+# rows y rests on; the multipliers are then solved for and checked in exact
+# integer arithmetic, so a float error can cost a fallback to Fourier-Motzkin
+# but never a wrong bound.
+
+# Float tolerance of the simplex.  It only steers the search: every bound
+# it leads to is checked exactly.
+_EPS = 1e-9
+
+# Pivots one objective may take before the float search gives it up.
+_MAX_PIVOTS = 1000
+
+
+class _VertexSimplex:
+    """Primal simplex for max +-x_j over rows a_i . x <= b_i with x free.
+
+    The state is a vertex, kept as the slack of every row, with n linearly
+    independent tight rows (the basis B); it carries over from one
+    objective to the next, so each later objective starts at the last
+    optimum.  The tableau holds a_i B^-1 for every row,
+    followed by the rows of B^-1.  The search starts at the origin, which
+    must be feasible, with the n coordinate hyperplanes through it standing
+    in for tight rows (basis entries -1 - k); Bland's rule moves those out
+    first and never lets them back.  A basis row leaves when its multiplier
+    is negative, the lowest row index first, and the entering row is the
+    first hit along the edge, ties to the lowest index."""
+
+    def __init__(self, rows) -> None:
+        n = len(rows[0][0])
+        self.tableau = [[float(c) for c in coeffs] for coeffs, _ in rows] + [
+            [float(i == k) for k in range(n)] for i in range(n)
+        ]
+        self.slack = [float(rhs) for _, rhs in rows]
+        self.basis = [-1 - k for k in range(n)]
+
+    def maximise(self, j: int, sign: int) -> list[int] | None:
+        """Row indices of an optimal basis for max sign * x_j, or None if
+        the objective looks unbounded or the pivot budget runs out."""
+        basis, tableau, slack = self.basis, self.tableau, self.slack
+        m = len(slack)
+        for _ in range(_MAX_PIVOTS):
+            # The multipliers y with y B = sign e_j are sign times row j of
+            # B^-1.
+            y = tableau[m + j]
+            leaving = [
+                (r, k) for k, r in enumerate(basis) if r < 0 or sign * y[k] < -_EPS
+            ]
+            if not leaving:
+                return list(basis)
+            _, k = min(leaving)
+            # Edge direction d = step * B^-1 e_k, along which sign * d_j >= 0.
+            step = 1.0 if basis[k] < 0 and sign * y[k] >= 0 else -1.0
+            rates = [step * row[k] for row in tableau[:m]]
+            entering, t = None, 0.0
+            for i, (rate, room) in enumerate(zip(rates, slack)):
+                if rate > _EPS and i not in basis:
+                    ratio = max(room, 0.0) / rate
+                    if entering is None or ratio < t - _EPS:
+                        entering, t = i, ratio
+            if entering is None:
+                return None
+            # Basis row k becomes the entering row.
+            alpha = list(tableau[entering])
+            pivot = alpha[k]
+            for row in tableau:
+                f = row[k] / pivot
+                if f:
+                    row[:] = [v - f * a for v, a in zip(row, alpha)]
+                row[k] = f
+            slack[:] = [room - t * rate for room, rate in zip(slack, rates)]
+            basis[k] = entering
+        return None
+
+
+def _fraction_free_solve(m: list[list[int]]) -> tuple[int, list[int]] | None:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the integer
+    n x (n + 1) augmented matrix m, in place.  Returns (d, nums) with the
+    solution nums[i] / d and d != 0, or None if the matrix is singular.
+    Every division is exact."""
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk * v - f * w) // prev for v, w in zip(m[i], pivot_row)]
+        prev = pk
+    return prev, [row[n] for row in m]
+
+
+def _certified_bound(rows, basis, j: int, sign: int) -> int | None:
+    """floor(y . b) for the multipliers y >= 0 of the basis rows with
+    sum y_i a_i = sign * e_j, or None if the basis gives no such y.
+
+    The multipliers are solved for exactly and the certificate is checked
+    term by term, so the result bounds sign * x_j on every real point."""
+    n = len(basis)
+    basis_rows = [rows[r][0] for r in basis]
+    target = [sign * (i == j) for i in range(n)]
+    solved = _fraction_free_solve(
+        [[row[i] for row in basis_rows] + [target[i]] for i in range(n)]
+    )
+    if solved is None:
+        return None
+    d, nums = solved
+    if d < 0:
+        d, nums = -d, [-v for v in nums]
+    if min(nums) < 0:
+        return None
+    for i in range(n):
+        if sum(v * row[i] for v, row in zip(nums, basis_rows)) != d * target[i]:
+            return None
+    return sum(v * rows[r][1] for v, r in zip(nums, basis)) // d
+
+
+def _certified_ranges(int_rows, width: int) -> list[tuple[int, int]]:
+    """Integer range of every slot but the pinned slot 0 over the real
+    relaxation, each end from an exactly checked LP certificate.  A slot
+    that does not get both certificates gets _fm_bounds, which also raises
+    the unbounded and infeasible errors."""
+    rows = [(c[1:], r) for c, r, _ in _dedup([(c, r, 0) for c, r in int_rows])]
+    n = width - 1
+    ends = {}
+    if rows and min(r for _, r in rows) >= 0:
+        simplex = _VertexSimplex(rows)
+        # All upper ends, then all lower ends: on the builtin fields this
+        # order takes fewer pivots than alternating the two ends of a slot.
+        for sign in (1, -1):
+            for j in range(n):
+                basis = simplex.maximise(j, sign)
+                if basis is not None:
+                    ends[j, sign] = _certified_bound(rows, basis, j, sign)
+    ranges = []
+    for j in range(n):
+        hi, neg_lo = ends.get((j, 1)), ends.get((j, -1))
+        if hi is None or neg_lo is None:
+            ranges.append(_fm_bounds(int_rows, j + 1, width))
+        else:
+            ranges.append((-neg_lo, hi))
+    return ranges
+
+
 def _slice_feasible(int_rows, ranges, pin_slot: int, pin_value: int) -> bool:
     """True iff some integer point of the box with slot pinned satisfies
     every row.
@@ -242,21 +398,24 @@ def _doubled_rows(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...],
 def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     """Integer exponent box from norm rows.
 
-    The half-integer norm rows are doubled into integer rows, and
-    Fourier-Motzkin elimination over those (gcd-normalised, exact right
-    sides, Imbert's history bound) bounds each slot in the real relaxation.
-    Rounding inward to integers can still leave box ends no integer point
-    attains, so each end is then shrunk, by a depth-first search over the
-    other slots, until some integer point attains it, iterated to a
-    fixpoint.  The result is the bounding box of the integer points.  Extra
-    per-slot bounds join the system."""
+    The half-integer norm rows are doubled into integer rows, and each
+    slot is bounded in their real relaxation: each end by an LP dual
+    certificate that a float simplex proposes and exact integer arithmetic
+    checks, or, for a slot whose certificates fail, by Fourier-Motzkin
+    elimination (gcd-normalised, exact right sides, Imbert's history
+    bound).  Only the validity of these outer bounds matters: each end is
+    then shrunk, by a depth-first search over the other slots, until some
+    integer point attains it, iterated to a fixpoint.  The result is the
+    bounding box of the integer points.  Extra per-slot bounds join the
+    system.  An unbounded slot, or a slot range with no integer left in
+    it, is a VerificationError."""
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
     int_rows = _doubled_rows(rows, extra_bounds, width)
-    ranges = [(0, 0)]
-    for j in range(1, width):
-        ranges.append(_fm_bounds(int_rows, j, width))
+    ranges = [(0, 0)] + _certified_ranges(int_rows, width)
+    if any(lo > hi for lo, hi in ranges):
+        raise VerificationError("exponent constraints are infeasible")
 
     changed = True
     while changed:
@@ -280,9 +439,12 @@ def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
         # Units with |log2 norm| <= 1: 2-exponent in [-1, 1], i-exponent a
         # phase in [0, 3], and (1 - i)-exponent in [0, 1].
         return CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
-    return bound_exponents(
-        lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
-    )
+    try:
+        return bound_exponents(
+            lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+        )
+    except VerificationError as exc:
+        raise VerificationError(f"{spec.name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,30 @@ def test_non_unit_seed_fails_promptly_and_names_the_seed(tmp_path, seed) -> None
     )
 
 
+def _h4_with_only_the_first_h2hom() -> str:
+    lines = builtin_specs()["H4"].source_text.splitlines(keepends=True)
+    homs = [i for i, line in enumerate(lines) if line.startswith("h2hom ")]
+    return "".join(line for i, line in enumerate(lines) if i not in homs[1:])
+
+
+@pytest.mark.parametrize(
+    "text, fail",
+    [
+        (
+            builtin_specs()["H4"].source_text + "extrabound 3 5 6\n",
+            "H4: exponent constraints are infeasible",
+        ),
+        (_h4_with_only_the_first_h2hom(), "H4: exponent slot 3 is unbounded"),
+    ],
+    ids=["infeasible", "unbounded"],
+)
+def test_exponent_box_failure_names_the_field(tmp_path, text, fail) -> None:
+    proc = _funs_on_spec_text(tmp_path, text)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == f"FAIL: {fail}\n"
+
+
 def _funs_on_spec_text(tmp_path, text: str) -> subprocess.CompletedProcess:
     """`pfverify funs --spec` on the text in a fresh process, cut at 10 s."""
     path = tmp_path / "hostile.pfs"

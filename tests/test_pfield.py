@@ -157,6 +157,14 @@ def test_factor_handles_squared_denominators() -> None:
     assert fe == FactoredElement(-1, (0, 1, -2, 0))
 
 
+@pytest.mark.parametrize(
+    "text, sign", [("a*(a + 1)/(a + 1)", 1), ("-a*(a + 1)/(a + 1)", -1)]
+)
+def test_factor_accepts_a_common_factor_that_is_no_generator(text, sign) -> None:
+    fe = factor_over_generators(spec("H3"), rf(text))
+    assert fe == FactoredElement(sign, (0, 1, 0, 0))
+
+
 def test_factor_rejects_non_units() -> None:
     with pytest.raises(ValueError):
         factor_over_generators(spec("H3"), rf("a + 1"))
@@ -323,6 +331,15 @@ def test_table_of_a_spec_with_many_indeterminates() -> None:
     assert [e.fingerprint for e in table.entries] == [
         e.fingerprint for e in h3.entries
     ]
+
+
+def test_unit_seed_with_a_common_factor_gives_the_table() -> None:
+    # a*(a + 1)/(a + 1) is the seed a, written with a common factor.
+    text = spec("H3").source_text + "seed a*(a + 1)/(a + 1)\n"
+    table = pfield.build_fundamental_table(pfield.parse_field_spec(text))
+    h3 = fundamental_table(spec("H3"))
+    assert len(table.entries) == 26
+    assert [e.element for e in table.entries] == [e.element for e in h3.entries]
 
 
 def test_non_unit_seed_fails_naming_field_seed_and_text() -> None:

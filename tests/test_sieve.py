@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,115 @@ def test_no_norm_rows_is_an_error() -> None:
 def test_non_half_integer_row_is_an_error() -> None:
     with pytest.raises(VerificationError):
         sieve.bound_exponents([(0, Fraction(1, 3))], (), False)
+
+
+@pytest.mark.parametrize(
+    "rows, extra",
+    [
+        ([(0, Fraction(1))], [(1, 2, 2)]),
+        ([(0, Fraction(1), Fraction(1))], [(1, 2, 2), (2, 2, 2)]),
+    ],
+    ids=["one-slot", "two-slots"],
+)
+def test_empty_slot_range_is_infeasible(rows, extra) -> None:
+    # No elimination step meets the contradiction, so it only shows as a
+    # slot range with lo > hi.
+    with pytest.raises(
+        VerificationError, match="^exponent constraints are infeasible$"
+    ):
+        sieve.bound_exponents(rows, extra, False)
+
+
+FROZEN_RANGES = {
+    "H3": ((0, 0), (-2, 2), (-2, 2), (-3, 3)),
+    "H4": ((0, 0), (-1, 1), (-1, 1), (-3, 3), (-3, 3), (-1, 1), (-2, 2)),
+    "H5": ((0, 0),) + ((-1, 1),) * 6 + ((-2, 2),) + ((-1, 1),) * 2,
+}
+
+
+def test_builtin_boxes_need_no_fourier_motzkin(specs, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("Fourier-Motzkin fallback ran")
+
+    monkeypatch.setattr(sieve, "_fm_bounds", refuse)
+    sieve.candidate_box.cache_clear()
+    for name, ranges in FROZEN_RANGES.items():
+        assert sieve.candidate_box(specs[name]).ranges == ranges
+
+
+_real_maximise = sieve._VertexSimplex.maximise
+
+
+def _opposite_basis(self, j, sign):
+    # Optimal for the other end of the slot, so its multipliers are < 0.
+    return _real_maximise(self, j, -sign)
+
+
+@pytest.mark.parametrize(
+    "owner, attr, fake",
+    [
+        (sieve._VertexSimplex, "maximise", lambda self, j, sign: None),
+        (
+            sieve._VertexSimplex,
+            "maximise",
+            lambda self, j, sign: [0] * len(self.basis),
+        ),
+        (sieve._VertexSimplex, "maximise", _opposite_basis),
+        # Non-negative multipliers that do not solve the system.
+        (sieve, "_fraction_free_solve", lambda m: (1, [1] * len(m))),
+    ],
+    ids=["no-basis", "singular-basis", "negative-multipliers", "wrong-solve"],
+)
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_rejected_certificates_fall_back_to_fourier_motzkin(
+    specs, monkeypatch, owner, attr, fake, name
+) -> None:
+    calls = []
+    real_fm_bounds = sieve._fm_bounds
+
+    def counted(*args):
+        calls.append(args[1])
+        return real_fm_bounds(*args)
+
+    monkeypatch.setattr(owner, attr, fake)
+    monkeypatch.setattr(sieve, "_fm_bounds", counted)
+    spec = specs[name]
+    box = sieve.bound_exponents(
+        sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+    )
+    assert box.ranges == FROZEN_RANGES[name]
+    assert calls == list(range(1, len(box.ranges)))
+
+
+@st.composite
+def _bounded_systems(draw):
+    """Random integer rows with their negations, inside the unit box, as
+    (int_rows, width); slot 0 is pinned, as in bound_exponents."""
+    width = draw(st.integers(2, 5))
+    int_rows = []
+    for coeffs in draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=6)
+    ):
+        int_rows.append((coeffs, draw(st.integers(0, 6))))
+        int_rows.append((tuple(-c for c in coeffs), draw(st.integers(0, 6))))
+    for slot in range(1, width):
+        unit = tuple(int(k == slot) for k in range(width))
+        int_rows.append((unit, 1))
+        int_rows.append((tuple(-u for u in unit), 1))
+    return int_rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_systems())
+def test_certified_bounds_equal_fourier_motzkin(system) -> None:
+    int_rows, width = system
+    expected = [sieve._fm_bounds(int_rows, j, width) for j in range(1, width)]
+    # With the fallback answering None, the slots that come back with a
+    # range are exactly those bounded by certificates alone.
+    with mock.patch.object(sieve, "_fm_bounds", lambda *args: None):
+        certified = sieve._certified_ranges(int_rows, width)
+    for got, want in zip(certified, expected):
+        assert got is None or got == want
 
 
 def _satisfies(int_rows, point) -> bool:
