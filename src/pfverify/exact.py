@@ -267,8 +267,11 @@ def ratfunc_var(arity: int, idx: int) -> RatFunc:
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
     """True iff a.num*b.den - b.num*a.den is the zero polynomial.
 
-    A nonzero residue of that difference at the screen point proves it
-    nonzero; otherwise the two cross-products are compared exactly."""
+    One object is equal to itself; otherwise a nonzero residue of that
+    difference at the screen point proves it nonzero, and failing that the
+    two cross-products are compared exactly."""
+    if a is b:
+        return True
     _check_same_arity(a.den, b.den)
     a_num, a_den = a.screen_residues
     b_num, b_den = b.screen_residues

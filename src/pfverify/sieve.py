@@ -405,30 +405,26 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     elimination (gcd-normalised, exact right sides, Imbert's history
     bound).  Only the validity of these outer bounds matters: each end is
     then shrunk, by a depth-first search over the other slots, until some
-    integer point attains it, iterated to a fixpoint.  The result is the
-    bounding box of the integer points.  Extra per-slot bounds join the
-    system.  An unbounded slot, or a slot range with no integer left in
-    it, is a VerificationError."""
+    integer point attains it, in one pass over the deduplicated rows (a
+    shrink drops only values no integer point takes, so it never changes
+    another end's test).  The result is the bounding box of the integer
+    points.  Extra per-slot bounds join the system.  An unbounded slot, or
+    a slot range with no integer left in it, is a VerificationError."""
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
     int_rows = _doubled_rows(rows, extra_bounds, width)
+    int_rows = [(c, r) for c, r, _ in _dedup([(c, r, 0) for c, r in int_rows])]
     ranges = [(0, 0)] + _certified_ranges(int_rows, width)
     if any(lo > hi for lo, hi in ranges):
         raise VerificationError("exponent constraints are infeasible")
-
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, width):
-            lo, hi = ranges[j]
-            while lo < hi and not _slice_feasible(int_rows, ranges, j, lo):
-                lo += 1
-                changed = True
-            while hi > lo and not _slice_feasible(int_rows, ranges, j, hi):
-                hi -= 1
-                changed = True
-            ranges[j] = (lo, hi)
+    for j in range(1, width):
+        lo, hi = ranges[j]
+        while lo < hi and not _slice_feasible(int_rows, ranges, j, lo):
+            lo += 1
+        while hi > lo and not _slice_feasible(int_rows, ranges, j, hi):
+            hi -= 1
+        ranges[j] = (lo, hi)
     return CandidateBox(tuple(ranges), include_zero)
 
 

@@ -3,16 +3,16 @@
 A symmetry of a field is determined by where it sends the indeterminates,
 so candidates are ordered tuples of distinct nonzero-one fundamentals.
 One backtracking search binds the indeterminates one at a time, next the
-one that completes the most seeds, and cuts a branch once a fully bound
-seed, evaluated mod p at the fingerprints of the chosen images, is not a
-table fingerprint (a zero denominator residue decides nothing).  Each
-complete tuple then passes the fingerprint walk, in which every
-fundamental's image must be a fresh table fingerprint, and one exact
-check: the images substituted into every generator must factor into
-nonzero units, and exponent arithmetic must permute the table.
-Fingerprints only reject; the exact check decides.  Symmetries are stored
-through the factored images of all generators, which makes applying and
-composing them integer arithmetic on exponent vectors.
+one that completes the most seeds, and evaluates mod p at the fingerprints
+of the chosen images.  It cuts a branch once a fully bound seed is not a
+table fingerprint or a fully bound generator has residue 0 (a symmetry
+sends every generator to a unit; a zero denominator residue decides
+nothing).  Each complete tuple then passes one exact check: the images
+substituted into every generator must factor into nonzero units, and
+exponent arithmetic must permute the table.  Fingerprints only reject;
+the exact check decides.  Symmetries are stored through the factored
+images of all generators, which makes applying and composing them integer
+arithmetic on exponent vectors.
 
 The Gaussian field has no indeterminates; its two symmetries (identity
 and conjugation) are checked by direct value substitution instead.
@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import (
-    ModMap,
     RatFunc,
     gauss_conj,
-    mod_eval,
     poly_subst,
     ratfunc_arith,
     ratfunc_eval_mod,
@@ -52,7 +50,6 @@ __all__ = [
     "compose_gen_images",
     "confirm_candidate",
     "find_automorphisms",
-    "prefilter_candidate",
 ]
 
 
@@ -82,50 +79,7 @@ class AutGroup:
 
 
 # ---------------------------------------------------------------------------
-# Candidate stages
-
-
-def _live_fingerprints(table: FundamentalTable) -> frozenset[int]:
-    return frozenset(e.fingerprint for e in table.entries if e.element.sign != 0)
-
-
-def _gen_residues(
-    spec: PartialFieldSpec, fps: tuple[int, ...], p: int
-) -> list[int] | None:
-    """Residues of every generator at the candidate image residues, or
-    None when one vanishes (the image of a unit never has residue 0)."""
-    out = []
-    for gen in spec.generators:
-        r = ratfunc_eval_mod(gen, fps, p)
-        if not r:
-            return None
-        out.append(r)
-    return out
-
-
-def prefilter_candidate(
-    spec: PartialFieldSpec, table: FundamentalTable, fps: tuple[int, ...]
-) -> bool:
-    """Fingerprint walk: from the candidate image residues, every nonzero
-    fundamental's image must be a fresh member of the table's nonzero
-    fingerprints; a completed walk is a full multiset match, and the walk
-    stops at the first miss."""
-    assert table.mod_map is not None
-    p = table.mod_map.prime
-    residues = _gen_residues(spec, fps, p)
-    if residues is None:
-        return False
-    derived = ModMap(p, tuple(residues))
-    live = _live_fingerprints(table)
-    seen = set()
-    for e in table.entries:
-        if e.element.sign == 0:
-            continue
-        image = mod_eval(derived, e.element.sign, e.element.exps)
-        if image not in live or image in seen:
-            return False
-        seen.add(image)
-    return True
+# Exact check
 
 
 def _substitute(x: RatFunc, images: list[RatFunc]) -> RatFunc:
@@ -257,38 +211,48 @@ def compose_gen_images(
 # Search
 
 
-def _binding_order(spec: PartialFieldSpec) -> list[tuple[int, list[RatFunc]]]:
-    """Indeterminates in binding order, each with the seeds it completes:
-    next is always the one completing the most seeds, ties in spec order."""
-    seeds = [
-        (s, {i for poly in (s.num, s.den) for m in poly for i, e in enumerate(m) if e})
-        for s in spec.seeds
-    ]
+def _variables(x: RatFunc) -> set[int]:
+    return {i for poly in (x.num, x.den) for m in poly for i, e in enumerate(m) if e}
+
+
+def _binding_order(
+    spec: PartialFieldSpec,
+) -> list[tuple[int, list[RatFunc], list[RatFunc]]]:
+    """Indeterminates in binding order, each with the seeds and the
+    non-constant generators it completes: next is always the one
+    completing the most seeds, ties in spec order."""
+    seeds = [(s, _variables(s)) for s in spec.seeds]
     order: list[int] = []
     while len(order) < spec.arity:
         free = [v for v in range(spec.arity) if v not in order]
         order.append(
             max(free, key=lambda v: sum(used <= {*order, v} for _, used in seeds))
         )
-    checks: list[list[RatFunc]] = [[] for _ in order]
-    for s, used in seeds:
-        if used:
-            checks[max(order.index(v) for v in used)].append(s)
-    return list(zip(order, checks))
+
+    def completed(exprs: list[tuple[RatFunc, set[int]]]) -> list[list[RatFunc]]:
+        checks: list[list[RatFunc]] = [[] for _ in order]
+        for x, used in exprs:
+            if used:
+                checks[max(order.index(v) for v in used)].append(x)
+        return checks
+
+    gens = [(g, _variables(g)) for g in spec.generators]
+    return list(zip(order, completed(seeds), completed(gens)))
 
 
-def _seed_consistent_tuples(
+def _candidate_tuples(
     spec: PartialFieldSpec, table: FundamentalTable
 ) -> list[tuple[int, ...]]:
     """Sorted tuples of distinct indices into table.nonzero_one, in
     variable order, whose images send every seed to a table fingerprint
-    mod p.  A seed is tested as soon as its variables are bound."""
+    and no generator to residue 0 mod p.  A seed or generator is tested as
+    soon as its variables are bound."""
     assert table.mod_map is not None
     p = table.mod_map.prime
-    live = _live_fingerprints(table)
+    live = frozenset(e.fingerprint for e in table.entries if e.element.sign != 0)
     entries = table.nonzero_one
     steps = _binding_order(spec)
-    order = [var for var, _ in steps]
+    order = [var for var, _, _ in steps]
     residues = [0] * spec.arity
     leaves: list[tuple[int, ...]] = []
 
@@ -296,14 +260,21 @@ def _seed_consistent_tuples(
         r = ratfunc_eval_mod(seed, residues, p)
         return r is None or r in live
 
+    def nonzero(gen: RatFunc) -> bool:
+        return ratfunc_eval_mod(gen, residues, p) != 0
+
     def extend(picked: tuple[int, ...]) -> None:
         if len(picked) == len(steps):
             leaves.append(tuple(i for _, i in sorted(zip(order, picked))))
             return
-        var, seeds = steps[len(picked)]
+        var, seeds, gens = steps[len(picked)]
         for i, entry in enumerate(entries):
             residues[var] = entry.fingerprint
-            if i not in picked and all(fits(seed) for seed in seeds):
+            if (
+                i not in picked
+                and all(fits(seed) for seed in seeds)
+                and all(nonzero(gen) for gen in gens)
+            ):
                 extend(picked + (i,))
 
     extend(())
@@ -358,10 +329,7 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
     entries = table.nonzero_one
     elements = []
-    for t in _seed_consistent_tuples(spec, table):
-        fps = tuple(entries[i].fingerprint for i in t)
-        if not prefilter_candidate(spec, table, fps):
-            continue
+    for t in _candidate_tuples(spec, table):
         aut = confirm_candidate(spec, table, tuple(entries[i] for i in t))
         if aut is not None:
             elements.append(aut)
@@ -372,11 +340,10 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
 def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     """All symmetries of the field, cached per spec text.
 
-    Over indeterminates, the seed-pruned backtracking search proposes
-    image tuples, the fingerprint prefilter rejects what it can, and the
-    exact check decides every survivor; the symmetries come out in the
-    order of their image tuples.  The Gaussian field's two candidate
-    symmetries are checked directly."""
+    Over indeterminates, the backtracking search pruned by seed and
+    generator residues proposes image tuples, and the exact check decides
+    every one; the symmetries come out in the order of their image tuples.
+    The Gaussian field's two candidate symmetries are checked directly."""
     if spec.is_gauss:
         return _find_gauss_automorphisms(spec)
     return _search_automorphisms(spec)

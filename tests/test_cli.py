@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -349,3 +350,19 @@ def test_all_field_selector_runs_every_table(capsys) -> None:
     assert code == 0
     data = json.loads(out)
     assert [r["count"] for r in data["results"]] == [11, 26, 56, 92]
+
+
+# SHA-256 of the JSON stdout of table commands, pinned so that a change in
+# the library's internals cannot silently change what the tool prints.
+STDOUT_DIGESTS = {
+    ("funs", "all"): "b6a5b519c709f6581e68a332201e8a80c6ab1056772a2eea61a657fc9292fc23",
+    ("auts", "all"): "51c5913dac344cf145b58ff45749024b21b4ac9384ac84e8911da5cdbfb6dc9b",
+    ("bounds", "all"): "c94e5387c823d0087aba1a4d91b0e0e0700a2ea1e4a07f6e23df1b73ba3d306c",
+}
+
+
+def test_json_stdout_is_byte_identical_to_the_pinned_digests(capsys) -> None:
+    for args, digest in STDOUT_DIGESTS.items():
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

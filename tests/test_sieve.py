@@ -201,6 +201,24 @@ def test_rejected_certificates_fall_back_to_fourier_motzkin(
     assert calls == list(range(1, len(box.ranges)))
 
 
+def test_box_ends_shrink_in_one_pass(specs, monkeypatch) -> None:
+    # H5: 30 distinct rows among its 60 doubled ones, and 20 end tests.
+    searches = []
+    real_slice_feasible = sieve._slice_feasible
+
+    def counted(int_rows, *args):
+        searches.append(len(int_rows))
+        return real_slice_feasible(int_rows, *args)
+
+    monkeypatch.setattr(sieve, "_slice_feasible", counted)
+    spec = specs["H5"]
+    box = sieve.bound_exponents(
+        sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+    )
+    assert box.ranges == FROZEN_RANGES["H5"]
+    assert searches == [30] * 20
+
+
 @st.composite
 def _bounded_systems(draw):
     """Random integer rows with their negations, inside the unit box, as

@@ -8,7 +8,13 @@ from itertools import permutations
 import pytest
 
 from pfverify import symmetry
-from pfverify.exact import ratfunc_eq, ratfunc_from_text
+from pfverify.exact import (
+    ModMap,
+    mod_eval,
+    ratfunc_eq,
+    ratfunc_eval_mod,
+    ratfunc_from_text,
+)
 from pfverify.pfield import (
     associates,
     builtin_specs,
@@ -111,48 +117,43 @@ def test_known_two_variable_image_pair_is_found() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Prefilter behaviour
+# Search
 
 
-def test_two_variable_prefilter_passes_exactly_the_24(specs) -> None:
-    spec = specs["H4"]
-    table = fundamental_table(spec)
-    passed = 0
-    for first in table.nonzero_one:
-        for second in table.nonzero_one:
-            if first is second:
-                continue
-            fps = (first.fingerprint, second.fingerprint)
-            if symmetry.prefilter_candidate(spec, table, fps):
-                passed += 1
-    assert passed == 24
-
-
-def test_single_variable_prefilter_is_a_superset_of_the_group(specs) -> None:
-    spec = specs["H3"]
-    table = fundamental_table(spec)
-    prefiltered = {
-        e.element
-        for e in table.nonzero_one
-        if symmetry.prefilter_candidate(spec, table, (e.fingerprint,))
-    }
-    confirmed = {
-        e.element
-        for e in table.nonzero_one
-        if symmetry.confirm_candidate(spec, table, (e,))
-    }
-    assert len(confirmed) == 6
-    assert confirmed <= prefiltered
+def _walk_passes(spec, table, images) -> bool:
+    """Fingerprint walk: every nonzero fundamental's image residue must be
+    a distinct table fingerprint.  It shares no code or condition with the
+    search's seed and generator cuts, so it filters the brute force
+    independently."""
+    p = table.mod_map.prime
+    residues = []
+    for gen in spec.generators:
+        r = ratfunc_eval_mod(gen, [e.fingerprint for e in images], p)
+        if not r:
+            return False
+        residues.append(r)
+    derived = ModMap(p, tuple(residues))
+    live = {e.fingerprint for e in table.entries if e.element.sign != 0}
+    seen = set()
+    for e in table.entries:
+        if e.element.sign == 0:
+            continue
+        image = mod_eval(derived, e.element.sign, e.element.exps)
+        if image not in live or image in seen:
+            return False
+        seen.add(image)
+    return True
 
 
 @pytest.mark.parametrize("name", ["H3", "H4"])
 def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
+    # H3 sends every image straight to the exact check; unfiltered, the
+    # 2,862 ordered H4 pairs would take seconds, so they pass the walk first.
     spec = specs[name]
     table = fundamental_table(spec)
     brute = set()
     for images in permutations(table.nonzero_one, spec.arity):
-        fps = tuple(e.fingerprint for e in images)
-        if not symmetry.prefilter_candidate(spec, table, fps):
+        if name != "H3" and not _walk_passes(spec, table, images):
             continue
         aut = symmetry.confirm_candidate(spec, table, images)
         if aut is not None:
@@ -160,12 +161,13 @@ def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
     assert brute == set(group(name).by_gen_images)
 
 
-def test_seed_pruning_leaves_few_of_the_ordered_tuples(specs) -> None:
-    spec = specs["H5"]
-    table = fundamental_table(spec)
-    n = len(table.nonzero_one)
-    assert n * (n - 1) * (n - 2) == 704880
-    assert len(symmetry._seed_consistent_tuples(spec, table)) <= 1440
+def test_search_leaves_are_exactly_the_symmetries(specs) -> None:
+    # Of H5's 704,880 ordered triples of distinct nonzero-one fundamentals,
+    # only the 720 symmetries survive the pruning.
+    for name, order in (("H3", 6), ("H4", 24), ("H5", 720)):
+        spec = specs[name]
+        leaves = symmetry._candidate_tuples(spec, fundamental_table(spec))
+        assert len(leaves) == len(group(name).elements) == order
 
 
 # ---------------------------------------------------------------------------
