@@ -304,6 +304,11 @@ def ratfunc_arith(a: RatFunc, b: RatFunc, kind: str) -> RatFunc:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def ratfunc_subst(x: RatFunc, values: Sequence[RatFunc]) -> RatFunc:
+    """x at rational-function values: num and den substituted, divided once."""
+    return ratfunc_arith(poly_subst(x.num, values), poly_subst(x.den, values), "div")
+
+
 def ratfunc_neg(a: RatFunc) -> RatFunc:
     """Return -a."""
     return RatFunc(poly_neg(a.num), a.den)

@@ -18,10 +18,9 @@ from functools import cache
 
 from .exact import (
     RatFunc,
-    ratfunc_arith,
     ratfunc_from_text,
     ratfunc_is_zero,
-    poly_subst,
+    ratfunc_subst,
 )
 from .pfield import (
     VerificationError,
@@ -102,12 +101,7 @@ def _relations() -> tuple[RatFunc, ...]:
 def relation_residuals(values: dict[str, RatFunc]) -> list[RatFunc]:
     """Each relation with the given symbol values substituted in."""
     ordered = [values[name] for name in SYMBOLS]
-    out = []
-    for rel in _relations():
-        num = poly_subst(rel.num, ordered)
-        den = poly_subst(rel.den, ordered)
-        out.append(ratfunc_arith(num, den, "div"))
-    return out
+    return [ratfunc_subst(rel, ordered) for rel in _relations()]
 
 
 def _candidate_values(s223: RatFunc) -> dict[str, RatFunc]:

@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .exact import gauss_div
 from .pfield import (
     FactoredElement,
     PartialFieldSpec,
     TableEntry,
     VerificationError,
     builtin_specs,
-    factor_over_generators,
+    canonical_element,
     fundamental_table,
 )
 from .symmetry import find_automorphisms
@@ -48,11 +47,9 @@ def _ratio_element(
     spec: PartialFieldSpec, p: TableEntry, q: TableEntry
 ) -> FactoredElement:
     """Canonical factored form of p/q for two nonzero table entries."""
-    if spec.is_gauss:
-        return factor_over_generators(spec, gauss_div(p.value, q.value))
     pe, qe = p.element, q.element
     exps = tuple(x - y for x, y in zip(pe.exps, qe.exps))
-    return FactoredElement(pe.sign * qe.sign, exps)
+    return canonical_element(spec, FactoredElement(pe.sign * qe.sign, exps))
 
 
 def enumerate_u25(spec: PartialFieldSpec) -> list[tuple[TableEntry, TableEntry]]:

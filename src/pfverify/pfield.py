@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple
 
 from .exact import (
     PRIME_LIMIT,
+    SCREEN_PRIME,
     GaussDyadic,
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -643,6 +644,14 @@ def expand_element(
     return RatFunc(num, den)
 
 
+def canonical_element(spec: PartialFieldSpec, fe: FactoredElement) -> FactoredElement:
+    """fe in canonical form: refactored from its exact value when the
+    generators are dependent (the Gaussian field), else fe itself."""
+    if spec.is_gauss:
+        return factor_over_generators(spec, expand_element(spec, fe))
+    return fe
+
+
 # ---------------------------------------------------------------------------
 # Homomorphism to GF(5)^m
 
@@ -681,9 +690,7 @@ class FundamentalTable:
     spec: PartialFieldSpec
     mod_map: ModMap | None
     entries: tuple[TableEntry, ...]
-    by_fingerprint: dict
     by_element: dict
-    by_gf5: dict
     nonzero_one: tuple[TableEntry, ...]
 
 
@@ -707,34 +714,38 @@ def element_fingerprint(
     return mod_eval(mm, fe.sign, fe.exps)
 
 
-def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
-    """Distinct values reachable from the seeds by taking associates."""
-    if spec.is_gauss:
-        values: list = []
-        seen: set[GaussDyadic] = set()
-        queue = list(spec.seeds)
-        while queue:
-            v = queue.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            values.append(v)
-            queue.extend(associates(v))
-        return values
+def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
+    """Exact equality of two values of one field: == for Gaussian values,
+    ratfunc_eq for rational functions."""
+    if isinstance(a, GaussDyadic):
+        return a == b
+    return ratfunc_eq(a, b)
 
-    mm = spec.mod_map()
-    assert mm is not None
-    values = []
-    buckets: dict[int | None, list[int]] = {}
+
+def _value_key(v: RatFunc | GaussDyadic) -> int | GaussDyadic | None:
+    """A hashable key on which exactly equal values agree: a Gaussian value
+    itself, else num/den at ratfunc_eq's screen point mod SCREEN_PRIME, or
+    None where that denominator residue is 0."""
+    if isinstance(v, GaussDyadic):
+        return v
+    num, den = v.screen_residues
+    return num * pow(den, -1, SCREEN_PRIME) % SCREEN_PRIME if den else None
+
+
+def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
+    """Distinct values reachable from the seeds by taking associates, told
+    apart by value_eq among the kept values that share the _value_key."""
+    values: list = []
+    buckets: dict = {}
     queue = list(spec.seeds)
     while queue:
         v = queue.pop()
-        key = ratfunc_eval_mod(v, spec.mod_var_residues, mm.prime)
+        key = _value_key(v)
         if key is None:
-            probe = list(range(len(values)))
+            probe = range(len(values))
         else:
             probe = buckets.get(key, []) + buckets.get(None, [])
-        if any(ratfunc_eq(values[i], v) for i in probe):
+        if any(value_eq(values[i], v) for i in probe):
             continue
         buckets.setdefault(key, []).append(len(values))
         values.append(v)
@@ -795,15 +806,13 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
         entries.append(TableEntry(fe, value, fp, hom_gf5(spec, fe)))
     entries.sort(key=lambda e: fingerprint_sort_key(e.fingerprint))
 
-    by_fingerprint = {e.fingerprint: e for e in entries}
     by_element = {e.element: e for e in entries}
-    by_gf5 = {e.gf5_image: e for e in entries}
-    for mapping, what in (
-        (by_fingerprint, "fingerprints"),
+    for keys, what in (
+        ({e.fingerprint for e in entries}, "fingerprints"),
         (by_element, "factored forms"),
-        (by_gf5, "GF(5) images"),
+        ({e.gf5_image for e in entries}, "GF(5) images"),
     ):
-        if len(mapping) != len(entries):
+        if len(keys) != len(entries):
             raise VerificationError(f"{spec.name}: {what} are not pairwise distinct")
     one = FactoredElement(1, (0,) * len(spec.generators))
     nonzero_one = tuple(
@@ -813,9 +822,7 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
         spec=spec,
         mod_map=mm,
         entries=tuple(entries),
-        by_fingerprint=by_fingerprint,
         by_element=by_element,
-        by_gf5=by_gf5,
         nonzero_one=nonzero_one,
     )
 
@@ -829,19 +836,6 @@ def fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
 def is_fundamental_exact(
     spec: PartialFieldSpec, x: RatFunc | GaussDyadic
 ) -> bool:
-    """Exact membership test against the fundamental table."""
-    table = fundamental_table(spec)
-    if isinstance(x, GaussDyadic):
-        return x in table.by_fingerprint
-    if ratfunc_is_zero(x):
-        return True
-    mm = table.mod_map
-    assert mm is not None
-    fp = ratfunc_eval_mod(x, spec.mod_var_residues, mm.prime)
-    if fp is None:
-        return any(
-            not isinstance(e.value, GaussDyadic) and ratfunc_eq(x, e.value)
-            for e in table.entries
-        )
-    entry = table.by_fingerprint.get(fp)
-    return entry is not None and ratfunc_eq(x, entry.value)
+    """Exact membership test against the fundamental table: value_eq with
+    some entry (whose screen residues reject nearly every other entry)."""
+    return any(value_eq(x, e.value) for e in fundamental_table(spec).entries)

@@ -22,9 +22,11 @@ residue power the slot takes.  No candidate tuple is built; a
 fingerprint -> index dict detects collisions, and an index is decoded to a
 factored element only for a survivor or a colliding pair.  A collision gets
 an exact check that tells a dependent generator set (a FAIL) from an
-unlucky prime (advance to the next one, up to a fixed count).  A candidate
-survives iff the fingerprint of 1 - candidate also appears.  Survivors are
-cross-checked exactly.
+unlucky prime (advance to the next one, up to a fixed count).  The search
+starts at the spec prime: a generator residue that vanishes there is a
+FAIL naming the generator, and a later prime where one vanishes is
+skipped.  A candidate survives iff the fingerprint of 1 - candidate also
+appears.  Survivors are cross-checked exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .exact import (
     next_prime,
     ratfunc_arith,
     ratfunc_const,
-    ratfunc_eq,
     ratfunc_eval_gauss,
 )
 from .pfield import (
@@ -57,6 +58,7 @@ from .pfield import (
     factor_over_generators,
     fingerprint_sort_key,
     memo_by_spec,
+    value_eq,
 )
 
 
@@ -518,44 +520,39 @@ def box_fingerprints(mm: ModMap, box: CandidateBox) -> list[int]:
 
 
 def resolve_mod_map(
-    spec: PartialFieldSpec,
-    box: CandidateBox,
-    prime_start: int | None = None,
-    fingerprints: dict | None = None,
-) -> tuple[ModMap, int]:
-    """Modular map whose fingerprints separate all candidates and 0.
+    spec: PartialFieldSpec, box: CandidateBox
+) -> tuple[ModMap, dict]:
+    """Modular map whose fingerprints separate all candidates and 0, and its
+    fingerprint -> candidate index dict (see candidate_at), 0 included.
 
-    Starts at the spec prime (or an override) and advances to the next
-    prime whenever a generator residue vanishes or two candidates collide.
-    A collision is checked exactly: two equal candidates mean the
-    generators are dependent, which no prime can separate.  If given,
-    fingerprints is filled with the separating fingerprint -> candidate
-    index map (enumerate_candidates order; see candidate_at), 0 included.
+    At the spec prime a vanishing generator residue raises the ValueError
+    naming the generator.  A collision advances to the next prime, and a
+    later prime where a generator vanishes is skipped, for at most
+    MAX_PRIMES_TRIED primes.  A collision is checked exactly: two equal
+    candidates mean the generators are dependent, which no prime separates.
     """
-    p = spec.mod_prime if prime_start is None else prime_start
-    assert p is not None
-    start = p
+    start = p = spec.mod_prime
     if len(box.ranges) != len(spec.generators):
         raise ValueError("exponent vector length mismatch")
-    count = candidate_count(box)
-    fps: dict = {} if fingerprints is None else fingerprints
     for _ in range(MAX_PRIMES_TRIED):
         try:
             mm = spec.mod_map(p)
         except ValueError:
+            if p == start:
+                raise
             p = next_prime(p)
             continue
         assert mm is not None
-        fps.clear()
+        fps: dict = {}
         for i, fp in enumerate(box_fingerprints(mm, box)):
             j = fps.setdefault(fp, i)
             if j != i:
                 break
         else:
             fps.setdefault(0, 2 * _box_size(box))
-            return mm, len(fps)
+            return mm, fps
         first, second = candidate_at(box, j), candidate_at(box, i)
-        if ratfunc_eq(expand_element(spec, first), expand_element(spec, second)):
+        if value_eq(expand_element(spec, first), expand_element(spec, second)):
             raise VerificationError(
                 f"{spec.name}: candidates {first} and {second} are exactly "
                 "equal, so their quotient is a relation among the generators"
@@ -563,7 +560,7 @@ def resolve_mod_map(
         p = next_prime(p)
     raise VerificationError(
         f"{spec.name}: no fingerprint prime among {MAX_PRIMES_TRIED} from "
-        f"{start} separates the {count} candidates"
+        f"{start} separates the {candidate_count(box)} candidates"
     )
 
 
@@ -584,23 +581,18 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
     return SieveResult(None, fingerprints, len(window), len(candidates))
 
 
-def fingerprint_sieve(
-    spec: PartialFieldSpec,
-    box: CandidateBox,
-    prime_start: int | None = None,
-) -> SieveResult:
+def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
     """Keep the candidates c with both c and 1 - c in the fingerprint image;
-    only the survivors are decoded to factored elements."""
+    only the survivors are decoded.  The prime comes from resolve_mod_map."""
     if spec.is_gauss:
         return _gauss_sieve(spec, enumerate_candidates(box))
-    fps: dict = {}
-    mm, distinct = resolve_mod_map(spec, box, prime_start, fps)
+    mm, fps = resolve_mod_map(spec, box)
     p = mm.prime
     survivors = {
         fp: candidate_at(box, fps[fp])
         for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)
     }
-    return SieveResult(mm, survivors, distinct, candidate_count(box))
+    return SieveResult(mm, survivors, len(fps), candidate_count(box))
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +603,6 @@ def _exact_complement(spec: PartialFieldSpec, value):
     if isinstance(value, GaussDyadic):
         return gauss_sub(GAUSS_ONE, value)
     return ratfunc_arith(ratfunc_const(spec.arity, 1), value, "sub")
-
-
-def _values_equal(a, b) -> bool:
-    if isinstance(a, GaussDyadic):
-        return a == b
-    return ratfunc_eq(a, b)
 
 
 def verify_survivors(
@@ -649,7 +635,7 @@ def verify_survivors(
                 f"{spec.name}: survivor {fe} has no partner for 1 - s"
             )
         complement = _exact_complement(spec, value)
-        if not _values_equal(complement, expand_element(spec, partner)):
+        if not value_eq(complement, expand_element(spec, partner)):
             raise VerificationError(
                 f"{spec.name}: 1 - s is not exactly the paired survivor for {fe}"
             )

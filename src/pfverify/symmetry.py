@@ -14,20 +14,22 @@ the exact check decides.  Symmetries are stored through the factored
 images of all generators, which makes applying and composing them integer
 arithmetic on exponent vectors.
 
-The Gaussian field has no indeterminates; its two symmetries (identity
-and conjugation) are checked by direct value substitution instead.
+The Gaussian field has no indeterminates; its two candidate symmetries
+(identity and conjugation) give the generator images by conjugating
+values, and then pass the same exact check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .exact import (
+    GaussDyadic,
     RatFunc,
     gauss_conj,
-    poly_subst,
-    ratfunc_arith,
     ratfunc_eval_mod,
+    ratfunc_subst,
 )
 from .pfield import (
     FactoredElement,
@@ -35,7 +37,7 @@ from .pfield import (
     PartialFieldSpec,
     TableEntry,
     VerificationError,
-    expand_element,
+    canonical_element,
     factor_over_generators,
     fundamental_table,
     hom_gf5,
@@ -82,38 +84,42 @@ class AutGroup:
 # Exact check
 
 
-def _substitute(x: RatFunc, images: list[RatFunc]) -> RatFunc:
-    num = poly_subst(x.num, images)
-    den = poly_subst(x.den, images)
-    return ratfunc_arith(num, den, "div")
+def _confirm(
+    spec: PartialFieldSpec,
+    table: FundamentalTable,
+    var_images: tuple[TableEntry, ...],
+    gen_values: Iterable[RatFunc | GaussDyadic],
+) -> Automorphism | None:
+    """The symmetry sending generators 1.. to gen_values, or None.  Each
+    value, taken lazily, must factor into a nonzero unit, and exponent
+    arithmetic through the factored images must permute the table.  A
+    confirmed symmetry whose GF(5) images match no coordinate permutation
+    is a VerificationError."""
+    gen_fes = [_sign_gen_image(spec)]
+    for value in gen_values:
+        try:
+            fe = factor_over_generators(spec, value)
+        except ValueError:
+            return None
+        if fe.sign == 0:
+            return None
+        gen_fes.append(fe)
+    aut = Automorphism(var_images, tuple(gen_fes), coord_perm=())
+    if not _permutes_table(table, aut):
+        return None
+    aut.coord_perm = _induced_perm(spec, aut.gen_images)
+    return aut
 
 
 def confirm_candidate(
     spec: PartialFieldSpec, table: FundamentalTable, entries: tuple[TableEntry, ...]
 ) -> Automorphism | None:
     """Exact confirmation: the symmetry sending the indeterminates to the
-    candidate images, or None when there is none.
-
-    Every generator, with the indeterminates replaced by the images, must
-    be a nonzero unit over the generators, and exponent arithmetic through
-    those factored images must permute the table.  A confirmed symmetry
-    whose GF(5) images match no coordinate permutation is a
-    VerificationError."""
+    candidate images, or None when there is none.  Each generator's image
+    is the generator with the indeterminates replaced by the images."""
     images = [e.value for e in entries]
-    gen_fes = [_sign_gen_image(spec)]
-    for gen in spec.generators[1:]:
-        try:
-            fe = factor_over_generators(spec, _substitute(gen, images))
-        except ValueError:
-            return None
-        if fe.sign == 0:
-            return None
-        gen_fes.append(fe)
-    aut = Automorphism(tuple(entries), tuple(gen_fes), coord_perm=())
-    if not _permutes_table(table, aut):
-        return None
-    aut.coord_perm = _induced_perm(spec, aut.gen_images)
-    return aut
+    gen_values = (ratfunc_subst(gen, images) for gen in spec.generators[1:])
+    return _confirm(spec, table, tuple(entries), gen_values)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +162,8 @@ def apply_automorphism(aut: Automorphism, fe: FactoredElement) -> FactoredElemen
     """Image of a factored element, by exponent arithmetic.
 
     Exact when the generators are multiplicatively independent; the
-    Gaussian generators are not, so Gaussian images need recanonicalizing
-    through their exact value afterwards."""
+    Gaussian generators are not, so images go through canonical_element
+    afterwards."""
     if fe.sign == 0:
         return fe
     sign = fe.sign
@@ -173,18 +179,10 @@ def apply_automorphism(aut: Automorphism, fe: FactoredElement) -> FactoredElemen
     return FactoredElement(sign, tuple(exps))
 
 
-def _canonical_image(
-    spec: PartialFieldSpec, aut: Automorphism, fe: FactoredElement
-) -> FactoredElement:
-    img = apply_automorphism(aut, fe)
-    if spec.is_gauss and img.sign != 0:
-        return factor_over_generators(spec, expand_element(spec, img))
-    return img
-
-
 def _permutes_table(table: FundamentalTable, aut: Automorphism) -> bool:
     images = {
-        _canonical_image(table.spec, aut, e.element) for e in table.entries
+        canonical_element(table.spec, apply_automorphism(aut, e.element))
+        for e in table.entries
     }
     return images == set(table.by_element)
 
@@ -203,7 +201,7 @@ def compose_gen_images(
     only the other slots need Gaussian recanonicalizing."""
     out = [apply_automorphism(outer, inner.gen_images[0])]
     for fe in inner.gen_images[1:]:
-        out.append(_canonical_image(group.spec, outer, fe))
+        out.append(canonical_element(group.spec, apply_automorphism(outer, fe)))
     return tuple(out)
 
 
@@ -283,24 +281,11 @@ def _candidate_tuples(
 
 def _find_gauss_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
-    values = set(table.by_fingerprint)
     elements = []
     for mapper in (lambda v: v, gauss_conj):
-        if {mapper(v) for v in values} != values:
-            continue
-        gen_fes = (_sign_gen_image(spec),) + tuple(
-            factor_over_generators(spec, mapper(g)) for g in spec.generators[1:]
-        )
-        aut = Automorphism(
-            var_images=(),
-            gen_images=gen_fes,
-            coord_perm=_induced_perm(spec, gen_fes),
-        )
-        if not _permutes_table(table, aut):
-            raise VerificationError(
-                f"{spec.name}: confirmed symmetry does not permute the table"
-            )
-        elements.append(aut)
+        aut = _confirm(spec, table, (), [mapper(g) for g in spec.generators[1:]])
+        if aut is not None:
+            elements.append(aut)
     return _finish_group(spec, table, elements)
 
 
@@ -343,7 +328,7 @@ def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     Over indeterminates, the backtracking search pruned by seed and
     generator residues proposes image tuples, and the exact check decides
     every one; the symmetries come out in the order of their image tuples.
-    The Gaussian field's two candidate symmetries are checked directly."""
+    The Gaussian field's two candidate symmetries get the same exact check."""
     if spec.is_gauss:
         return _find_gauss_automorphisms(spec)
     return _search_automorphisms(spec)

@@ -352,12 +352,21 @@ def test_all_field_selector_runs_every_table(capsys) -> None:
     assert [r["count"] for r in data["results"]] == [11, 26, 56, 92]
 
 
-# SHA-256 of the JSON stdout of table commands, pinned so that a change in
-# the library's internals cannot silently change what the tool prints.
+# SHA-256 of the JSON stdout of table and report commands, pinned so that a
+# change in the library's internals cannot silently change what the tool
+# prints.
 STDOUT_DIGESTS = {
     ("funs", "all"): "b6a5b519c709f6581e68a332201e8a80c6ab1056772a2eea61a657fc9292fc23",
     ("auts", "all"): "51c5913dac344cf145b58ff45749024b21b4ac9384ac84e8911da5cdbfb6dc9b",
     ("bounds", "all"): "c94e5387c823d0087aba1a4d91b0e0e0700a2ea1e4a07f6e23df1b73ba3d306c",
+    ("u25", "all"): "cf95eddeb2faa16ca62dc8788e642c76417720809060b8b4cb51d3d70cd1b411",
+    ("lift-check", "all"): (
+        "6babc28f1d0053679dfa4c268edc84a9eaadb58a9936497b09b0ed7e1eaf9d5e"
+    ),
+    ("genesis",): "fae39a6815f580f74f866788b00b43c70ad2caae34cc50accbb2b403f19d5744",
+    ("report", "H4", "--prime-start", "100000000003"): (
+        "c9513ac0ccfec2920dea224bd80ab3e712151cc314d16281c7527b8f037c8814"
+    ),
 }
 
 

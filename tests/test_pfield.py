@@ -3,6 +3,7 @@ dual-route fundamental tables."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from pfverify.exact import (
     ratfunc_arith,
     ratfunc_eq,
     ratfunc_from_text,
+    screen_point,
 )
 from pfverify.pfield import (
     FactoredElement,
@@ -362,6 +364,35 @@ def test_non_unit_closure_element_fails_naming_the_element() -> None:
         pfield.build_fundamental_table(broken)
 
 
+@pytest.mark.parametrize("name, count", [("H3", 26), ("H4", 56), ("H5", 92)])
+def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) -> None:
+    # The associate closure and the exact membership test must not read the
+    # fingerprint prime, which belongs to the other route, the sieve.
+    table = fundamental_table(spec(name))
+    blind = dataclasses.replace(spec(name), mod_prime=None, mod_var_residues=())
+
+    def no_mod_map(self, prime=None):
+        raise AssertionError("the modular map was read")
+
+    monkeypatch.setattr(pfield.PartialFieldSpec, "mod_map", no_mod_map)
+    values = pfield._closure_of_seeds(blind)
+    assert len(values) == count
+    for v in values:
+        assert sum(ratfunc_eq(v, e.value) for e in table.entries) == 1
+        assert is_fundamental_exact(blind, v)
+
+
+def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
+    # a*(a - s)/(a - s) is the seed a, with a denominator that is 0 at the
+    # screen point; it and its associates have no bucket key.
+    s = screen_point(1)[0]
+    text = spec("H3").source_text + f"seed a*(a - {s})/(a - {s})\n"
+    values = pfield._closure_of_seeds(pfield.parse_field_spec(text))
+    table = fundamental_table(spec("H3"))
+    assert len(values) == 26
+    assert all(any(ratfunc_eq(v, e.value) for e in table.entries) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Exact membership testing
 
@@ -388,3 +419,9 @@ def test_membership_handles_denominators_that_vanish_modulo_the_prime() -> None:
     # prime, forcing the exact comparison fallback.
     x = rf(f"(a^2 + {p - 5}*a)/(a + {p - 5})")
     assert is_fundamental_exact(s, x)
+
+
+def test_membership_handles_denominators_that_vanish_at_the_screen_point() -> None:
+    s = screen_point(1)[0]
+    assert is_fundamental_exact(spec("H3"), rf(f"a*(a - {s})/(a - {s})"))
+    assert not is_fundamental_exact(spec("H3"), rf(f"(a + 1)*(a - {s})/(a - {s})"))

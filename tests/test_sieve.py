@@ -409,31 +409,67 @@ def test_sieve_is_deterministic(specs) -> None:
     assert first.mod_map == second.mod_map
 
 
+def _at_prime(spec, prime: int):
+    """The spec with its prime line rewritten, as --prime-start does."""
+    return parse_field_spec(
+        spec.source_text.replace(f"prime {spec.mod_prime}\n", f"prime {prime}\n")
+    )
+
+
+# An H3 box of 54 candidate units, too many for distinct residues mod 59.
+SMALL_BOX = sieve.CandidateBox(((0, 0), (-1, 1), (-1, 1), (-1, 1)), False)
+
+
 def test_prime_advances_until_fingerprints_separate(specs) -> None:
-    # 54 candidate units cannot have distinct residues modulo 59, so the
-    # sieve must walk to a larger prime on its own.
-    small = sieve.CandidateBox(((0, 0), (-1, 1), (-1, 1), (-1, 1)), False)
-    assert sieve.candidate_count(small) == 54
-    mm, distinct = sieve.resolve_mod_map(specs["H3"], small, prime_start=59)
+    # The sieve must walk past 59 to a larger prime on its own.
+    assert sieve.candidate_count(SMALL_BOX) == 54
+    mm, index = sieve.resolve_mod_map(_at_prime(specs["H3"], 59), SMALL_BOX)
     assert mm.prime > 59
-    assert distinct == 55
+    assert len(index) == 55
+
+
+def _h3_vanishing_at_61(prime: int):
+    # a^2 - a + 1 is 183 = 3 * 61 at a = 14; no generator vanishes mod 59.
+    text = H3_SPEC_TEXT.replace("modvar a 5\n", "modvar a 14\n")
+    return parse_field_spec(text.replace("prime 1299709\n", f"prime {prime}\n"))
+
+
+def test_a_generator_vanishing_at_the_spec_prime_is_named() -> None:
+    with pytest.raises(
+        ValueError, match=r"^H3: generator 'a\^2 - a \+ 1' vanishes mod 61 "
+    ):
+        sieve.resolve_mod_map(_h3_vanishing_at_61(61), SMALL_BOX)
+
+
+def test_a_later_prime_where_a_generator_vanishes_is_skipped(monkeypatch) -> None:
+    spec = _h3_vanishing_at_61(59)
+    with pytest.raises(ValueError, match="vanishes mod 61"):
+        spec.mod_map(61)
+    # 59 has a collision, so the search reaches 61, skips it and goes on.
+    mm, index = sieve.resolve_mod_map(spec, SMALL_BOX)
+    assert mm.prime > 61
+    assert len(index) == 55
+    # The skipped prime counts against the cap: 59 and 61 are two tries.
+    monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 2)
+    with pytest.raises(VerificationError, match="among 2 from 59 "):
+        sieve.resolve_mod_map(spec, SMALL_BOX)
 
 
 @pytest.mark.parametrize("name", ["H3", "H4"])
 @pytest.mark.parametrize("prime_start", [None, 100000000003])
 def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
     spec = specs[name]
+    if prime_start is not None:
+        spec = _at_prime(spec, prime_start)
     box = sieve.candidate_box(spec)
     candidates = sieve.enumerate_candidates(box)
-    index: dict = {}
-    mm, distinct = sieve.resolve_mod_map(spec, box, prime_start, index)
-    if prime_start is not None:
-        assert mm.prime >= prime_start
+    mm, index = sieve.resolve_mod_map(spec, box)
+    assert mm.prime >= spec.mod_prime
     fps = sieve.box_fingerprints(mm, box)
     assert len(fps) == len(candidates)
     for fp, fe in zip(fps, candidates):
         assert fp == mod_eval(mm, fe.sign, fe.exps)
-    assert distinct == len(index) == len(set(fps) | {0})
+    assert len(index) == len(set(fps) | {0})
     for fp, i in index.items():
         fe = sieve.candidate_at(box, i)
         assert fp == mod_eval(mm, fe.sign, fe.exps)
@@ -463,7 +499,7 @@ def test_prime_search_is_capped(specs, monkeypatch) -> None:
     box = sieve.candidate_box(specs["H3"])
     monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 3)
     with pytest.raises(VerificationError, match="no fingerprint prime"):
-        sieve.resolve_mod_map(specs["H3"], box, prime_start=59)
+        sieve.resolve_mod_map(_at_prime(specs["H3"], 59), box)
 
 
 def _spec_with_repeated_generator() -> str:
