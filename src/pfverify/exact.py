@@ -319,11 +319,6 @@ def ratfunc_is_zero(a: RatFunc) -> bool:
     return not a.num
 
 
-def ratfunc_is_one(a: RatFunc) -> bool:
-    """True iff a equals 1."""
-    return a.num == a.den
-
-
 def ratfunc_to_str(a: RatFunc, var_names: Sequence[str]) -> str:
     """Render num/den, eliding a denominator equal to 1."""
     num = poly_to_str(a.num, var_names)
@@ -371,10 +366,6 @@ def gauss_eq(a: GaussDyadic, b: GaussDyadic) -> bool:
 
 def gauss_is_zero(a: GaussDyadic) -> bool:
     return a.re_num == 0 and a.im_num == 0
-
-
-def gauss_is_one(a: GaussDyadic) -> bool:
-    return a == GAUSS_ONE
 
 
 def gauss_add(a: GaussDyadic, b: GaussDyadic) -> GaussDyadic:

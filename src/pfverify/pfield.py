@@ -12,9 +12,10 @@ its factored form, exact value, fingerprint, and GF(5)^m image.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache, partial, wraps
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -30,7 +31,6 @@ from .exact import (
     gauss_div,
     gauss_eq,
     gauss_from_text,
-    gauss_is_one,
     gauss_is_unit,
     gauss_is_zero,
     gauss_lognorm,
@@ -52,8 +52,6 @@ from .exact import (
     ratfunc_eq,
     ratfunc_eval_mod,
     ratfunc_from_text,
-    ratfunc_is_one,
-    ratfunc_is_zero,
     ratfunc_to_str,
 )
 
@@ -458,69 +456,32 @@ def memo_by_spec(compute):
 # Associates
 
 
-def _associates_fraction(p: Fraction) -> list[Fraction]:
-    if p == 0 or p == 1:
-        return [Fraction(0), Fraction(1)]
-    out: list[Fraction] = []
-    for q in (p, 1 - p, 1 / (1 - p), p / (p - 1), (p - 1) / p, 1 / p):
-        if q not in out:
-            out.append(q)
-    return out
-
-
-def _associates_gauss(p: GaussDyadic) -> list[GaussDyadic]:
-    if gauss_is_zero(p) or gauss_is_one(p):
-        return [GAUSS_ZERO, GAUSS_ONE]
-    q = gauss_sub(GAUSS_ONE, p)
-    candidates = (
-        p,
-        q,
-        gauss_div(GAUSS_ONE, q),
-        gauss_div(p, gauss_neg(q)),
-        gauss_div(gauss_neg(q), p),
-        gauss_div(GAUSS_ONE, p),
-    )
-    out: list[GaussDyadic] = []
-    for c in candidates:
-        if c not in out:
-            out.append(c)
-    return out
-
-
-def _associates_ratfunc(p: RatFunc) -> list[RatFunc]:
-    arity = poly_arity(p.den)
-    assert arity is not None
-    if ratfunc_is_zero(p) or ratfunc_is_one(p):
-        return [ratfunc_const(arity, 0), ratfunc_const(arity, 1)]
-    one = ratfunc_const(arity, 1)
-    q = ratfunc_arith(one, p, "sub")
-    p_minus_one = ratfunc_arith(p, one, "sub")
-    candidates = (
-        p,
-        q,
-        ratfunc_arith(one, q, "div"),
-        ratfunc_arith(p, p_minus_one, "div"),
-        ratfunc_arith(p_minus_one, p, "div"),
-        ratfunc_arith(one, p, "div"),
-    )
-    out: list[RatFunc] = []
-    for c in candidates:
-        if not any(ratfunc_eq(c, seen) for seen in out):
-            out.append(c)
-    return out
-
-
 def associates(p: Fraction | int | GaussDyadic | RatFunc):
     """The associate set of p: {p, 1-p, 1/(1-p), p/(p-1), (p-1)/p, 1/p}.
 
     0 and 1 are each other's only associates.  Coincident members are
-    deduplicated, preserving first appearance.
+    deduplicated by exact equality, preserving first appearance.  Each kind
+    of value brings its own zero, one, subtraction, division and equality.
     """
     if isinstance(p, GaussDyadic):
-        return _associates_gauss(p)
-    if isinstance(p, RatFunc):
-        return _associates_ratfunc(p)
-    return _associates_fraction(Fraction(p))
+        zero, one, sub, div, eq = GAUSS_ZERO, GAUSS_ONE, gauss_sub, gauss_div, gauss_eq
+    elif isinstance(p, RatFunc):
+        arity = poly_arity(p.den)
+        assert arity is not None
+        zero, one = ratfunc_const(arity, 0), ratfunc_const(arity, 1)
+        sub = partial(ratfunc_arith, kind="sub")
+        div, eq = partial(ratfunc_arith, kind="div"), ratfunc_eq
+    else:
+        p, zero, one = Fraction(p), Fraction(0), Fraction(1)
+        sub, div, eq = operator.sub, operator.truediv, operator.eq
+    if eq(p, zero) or eq(p, one):
+        return [zero, one]
+    q, p_minus_one = sub(one, p), sub(p, one)
+    out: list = []
+    for c in (p, q, div(one, q), div(p, p_minus_one), div(p_minus_one, p), div(one, p)):
+        if not any(eq(c, seen) for seen in out):
+            out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

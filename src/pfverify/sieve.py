@@ -83,11 +83,21 @@ class SieveResult(NamedTuple):
 
 
 def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
-    """One log2-norm row per Gaussian-unit map of the indeterminates."""
-    return [
-        tuple(gauss_lognorm(ratfunc_eval_gauss(gen, images)) for gen in spec.generators)
-        for images in spec.h2_hom_images
-    ]
+    """One log2-norm row per Gaussian-unit map of the indeterminates; a
+    generator that is no unit at a map is a VerificationError naming both."""
+    rows = []
+    for i, images in enumerate(spec.h2_hom_images):
+        row = []
+        for expr, gen in zip(spec.generator_exprs, spec.generators):
+            try:
+                row.append(gauss_lognorm(ratfunc_eval_gauss(gen, images)))
+            except ValueError:
+                raise VerificationError(
+                    f"generator {expr!r} is not a unit at h2hom row {i + 1} "
+                    f"({', '.join(spec.h2_hom_exprs[i])})"
+                ) from None
+        rows.append(tuple(row))
+    return rows
 
 
 # ---------------------------------------------------------------------------

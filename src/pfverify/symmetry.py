@@ -1,18 +1,17 @@
 """Automorphism search over the fundamental tables.
 
 A symmetry of a field is determined by where it sends the indeterminates,
-so candidates are ordered tuples of distinct nonzero-one fundamentals.
-One backtracking search binds the indeterminates one at a time, next the
-one that completes the most seeds, and evaluates mod p at the fingerprints
-of the chosen images.  It cuts a branch once a fully bound seed is not a
-table fingerprint or a fully bound generator has residue 0 (a symmetry
-sends every generator to a unit; a zero denominator residue decides
-nothing).  Each complete tuple then passes one exact check: the images
-substituted into every generator must factor into nonzero units, and
-exponent arithmetic must permute the table.  Fingerprints only reject;
-the exact check decides.  Symmetries are stored through the factored
-images of all generators, which makes applying and composing them integer
-arithmetic on exponent vectors.
+and it permutes the coordinates of the GF(5) homomorphism.  So candidates
+are read off the table: for each permutation of the coordinates, each
+indeterminate goes to the nonzero-one fundamental whose GF(5) image is the
+indeterminate's own image, permuted.  That misses no symmetry once the
+coordinates are every homomorphism to GF(5), which is checked exactly
+first by evaluating the generators mod 5.  Each candidate then passes one
+exact check: the images substituted into every generator must factor into
+nonzero units, and exponent arithmetic must permute the table.  The GF(5)
+images only propose; the exact check decides.  Symmetries are stored
+through the factored images of all generators, which makes applying and
+composing them integer arithmetic on exponent vectors.
 
 The Gaussian field has no indeterminates; its two candidate symmetries
 (identity and conjugation) give the generator images by conjugating
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .exact import (
     GaussDyadic,
@@ -209,74 +209,59 @@ def compose_gen_images(
 # Search
 
 
-def _variables(x: RatFunc) -> set[int]:
-    return {i for poly in (x.num, x.den) for m in poly for i, e in enumerate(m) if e}
+def _gf5_homomorphisms(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
+    """The points of {2, 3, 4}^arity at which no generator has residue 0
+    mod 5, each checked to be a coordinate point (a column of
+    gf5_var_images); the first that is not is a VerificationError.
 
-
-def _binding_order(
-    spec: PartialFieldSpec,
-) -> list[tuple[int, list[RatFunc], list[RatFunc]]]:
-    """Indeterminates in binding order, each with the seeds and the
-    non-constant generators it completes: next is always the one
-    completing the most seeds, ties in spec order."""
-    seeds = [(s, _variables(s)) for s in spec.seeds]
-    order: list[int] = []
-    while len(order) < spec.arity:
-        free = [v for v in range(spec.arity) if v not in order]
-        order.append(
-            max(free, key=lambda v: sum(used <= {*order, v} for _, used in seeds))
-        )
-
-    def completed(exprs: list[tuple[RatFunc, set[int]]]) -> list[list[RatFunc]]:
-        checks: list[list[RatFunc]] = [[] for _ in order]
-        for x, used in exprs:
-            if used:
-                checks[max(order.index(v) for v in used)].append(x)
-        return checks
-
-    gens = [(g, _variables(g)) for g in spec.generators]
-    return list(zip(order, completed(seeds), completed(gens)))
+    Every homomorphism to GF(5) is such a point: it sends each generator to
+    a unit and each indeterminate, a nonzero-one fundamental, to neither 0
+    nor 1.  A vanishing denominator decides nothing, so the point is kept:
+    the list can only be too long, never too short."""
+    columns = set(zip(*spec.gf5_var_images))
+    points = [
+        point
+        for point in product((2, 3, 4), repeat=spec.arity)
+        if all(ratfunc_eval_mod(gen, point, 5) != 0 for gen in spec.generators)
+    ]
+    for point in points:
+        if point not in columns:
+            at = ", ".join(f"{v} = {x}" for v, x in zip(spec.var_names, point))
+            raise VerificationError(
+                f"{spec.name}: the GF(5) homomorphism at {at} "
+                "is no gf5map coordinate"
+            )
+    return points
 
 
 def _candidate_tuples(
     spec: PartialFieldSpec, table: FundamentalTable
 ) -> list[tuple[int, ...]]:
     """Sorted tuples of distinct indices into table.nonzero_one, in
-    variable order, whose images send every seed to a table fingerprint
-    and no generator to residue 0 mod p.  A seed or generator is tested as
-    soon as its variables are bound."""
-    assert table.mod_map is not None
-    p = table.mod_map.prime
-    live = frozenset(e.fingerprint for e in table.entries if e.element.sign != 0)
-    entries = table.nonzero_one
-    steps = _binding_order(spec)
-    order = [var for var, _, _ in steps]
-    residues = [0] * spec.arity
-    leaves: list[tuple[int, ...]] = []
+    variable order: one per permutation pi of the GF(5) coordinates,
+    sending indeterminate v to the entry whose GF(5) image is v's gf5map
+    row read through pi.  A permutation whose images are missing from the
+    table or repeated proposes nothing.
 
-    def fits(seed: RatFunc) -> bool:
-        r = ratfunc_eval_mod(seed, residues, p)
-        return r is None or r in live
-
-    def nonzero(gen: RatFunc) -> bool:
-        return ratfunc_eval_mod(gen, residues, p) != 0
-
-    def extend(picked: tuple[int, ...]) -> None:
-        if len(picked) == len(steps):
-            leaves.append(tuple(i for _, i in sorted(zip(order, picked))))
-            return
-        var, seeds, gens = steps[len(picked)]
-        for i, entry in enumerate(entries):
-            residues[var] = entry.fingerprint
-            if (
-                i not in picked
-                and all(fits(seed) for seed in seeds)
-                and all(nonzero(gen) for gen in gens)
-            ):
-                extend(picked + (i,))
-
-    extend(())
-    return sorted(leaves)
+    No symmetry is missed, once _gf5_homomorphisms has checked that the
+    coordinates are every homomorphism to GF(5).  Take a symmetry sigma
+    and a coordinate k.  At the point (hom_k(sigma(x_v)))_v every
+    generator g takes the value hom_k(sigma(g)), nonzero because sigma(g)
+    is a unit, so the point is some coordinate pi(k).  pi is injective,
+    since sigma permutes the table and two distinct coordinates differ on
+    some indeterminate.  So hom(sigma(x_v)) is v's row read through pi, and
+    as the table's GF(5) images are pairwise distinct, sigma(x_v) is the
+    candidate for pi."""
+    _gf5_homomorphisms(spec)
+    by_image = {e.gf5_image: i for i, e in enumerate(table.nonzero_one)}
+    tuples = []
+    for pi in permutations(range(spec.gf5_width)):
+        picked = tuple(
+            by_image.get(tuple(row[k] for k in pi)) for row in spec.gf5_var_images
+        )
+        if None not in picked and len(set(picked)) == spec.arity:
+            tuples.append(picked)
+    return sorted(tuples)
 
 
 def _find_gauss_automorphisms(spec: PartialFieldSpec) -> AutGroup:
@@ -325,9 +310,9 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
 def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     """All symmetries of the field, cached per spec text.
 
-    Over indeterminates, the backtracking search pruned by seed and
-    generator residues proposes image tuples, and the exact check decides
-    every one; the symmetries come out in the order of their image tuples.
+    Over indeterminates, one image tuple per GF(5) coordinate permutation
+    is proposed, and the exact check decides every one; the symmetries come
+    out in the order of their image tuples.
     The Gaussian field's two candidate symmetries get the same exact check."""
     if spec.is_gauss:
         return _find_gauss_automorphisms(spec)

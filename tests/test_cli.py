@@ -298,8 +298,12 @@ def _h4_with_only_the_first_h2hom() -> str:
             "H4: exponent constraints are infeasible",
         ),
         (_h4_with_only_the_first_h2hom(), "H4: exponent slot 3 is unbounded"),
+        (
+            builtin_specs()["H3"].source_text + "gen a^2 - 5*a\n",
+            "H3: generator 'a^2 - 5*a' is not a unit at h2hom row 1 (i)",
+        ),
     ],
-    ids=["infeasible", "unbounded"],
+    ids=["infeasible", "unbounded", "non-unit-generator"],
 )
 def test_exponent_box_failure_names_the_field(tmp_path, text, fail) -> None:
     proc = _funs_on_spec_text(tmp_path, text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -16,10 +17,12 @@ from pfverify.exact import (
     ratfunc_from_text,
 )
 from pfverify.pfield import (
+    VerificationError,
     associates,
     builtin_specs,
     factor_over_generators,
     fundamental_table,
+    parse_field_spec,
 )
 
 
@@ -162,12 +165,46 @@ def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
 
 
 def test_search_leaves_are_exactly_the_symmetries(specs) -> None:
-    # Of H5's 704,880 ordered triples of distinct nonzero-one fundamentals,
-    # only the 720 symmetries survive the pruning.
+    # One candidate per permutation of the 3 / 4 / 6 GF(5) coordinates, and
+    # the exact check confirms every one.
     for name, order in (("H3", 6), ("H4", 24), ("H5", 720)):
         spec = specs[name]
         leaves = symmetry._candidate_tuples(spec, fundamental_table(spec))
         assert len(leaves) == len(group(name).elements) == order
+
+
+@pytest.mark.parametrize("name, width", [("H3", 3), ("H4", 4), ("H5", 6)])
+def test_gf5_homomorphisms_are_exactly_the_coordinates(specs, name, width) -> None:
+    spec = specs[name]
+    homs = symmetry._gf5_homomorphisms(spec)
+    assert len(homs) == width
+    assert set(homs) == set(zip(*spec.gf5_var_images))
+
+
+def _without_last_coordinate(text: str) -> str:
+    return "".join(
+        line.rsplit(" ", 1)[0] + "\n" if line.startswith("gf5map ") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+@pytest.mark.parametrize("name", ["H3", "H4", "H5"])
+def test_a_homomorphism_missing_from_the_coordinates_fails(specs, name) -> None:
+    # Negative control for the search's completeness premise.  The table
+    # build of the cut spec would stop first, on colliding GF(5) images, so
+    # the check runs on the cut spec directly.
+    spec = specs[name]
+    cut = parse_field_spec(_without_last_coordinate(spec.source_text))
+    assert cut.gf5_width == spec.gf5_width - 1
+    missing = ", ".join(
+        f"{v} = {row[-1]}" for v, row in zip(spec.var_names, spec.gf5_var_images)
+    )
+    fail = f"{name}: the GF(5) homomorphism at {missing} is no gf5map coordinate"
+    with pytest.raises(VerificationError) as exc:
+        symmetry._gf5_homomorphisms(cut)
+    assert str(exc.value) == fail
+    with pytest.raises(VerificationError, match=re.escape(fail)):
+        symmetry._candidate_tuples(cut, fundamental_table(spec))
 
 
 # ---------------------------------------------------------------------------
