@@ -17,7 +17,6 @@ from . import genesis, sieve
 from .exact import (
     PRIME_LIMIT,
     gauss_to_str,
-    is_prime,
     next_prime,
     ratfunc_is_zero,
     ratfunc_to_str,
@@ -98,8 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prime-start",
         type=_prime_start_arg,
         default=None,
-        help="start the fingerprint prime search at this value; the run "
-        "fails if the resolved prime leaves the sieve inexact",
+        help="declare the first prime at or after this value the "
+        "fingerprint prime; the run fails if a generator vanishes there or "
+        "if the resolved prime leaves the sieve inexact",
     )
     parser.add_argument(
         "--spec", default=None, help="path to a field description file"
@@ -143,23 +143,13 @@ def _resolve_field(args: argparse.Namespace) -> str:
 def _with_prime_start(
     spec: PartialFieldSpec, start: int | None
 ) -> PartialFieldSpec:
-    """Rebuild the spec so its fingerprint prime search starts at a given
-    value; the sieve still advances past collisions from there."""
+    """Rebuild the spec with the first prime at or after start as its
+    declared fingerprint prime.  The sieve holds that prime to the rule for
+    any declared prime (a generator residue that vanishes there fails the
+    run) and still advances past collisions from it."""
     if start is None or spec.is_gauss:
         return spec
-    p = start if is_prime(start) else next_prime(start)
-    for _ in range(sieve.MAX_PRIMES_TRIED):
-        try:
-            spec.mod_map(p)
-        except ValueError:
-            p = next_prime(p)
-            continue
-        break
-    else:
-        raise VerificationError(
-            f"{spec.name}: a generator residue vanishes at each of "
-            f"{sieve.MAX_PRIMES_TRIED} primes from {start}"
-        )
+    p = next_prime(start - 1)
     lines = []
     for line in spec.source_text.splitlines():
         if line.split() and line.split()[0] == "prime":

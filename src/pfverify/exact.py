@@ -508,13 +508,6 @@ def ratfunc_eval_mod(x: RatFunc, point: Sequence[int], p: int) -> int | None:
     return num if den == 1 else num * pow(den, -1, p) % p
 
 
-def _mod_pow(r: int, e: int, p: int) -> int:
-    """r**e mod p, resolving negative exponents through the Fermat inverse."""
-    if e < 0:
-        return pow(pow(r, p - 2, p), -e, p)
-    return pow(r, e, p)
-
-
 def mod_eval(m: ModMap, sign: int, exps: Sequence[int]) -> int:
     """Residue of sign * prod(gen_residues[i]^exps[i]) mod prime."""
     if sign == 0:
@@ -524,7 +517,7 @@ def mod_eval(m: ModMap, sign: int, exps: Sequence[int]) -> int:
     total = 1 if sign > 0 else m.prime - 1
     for r, e in zip(m.gen_residues, exps):
         if e:
-            total = total * _mod_pow(r, e, m.prime) % m.prime
+            total = total * pow(r, e, m.prime) % m.prime
     return total
 
 

@@ -37,13 +37,11 @@ from .exact import (
     gauss_mul,
     gauss_neg,
     gauss_pow,
-    gauss_re_im,
     gauss_sub,
     gauss_to_str,
     grlex_key,
     is_prime,
     make_const,
-    mod_eval,
     poly_arith,
     poly_arity,
     poly_pow,
@@ -655,26 +653,6 @@ class FundamentalTable:
     nonzero_one: tuple[TableEntry, ...]
 
 
-def fingerprint_sort_key(fp: int | GaussDyadic):
-    if isinstance(fp, GaussDyadic):
-        return gauss_re_im(fp)
-    return fp
-
-
-def element_fingerprint(
-    spec: PartialFieldSpec,
-    mm: ModMap | None,
-    fe: FactoredElement,
-    value: RatFunc | GaussDyadic,
-) -> int | GaussDyadic:
-    """Fingerprint: the exact value itself for the Gaussian field, else the
-    residue of the factored form under the modular map."""
-    if spec.is_gauss:
-        return value
-    assert mm is not None
-    return mod_eval(mm, fe.sign, fe.exps)
-
-
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
     """Exact equality of two values of one field: == for Gaussian values,
     ratfunc_eq for rational functions."""
@@ -744,7 +722,9 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
 
     Route one closes the seeds under associates and factors every value over
     the generators.  Route two enumerates the exponent box and sieves by
-    fingerprint.  The routes must agree elementwise.
+    fingerprint.  The routes must agree elementwise; then each survivor,
+    in the sieve's ascending fingerprint order, becomes one entry valued by
+    the closure element with its factored form.
     """
     from . import sieve
 
@@ -760,28 +740,26 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
     sieve.verify_survivors(spec, result, elements)
 
-    mm = result.mod_map
-    entries = []
-    for fe, value in elements:
-        fp = element_fingerprint(spec, mm, fe, value)
-        entries.append(TableEntry(fe, value, fp, hom_gf5(spec, fe)))
-    entries.sort(key=lambda e: fingerprint_sort_key(e.fingerprint))
-
-    by_element = {e.element: e for e in entries}
+    value_of = dict(elements)
+    image_of = {fe: hom_gf5(spec, fe) for fe in value_of}
     for keys, what in (
-        ({e.fingerprint for e in entries}, "fingerprints"),
-        (by_element, "factored forms"),
-        ({e.gf5_image for e in entries}, "GF(5) images"),
+        (value_of, "factored forms"),
+        (set(image_of.values()), "GF(5) images"),
     ):
-        if len(keys) != len(entries):
+        if len(keys) != len(elements):
             raise VerificationError(f"{spec.name}: {what} are not pairwise distinct")
+    entries = [
+        TableEntry(fe, value_of[fe], fp, image_of[fe])
+        for fp, fe in result.fingerprints.items()
+    ]
+    by_element = {e.element: e for e in entries}
     one = FactoredElement(1, (0,) * len(spec.generators))
     nonzero_one = tuple(
         e for e in entries if e.element.sign != 0 and e.element != one
     )
     return FundamentalTable(
         spec=spec,
-        mod_map=mm,
+        mod_map=result.mod_map,
         entries=tuple(entries),
         by_element=by_element,
         nonzero_one=nonzero_one,

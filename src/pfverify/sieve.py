@@ -14,6 +14,7 @@ points, which contains every fundamental element.
 
 The box is then sieved: each candidate gets a fingerprint (its residue
 under the spec's modular map, or its exact value for the Gaussian field).
+No other module chooses a fingerprint prime or computes a fingerprint.
 A candidate is known by its index in enumerate_candidates order, whose
 mixed-radix digits are its sign and exponents.  For each prime tried, one
 pass over the box builds every fingerprint in that order: start from the
@@ -43,7 +44,9 @@ from .exact import (
     gauss_is_unit,
     gauss_is_zero,
     gauss_lognorm,
+    gauss_re_im,
     gauss_sub,
+    mod_eval,
     next_prime,
     ratfunc_arith,
     ratfunc_const,
@@ -53,10 +56,8 @@ from .pfield import (
     FactoredElement,
     PartialFieldSpec,
     VerificationError,
-    element_fingerprint,
     expand_element,
     factor_over_generators,
-    fingerprint_sort_key,
     memo_by_spec,
     value_eq,
 )
@@ -421,7 +422,8 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     shrink drops only values no integer point takes, so it never changes
     another end's test).  The result is the bounding box of the integer
     points.  Extra per-slot bounds join the system.  An unbounded slot, or
-    a slot range with no integer left in it, is a VerificationError."""
+    a slot range with no integer left in it before or after the shrink, is
+    a VerificationError."""
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
@@ -432,8 +434,10 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
         raise VerificationError("exponent constraints are infeasible")
     for j in range(1, width):
         lo, hi = ranges[j]
-        while lo < hi and not _slice_feasible(int_rows, ranges, j, lo):
+        while lo <= hi and not _slice_feasible(int_rows, ranges, j, lo):
             lo += 1
+        if lo > hi:
+            raise VerificationError("exponent constraints are infeasible")
         while hi > lo and not _slice_feasible(int_rows, ranges, j, hi):
             hi -= 1
         ranges[j] = (lo, hi)
@@ -513,16 +517,11 @@ def box_fingerprints(mm: ModMap, box: CandidateBox) -> list[int]:
 
     Mixed-radix evaluation: start from the two sign residues and, slot by
     slot, multiply every partial product by each of the slot's residue
-    powers, so no candidate tuple is built.  Negative exponents go through
-    one Fermat inverse per slot."""
+    powers, so no candidate tuple is built."""
     p = mm.prime
     fps = [1, p - 1]
     for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
-        inverse = pow(r, p - 2, p)
-        table = [
-            pow(r, e, p) if e >= 0 else pow(inverse, -e, p)
-            for e in range(lo, hi + 1)
-        ]
+        table = [pow(r, e, p) for e in range(lo, hi + 1)]
         fps = [f * t % p for f in fps for t in table]
     if box.include_zero:
         fps.append(0)
@@ -586,7 +585,7 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
             window.append(v)
     in_window = set(window)
     survivors = [v for v in window if gauss_sub(GAUSS_ONE, v) in in_window]
-    survivors.sort(key=fingerprint_sort_key)
+    survivors.sort(key=gauss_re_im)
     fingerprints = {v: factor_over_generators(spec, v) for v in survivors}
     return SieveResult(None, fingerprints, len(window), len(candidates))
 
@@ -650,7 +649,8 @@ def verify_survivors(
                 f"{spec.name}: 1 - s is not exactly the paired survivor for {fe}"
             )
     for fe, value in elements:
-        fp = element_fingerprint(spec, mm, fe, value)
+        # A Gaussian value is its own fingerprint.
+        fp = value if mm is None else mod_eval(mm, fe.sign, fe.exps)
         survivor = result.fingerprints.get(fp)
         if survivor is None:
             raise VerificationError(

@@ -211,7 +211,8 @@ def test_corrupted_spec_file_fails_with_counterexample(capsys, tmp_path) -> None
 def test_prime_start_with_an_always_vanishing_generator_fails(
     capsys, tmp_path
 ) -> None:
-    # a^2 - 5a is 0 at the modvar a = 5 modulo every prime.
+    # a^2 - 5a is 0 at the modvar a = 5 modulo every prime, but it is no
+    # unit at the first h2hom point either, so the exponent box fails first.
     text = builtin_specs()["H3"].source_text.replace(
         "gen a^2 - a + 1\n", "gen a^2 - a + 1\ngen a^2 - 5*a\n"
     )
@@ -221,8 +222,29 @@ def test_prime_start_with_an_always_vanishing_generator_fails(
         capsys, "funs", "--spec", str(path), "--prime-start", "2000003"
     )
     assert code == 1
-    assert "FAIL" in out
-    assert "vanishes" in out
+    assert out == (
+        "FAIL: H3: generator 'a^2 - 5*a' is not a unit at h2hom row 1 (i)\n"
+    )
+
+
+def test_prime_start_names_the_prime_a_generator_vanishes_at(
+    capsys, tmp_path
+) -> None:
+    # At a = 1002, a^2 - a + 1 is the prime 1003003, the first prime after
+    # 1003002; the run fails there as at a declared prime, naming the
+    # generator, and does not move on to a later prime.
+    path = tmp_path / "vanishing.pfs"
+    path.write_text(
+        builtin_specs()["H3"].source_text.replace("modvar a 5\n", "modvar a 1002\n")
+    )
+    code, out, _ = run_cli(
+        capsys, "funs", "--spec", str(path), "--prime-start", "1003002"
+    )
+    assert code == 1
+    assert out == (
+        "FAIL: H3: generator 'a^2 - a + 1' vanishes mod 1003003 "
+        "at the fingerprint residues\n"
+    )
 
 
 @pytest.mark.parametrize(

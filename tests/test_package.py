@@ -21,3 +21,19 @@ def test_library_imports_only_the_standard_library() -> None:
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+# The functions that choose a fingerprint prime or compute a fingerprint.
+FINGERPRINT_RULE = {"mod_map", "mod_eval", "box_fingerprints", "resolve_mod_map"}
+
+
+def test_only_the_sieve_calls_the_fingerprint_rule() -> None:
+    callers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in FINGERPRINT_RULE:
+                callers.add((path.name, name))
+    assert callers and {caller for caller, _ in callers} == {"sieve.py"}, callers

@@ -397,10 +397,17 @@ def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
 # Exact membership testing
 
 
-def test_membership_accepts_unnormalized_forms() -> None:
-    s = spec("H3")
-    x = ratfunc_arith(rf("-(-1)"), rf("1 - a"), "div")
-    assert is_fundamental_exact(s, x)
+@pytest.mark.parametrize(
+    "x",
+    [
+        ratfunc_arith(rf("-(-1)"), rf("1 - a"), "div"),
+        # a over a common factor that is no generator.
+        rf("(a^2 + 1299704*a)/(a + 1299704)"),
+    ],
+    ids=["quotient", "common-factor"],
+)
+def test_membership_accepts_unnormalized_forms(x) -> None:
+    assert is_fundamental_exact(spec("H3"), x)
 
 
 def test_membership_rejects_non_fundamentals() -> None:
@@ -409,16 +416,6 @@ def test_membership_rejects_non_fundamentals() -> None:
 
 def test_membership_accepts_zero() -> None:
     assert is_fundamental_exact(spec("H3"), rf("0"))
-
-
-def test_membership_handles_denominators_that_vanish_modulo_the_prime() -> None:
-    s = spec("H3")
-    p = s.mod_prime
-    assert p is not None
-    # x simplifies to a, but its denominator residue is 0 modulo the spec
-    # prime, forcing the exact comparison fallback.
-    x = rf(f"(a^2 + {p - 5}*a)/(a + {p - 5})")
-    assert is_fundamental_exact(s, x)
 
 
 def test_membership_handles_denominators_that_vanish_at_the_screen_point() -> None:

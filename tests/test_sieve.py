@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfverify import sieve
-from pfverify.exact import gauss_from_text, mod_eval
+from pfverify.exact import gauss_from_text, gauss_re_im, mod_eval
 from pfverify.pfield import (
     H3_SPEC_TEXT,
     FactoredElement,
@@ -128,12 +128,19 @@ def test_non_half_integer_row_is_an_error() -> None:
     [
         ([(0, Fraction(1))], [(1, 2, 2)]),
         ([(0, Fraction(1), Fraction(1))], [(1, 2, 2), (2, 2, 2)]),
+        (
+            [(0, Fraction(3, 2), 3, 3), (0, 0, 1, 0), (0, 0, 0, 1)],
+            [(1, 1, 1)],
+        ),
     ],
-    ids=["one-slot", "two-slots"],
+    ids=["one-slot", "two-slots", "no-integer-point"],
 )
 def test_empty_slot_range_is_infeasible(rows, extra) -> None:
     # No elimination step meets the contradiction, so it only shows as a
-    # slot range with lo > hi.
+    # slot range with lo > hi: in the real relaxation, or, where the
+    # relaxation is feasible but holds no integer point, once the shrink
+    # has rejected every value of a slot.  The last input forces x1 = 1
+    # and -5/6 <= x2 + x3 <= -1/6, which no integers meet.
     with pytest.raises(
         VerificationError, match="^exponent constraints are infeasible$"
     ):
@@ -473,6 +480,26 @@ def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
     for fp, i in index.items():
         fe = sieve.candidate_at(box, i)
         assert fp == mod_eval(mm, fe.sign, fe.exps)
+
+
+@pytest.mark.parametrize(
+    "name, prime",
+    [("H2", None), ("H3", None), ("H4", None), ("H5", None), ("H4", 100000000003)],
+)
+def test_table_entries_carry_the_survivor_fingerprints(specs, name, prime) -> None:
+    spec = specs[name] if prime is None else _at_prime(specs[name], prime)
+    table = fundamental_table(spec)
+    fps = [e.fingerprint for e in table.entries]
+    for e in table.entries:
+        if spec.is_gauss:
+            assert e.fingerprint == e.value
+        else:
+            assert e.fingerprint == mod_eval(
+                table.mod_map, e.element.sign, e.element.exps
+            )
+    if spec.is_gauss:
+        fps = [gauss_re_im(fp) for fp in fps]
+    assert all(a < b for a, b in zip(fps, fps[1:]))
 
 
 def _sieve_by_enumeration(spec, box):
