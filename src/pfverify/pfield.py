@@ -644,13 +644,15 @@ class TableEntry:
 
 @dataclass(eq=False)
 class FundamentalTable:
-    """All fundamental elements of one field, ascending by fingerprint."""
+    """All fundamental elements of one field, ascending by fingerprint.
+    partner sends each element's factored form to that of 1 - element."""
 
     spec: PartialFieldSpec
     mod_map: ModMap | None
     entries: tuple[TableEntry, ...]
     by_element: dict
     nonzero_one: tuple[TableEntry, ...]
+    partner: dict
 
 
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
@@ -724,7 +726,8 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     the generators.  Route two enumerates the exponent box and sieves by
     fingerprint.  The routes must agree elementwise; then each survivor,
     in the sieve's ascending fingerprint order, becomes one entry valued by
-    the closure element with its factored form.
+    the closure element with its factored form.  The 1 - s pairing that the
+    survivor check proved exactly is kept as the table's partner map.
     """
     from . import sieve
 
@@ -738,7 +741,7 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     ]
 
     result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
-    sieve.verify_survivors(spec, result, elements)
+    partner = sieve.verify_survivors(spec, result, elements)
 
     value_of = dict(elements)
     image_of = {fe: hom_gf5(spec, fe) for fe in value_of}
@@ -763,6 +766,7 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
         entries=tuple(entries),
         by_element=by_element,
         nonzero_one=nonzero_one,
+        partner=partner,
     )
 
 

@@ -618,12 +618,13 @@ def verify_survivors(
     spec: PartialFieldSpec,
     result: SieveResult,
     elements: list[tuple[FactoredElement, RatFunc | GaussDyadic]],
-) -> None:
+) -> dict[FactoredElement, FactoredElement]:
     """Cross-check sieve survivors against the associate-closure route.
 
     Checks that the counts match, that 1 - s is exactly the survivor the
     fingerprint arithmetic pairs it with, and that fingerprints put the two
     routes in elementwise bijection.  Raises VerificationError otherwise.
+    Returns the checked pairing, s -> 1 - s, on factored forms.
     """
     if len(result.fingerprints) != len(elements):
         raise VerificationError(
@@ -631,6 +632,7 @@ def verify_survivors(
             f"closure found {len(elements)}"
         )
     mm = result.mod_map
+    partner_of = {}
     for fp, fe in result.fingerprints.items():
         value = expand_element(spec, fe)
         if isinstance(fp, GaussDyadic):
@@ -648,6 +650,7 @@ def verify_survivors(
             raise VerificationError(
                 f"{spec.name}: 1 - s is not exactly the paired survivor for {fe}"
             )
+        partner_of[fe] = partner
     for fe, value in elements:
         # A Gaussian value is its own fingerprint.
         fp = value if mm is None else mod_eval(mm, fe.sign, fe.exps)
@@ -661,3 +664,4 @@ def verify_survivors(
                 f"{spec.name}: routes disagree at fingerprint {fp}: "
                 f"{survivor} vs {fe}"
             )
+    return partner_of

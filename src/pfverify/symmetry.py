@@ -7,20 +7,26 @@ indeterminate goes to the nonzero-one fundamental whose GF(5) image is the
 indeterminate's own image, permuted.  That misses no symmetry once the
 coordinates are every homomorphism to GF(5), which is checked exactly
 first by evaluating the generators mod 5.  Each candidate then passes one
-exact check: the images substituted into every generator must factor into
-nonzero units, and exponent arithmetic must permute the table.  The GF(5)
-images only propose; the exact check decides.  Symmetries are stored
-through the factored images of all generators, which makes applying and
-composing them integer arithmetic on exponent vectors.
+exact check: every generator must map to a nonzero unit, and exponent
+arithmetic through those images must permute the table.  The GF(5) images
+only propose; the exact check decides.  Symmetries are stored through the
+factored images of all generators, which makes applying and composing them
+integer arithmetic on exponent vectors.
 
-The Gaussian field has no indeterminates; its two candidate symmetries
-(identity and conjugation) give the generator images by conjugating
-values, and then pass the same exact check.
+The generator images take no polynomial arithmetic.  A symmetry sigma keeps
+sigma(1 - p) = 1 - sigma(p), and the table carries the partner map
+p -> 1 - p, proved exactly when it was built.  A per-field plan orders
+table entries p so that each partner 1 - p holds one generator whose image
+is not yet known: sigma(p) by exponent arithmetic, then its partner, give
+that image.  A field with no complete plan substitutes and factors instead.
+So does the Gaussian field, which has no indeterminates: its two candidate
+symmetries (identity and conjugation) give the generator values by
+conjugating, and then pass the same exact check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -28,8 +34,10 @@ from .exact import (
     GaussDyadic,
     RatFunc,
     gauss_conj,
+    ratfunc_eq,
     ratfunc_eval_mod,
     ratfunc_subst,
+    ratfunc_var,
 )
 from .pfield import (
     FactoredElement,
@@ -88,13 +96,26 @@ def _confirm(
     spec: PartialFieldSpec,
     table: FundamentalTable,
     var_images: tuple[TableEntry, ...],
-    gen_values: Iterable[RatFunc | GaussDyadic],
+    gen_images: list[FactoredElement] | None,
 ) -> Automorphism | None:
-    """The symmetry sending generators 1.. to gen_values, or None.  Each
-    value, taken lazily, must factor into a nonzero unit, and exponent
-    arithmetic through the factored images must permute the table.  A
-    confirmed symmetry whose GF(5) images match no coordinate permutation
-    is a VerificationError."""
+    """The symmetry with these factored generator images, slot 0 first, or
+    None when there is none: the images are None, or exponent arithmetic
+    through them does not permute the table.  A confirmed symmetry whose
+    GF(5) images match no coordinate permutation is a VerificationError."""
+    if gen_images is None:
+        return None
+    aut = Automorphism(var_images, tuple(gen_images), coord_perm=())
+    if not _permutes_table(table, aut):
+        return None
+    aut.coord_perm = _induced_perm(spec, aut.gen_images)
+    return aut
+
+
+def _factored_images(
+    spec: PartialFieldSpec, gen_values: Iterable[RatFunc | GaussDyadic]
+) -> list[FactoredElement] | None:
+    """The sign generator's image, then the values of generators 1..,
+    taken lazily and factored; None at the first that is no nonzero unit."""
     gen_fes = [_sign_gen_image(spec)]
     for value in gen_values:
         try:
@@ -104,34 +125,123 @@ def _confirm(
         if fe.sign == 0:
             return None
         gen_fes.append(fe)
-    aut = Automorphism(var_images, tuple(gen_fes), coord_perm=())
-    if not _permutes_table(table, aut):
+    return gen_fes
+
+
+@memo_by_spec
+def _confirmation_plan(spec: PartialFieldSpec) -> tuple | None:
+    """(var_slots, steps): how a candidate's generator images follow from
+    its indeterminate images by exponent arithmetic alone, or None when
+    they do not.
+
+    Every indeterminate must be a generator; var_slots are their slots in
+    variable order.  These and slot 0 (the sign) start out known.  A step
+    (p, q, j) takes the first nonzero-one fundamental p whose factored form
+    uses known slots only and whose partner q = 1 - p uses exactly one
+    unknown slot j, with exponent +-1; then j is known.  The plan is
+    complete when every slot is known."""
+    if spec.is_gauss:
         return None
-    aut.coord_perm = _induced_perm(spec, aut.gen_images)
-    return aut
+    n = len(spec.generators)
+    var_slots = []
+    for v in range(spec.arity):
+        x = ratfunc_var(spec.arity, v)
+        slot = next((j for j in range(1, n) if ratfunc_eq(spec.generators[j], x)), None)
+        if slot is None:
+            return None
+        var_slots.append(slot)
+    table = fundamental_table(spec)
+    known = {0, *var_slots}
+    steps = []
+    while len(known) < n:
+        for entry in table.nonzero_one:
+            p = entry.element
+            if any(e and k not in known for k, e in enumerate(p.exps)):
+                continue
+            q = table.partner[p]
+            new = [k for k, e in enumerate(q.exps) if e and k not in known]
+            if len(new) == 1 and abs(q.exps[new[0]]) == 1:
+                steps.append((p, q, new[0]))
+                known.add(new[0])
+                break
+        else:
+            return None
+    return tuple(var_slots), tuple(steps)
+
+
+def _planned_images(
+    table: FundamentalTable, plan: tuple, entries: tuple[TableEntry, ...]
+) -> list[FactoredElement] | None:
+    """Generator images of the candidate sigma sending the indeterminates
+    to entries, derived by the plan's steps, or None when some sigma(p) is
+    no nonzero-one fundamental.
+
+    Each step is exact.  sigma(p) is exponent arithmetic through images
+    already derived.  A symmetry maps the table onto itself, fixing 0 and
+    1, so a sigma(p) outside the nonzero-one fundamentals means sigma is
+    none.  Otherwise sigma(q) = sigma(1 - p) = 1 - sigma(p) is sigma(p)'s
+    partner, which the table build proved exactly, and dividing out q's
+    known slots leaves sigma(g_j) ** (+-1).  So every derived image has
+    exactly the value of g_j with the indeterminates replaced, and as the
+    generators are multiplicatively independent (the sieve fails a
+    dependent set), it is the factored form that factoring that value
+    would give: the verdict and the images are those of substituting."""
+    spec = table.spec
+    var_slots, steps = plan
+    n = len(spec.generators)
+    one = FactoredElement(1, (0,) * n)
+    images: list = [None] * n
+    images[0] = _sign_gen_image(spec)
+    for j, entry in zip(var_slots, entries):
+        images[j] = entry.element
+    for p, q, j in steps:
+        image_p = _map_element(images, p)
+        if image_p == one or image_p not in table.by_element:
+            return None
+        image_q = table.partner[image_p]
+        # sigma(q) = rest * sigma(g_j) ** e, where rest is q without slot j.
+        e = q.exps[j]
+        rest = _map_element(
+            images, FactoredElement(q.sign, q.exps[:j] + (0,) + q.exps[j + 1 :])
+        )
+        images[j] = FactoredElement(
+            image_q.sign * rest.sign,
+            tuple(e * (x - y) for x, y in zip(image_q.exps, rest.exps)),
+        )
+    return images
 
 
 def confirm_candidate(
     spec: PartialFieldSpec, table: FundamentalTable, entries: tuple[TableEntry, ...]
 ) -> Automorphism | None:
     """Exact confirmation: the symmetry sending the indeterminates to the
-    candidate images, or None when there is none.  Each generator's image
-    is the generator with the indeterminates replaced by the images."""
-    images = [e.value for e in entries]
-    gen_values = (ratfunc_subst(gen, images) for gen in spec.generators[1:])
-    return _confirm(spec, table, tuple(entries), gen_values)
+    candidate images, or None when there is none.  The generator images
+    come from the spec's confirmation plan; a spec without one substitutes
+    the images into each generator and factors the result."""
+    plan = _confirmation_plan(spec)
+    if plan is None:
+        values = [e.value for e in entries]
+        gen_images = _factored_images(
+            spec, (ratfunc_subst(gen, values) for gen in spec.generators[1:])
+        )
+    else:
+        gen_images = _planned_images(table, plan, entries)
+    return _confirm(spec, table, tuple(entries), gen_images)
 
 
 # ---------------------------------------------------------------------------
 # Symmetry arithmetic
 
 
-def _base_columns(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
+@memo_by_spec
+def _base_columns(spec: PartialFieldSpec) -> dict[tuple[int, ...], int]:
+    """Each GF(5) coordinate's column of generator images, mapped to the
+    coordinate; a repeated column is a VerificationError."""
     width = spec.gf5_width
-    cols = [
-        tuple(row[k] for row in spec.gf5_gen_images) for k in range(width)
-    ]
-    if len(set(cols)) != width:
+    cols = {
+        tuple(row[k] for row in spec.gf5_gen_images): k for k in range(width)
+    }
+    if len(cols) != width:
         raise VerificationError(
             f"{spec.name}: generator image columns are not pairwise distinct"
         )
@@ -152,7 +262,7 @@ def _induced_perm(
             raise VerificationError(
                 f"{spec.name}: no coordinate permutation matches column {k}"
             )
-        perm.append(base.index(col))
+        perm.append(base[col])
     if len(set(perm)) != spec.gf5_width:
         raise VerificationError(f"{spec.name}: induced map is not a permutation")
     return tuple(perm)
@@ -164,11 +274,18 @@ def apply_automorphism(aut: Automorphism, fe: FactoredElement) -> FactoredElemen
     Exact when the generators are multiplicatively independent; the
     Gaussian generators are not, so images go through canonical_element
     afterwards."""
+    return _map_element(aut.gen_images, fe)
+
+
+def _map_element(
+    gen_images: Sequence[FactoredElement | None], fe: FactoredElement
+) -> FactoredElement:
+    """sign * prod(gen_images ** exps); a slot fe does not use may be None."""
     if fe.sign == 0:
         return fe
     sign = fe.sign
     exps = [0] * len(fe.exps)
-    for e, gfe in zip(fe.exps, aut.gen_images):
+    for e, gfe in zip(fe.exps, gen_images):
         if not e:
             continue
         if e % 2 and gfe.sign < 0:
@@ -268,7 +385,8 @@ def _find_gauss_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
     elements = []
     for mapper in (lambda v: v, gauss_conj):
-        aut = _confirm(spec, table, (), [mapper(g) for g in spec.generators[1:]])
+        gen_images = _factored_images(spec, [mapper(g) for g in spec.generators[1:]])
+        aut = _confirm(spec, table, (), gen_images)
         if aut is not None:
             elements.append(aut)
     return _finish_group(spec, table, elements)
@@ -297,6 +415,8 @@ def _finish_group(
 
 def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
+    # Repeated coordinates fail here, before the loop over their permutations.
+    _base_columns(spec)
     entries = table.nonzero_one
     elements = []
     for t in _candidate_tuples(spec, table):

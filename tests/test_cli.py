@@ -247,6 +247,27 @@ def test_prime_start_names_the_prime_a_generator_vanishes_at(
     )
 
 
+def test_repeated_gf5_coordinates_fail_before_the_candidate_loop(
+    capsys, tmp_path, monkeypatch
+) -> None:
+    # Width 9 would otherwise loop over all 9! coordinate permutations first.
+    from pfverify import symmetry
+
+    def refuse(*args):
+        raise AssertionError("candidate loop ran")
+
+    monkeypatch.setattr(symmetry, "_candidate_tuples", refuse)
+    path = tmp_path / "repeated.pfs"
+    path.write_text(
+        builtin_specs()["H3"].source_text.replace(
+            "gf5map a 2 3 4\n", "gf5map a 2 3 4 2 3 4 2 3 4\n"
+        )
+    )
+    code, out, _ = run_cli(capsys, "auts", "--spec", str(path))
+    assert code == 1
+    assert out == "FAIL: H3: generator image columns are not pairwise distinct\n"
+
+
 @pytest.mark.parametrize(
     "old, new, generator",
     [

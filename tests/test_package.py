@@ -37,3 +37,19 @@ def test_only_the_sieve_calls_the_fingerprint_rule() -> None:
             if name in FINGERPRINT_RULE:
                 callers.add((path.name, name))
     assert callers and {caller for caller, _ in callers} == {"sieve.py"}, callers
+
+
+# What the symmetry search must not read: the partner map comes from the
+# table, which proved it exactly, never from fingerprints.
+FINGERPRINT_STATE = {"fingerprint", "fingerprints", "mod_map", "mod_prime"}
+
+
+def test_the_symmetry_search_reads_no_fingerprint_state() -> None:
+    (path,) = [path for path in SOURCES if path.name == "symmetry.py"]
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    assert "partner" in read
+    assert not read & FINGERPRINT_STATE, read & FINGERPRINT_STATE

@@ -9,13 +9,7 @@ from itertools import permutations
 import pytest
 
 from pfverify import symmetry
-from pfverify.exact import (
-    ModMap,
-    mod_eval,
-    ratfunc_eq,
-    ratfunc_eval_mod,
-    ratfunc_from_text,
-)
+from pfverify.exact import ratfunc_eq, ratfunc_from_text
 from pfverify.pfield import (
     VerificationError,
     associates,
@@ -123,41 +117,14 @@ def test_known_two_variable_image_pair_is_found() -> None:
 # Search
 
 
-def _walk_passes(spec, table, images) -> bool:
-    """Fingerprint walk: every nonzero fundamental's image residue must be
-    a distinct table fingerprint.  It shares no code or condition with the
-    search's seed and generator cuts, so it filters the brute force
-    independently."""
-    p = table.mod_map.prime
-    residues = []
-    for gen in spec.generators:
-        r = ratfunc_eval_mod(gen, [e.fingerprint for e in images], p)
-        if not r:
-            return False
-        residues.append(r)
-    derived = ModMap(p, tuple(residues))
-    live = {e.fingerprint for e in table.entries if e.element.sign != 0}
-    seen = set()
-    for e in table.entries:
-        if e.element.sign == 0:
-            continue
-        image = mod_eval(derived, e.element.sign, e.element.exps)
-        if image not in live or image in seen:
-            return False
-        seen.add(image)
-    return True
-
-
 @pytest.mark.parametrize("name", ["H3", "H4"])
 def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
-    # H3 sends every image straight to the exact check; unfiltered, the
-    # 2,862 ordered H4 pairs would take seconds, so they pass the walk first.
+    # Every ordered tuple of distinct nonzero-one fundamentals goes to the
+    # exact check, unfiltered: 24 on H3, 2,862 on H4.
     spec = specs[name]
     table = fundamental_table(spec)
     brute = set()
     for images in permutations(table.nonzero_one, spec.arity):
-        if name != "H3" and not _walk_passes(spec, table, images):
-            continue
         aut = symmetry.confirm_candidate(spec, table, images)
         if aut is not None:
             brute.add(aut.gen_images)
@@ -205,6 +172,97 @@ def test_a_homomorphism_missing_from_the_coordinates_fails(specs, name) -> None:
     assert str(exc.value) == fail
     with pytest.raises(VerificationError, match=re.escape(fail)):
         symmetry._candidate_tuples(cut, fundamental_table(spec))
+
+
+# ---------------------------------------------------------------------------
+# Confirmation plan
+
+
+def test_builtin_fields_have_complete_confirmation_plans(specs) -> None:
+    # One step per generator that is neither the sign nor an indeterminate.
+    for name, steps in (("H3", 2), ("H4", 4), ("H5", 6)):
+        plan = symmetry._confirmation_plan(specs[name])
+        assert plan is not None
+        assert len(plan[1]) == steps
+    assert symmetry._confirmation_plan(specs["H2"]) is None
+
+
+def _outcome(aut):
+    return None if aut is None else (aut.gen_images, aut.coord_perm)
+
+
+def _substituted(spec, table, images):
+    """confirm_candidate's verdict without a plan: substitute and factor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_confirmation_plan", lambda spec: None)
+        return _outcome(symmetry.confirm_candidate(spec, table, images))
+
+
+def _sampled_tuples(name, kind):
+    spec = builtin_specs()[name]
+    entries = fundamental_table(spec).nonzero_one
+    rng = random.Random(f"{name}-{kind}")
+    if kind == "symmetries":
+        auts = group(name).elements
+        return [aut.var_images for aut in rng.sample(auts, min(30, len(auts)))]
+    picked = {}
+    while len(picked) < 300:
+        picked.setdefault(tuple(rng.sample(entries, spec.arity)))
+    return list(picked)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("H4", "symmetries"), ("H4", "tuples"), ("H5", "symmetries"), ("H5", "tuples")],
+)
+def test_plan_and_substitution_agree(specs, name, kind) -> None:
+    # All 24 H4 symmetries, 30 of H5's 720, and 300 seeded ordered tuples
+    # of distinct nonzero-one fundamentals on each field.
+    spec = specs[name]
+    table = fundamental_table(spec)
+    tuples = _sampled_tuples(name, kind)
+    accepted = 0
+    for images in tuples:
+        planned = _outcome(symmetry.confirm_candidate(spec, table, images))
+        assert planned == _substituted(spec, table, images), images
+        accepted += planned is not None
+    if kind == "symmetries":
+        assert accepted == len(tuples) == min(30, len(group(name).elements))
+    else:
+        assert accepted < len(tuples)
+
+
+def _group_data(g):
+    return (
+        [aut.var_images for aut in g.elements],
+        [aut.gen_images for aut in g.elements],
+        [aut.coord_perm for aut in g.elements],
+        g.identity_index,
+    )
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_search_without_a_plan_finds_the_same_group(specs, monkeypatch, name) -> None:
+    planned = symmetry.find_automorphisms(specs[name])
+    monkeypatch.setattr(symmetry, "_confirmation_plan", lambda spec: None)
+    # The undecorated search, so that the memo keeps the planned group.
+    substituted = symmetry.find_automorphisms.__wrapped__(specs[name])
+    assert _group_data(substituted) == _group_data(planned)
+
+
+def test_planned_search_needs_no_polynomial_arithmetic(specs, monkeypatch) -> None:
+    for name in ("H3", "H4", "H5"):
+        fundamental_table(specs[name])
+    symmetry._confirmation_plan.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic in the planned search")
+
+    monkeypatch.setattr(symmetry, "factor_over_generators", refuse)
+    monkeypatch.setattr(symmetry, "ratfunc_subst", refuse)
+    for name in ("H3", "H4", "H5"):
+        found = symmetry.find_automorphisms.__wrapped__(specs[name])
+        assert _group_data(found) == _group_data(group(name))
 
 
 # ---------------------------------------------------------------------------
