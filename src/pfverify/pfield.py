@@ -15,7 +15,7 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, wraps
+from functools import cache, cached_property, partial, wraps
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -98,7 +98,7 @@ class PartialFieldSpec:
     def is_gauss(self) -> bool:
         return self.arity == 0
 
-    @property
+    @cached_property
     def source_hash(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
@@ -454,6 +454,50 @@ def memo_by_spec(compute):
 # Associates
 
 
+# The associate maps e_0..e_5: x, 1 - x, 1/(1 - x), x/(x - 1), (x - 1)/x,
+# 1/x, each one fixed op sequence, so every associate form is built alike.
+# They form the anharmonic group S3: e_i(e_j(x)) = e_k(x) with
+# k = _S3[i][j], an identity of rational functions for x not in {0, 1}.
+# The table is a literal so that importing the module computes nothing.
+_ASSOCIATE_OPS = (
+    lambda p, one, sub, div: p,
+    lambda p, one, sub, div: sub(one, p),
+    lambda p, one, sub, div: div(one, sub(one, p)),
+    lambda p, one, sub, div: div(p, sub(p, one)),
+    lambda p, one, sub, div: div(sub(p, one), p),
+    lambda p, one, sub, div: div(one, p),
+)
+_S3 = (
+    (0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 5, 4, 1, 0, 3),
+    (3, 4, 5, 0, 1, 2), (4, 3, 0, 5, 2, 1), (5, 2, 1, 4, 3, 0),
+)
+
+
+def _value_ops(p: Fraction | GaussDyadic | RatFunc) -> tuple:
+    """zero, one, subtraction, division and equality for p's kind of value."""
+    if isinstance(p, GaussDyadic):
+        return GAUSS_ZERO, GAUSS_ONE, gauss_sub, gauss_div, gauss_eq
+    if isinstance(p, RatFunc):
+        zero, one = (ratfunc_const(poly_arity(p.den) or 0, c) for c in (0, 1))
+        sub, div = (partial(ratfunc_arith, kind=kind) for kind in ("sub", "div"))
+        return zero, one, sub, div, ratfunc_eq
+    return Fraction(0), Fraction(1), operator.sub, operator.truediv, operator.eq
+
+
+def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
+    """p's associate forms e_0(p)..e_5(p) and, for each k, the first j with
+    e_j(p) equal to e_k(p); ([zero, one], None) when p is 0 or 1."""
+    if eq(p, zero) or eq(p, one):
+        return [zero, one], None
+    forms = [op(p, one, sub, div) for op in _ASSOCIATE_OPS]
+    classes: list[int] = []
+    for k, f in enumerate(forms):
+        classes.append(
+            next((j for j in range(k) if classes[j] == j and eq(f, forms[j])), k)
+        )
+    return forms, tuple(classes)
+
+
 def associates(p: Fraction | int | GaussDyadic | RatFunc):
     """The associate set of p: {p, 1-p, 1/(1-p), p/(p-1), (p-1)/p, 1/p}.
 
@@ -461,25 +505,10 @@ def associates(p: Fraction | int | GaussDyadic | RatFunc):
     deduplicated by exact equality, preserving first appearance.  Each kind
     of value brings its own zero, one, subtraction, division and equality.
     """
-    if isinstance(p, GaussDyadic):
-        zero, one, sub, div, eq = GAUSS_ZERO, GAUSS_ONE, gauss_sub, gauss_div, gauss_eq
-    elif isinstance(p, RatFunc):
-        arity = poly_arity(p.den)
-        assert arity is not None
-        zero, one = ratfunc_const(arity, 0), ratfunc_const(arity, 1)
-        sub = partial(ratfunc_arith, kind="sub")
-        div, eq = partial(ratfunc_arith, kind="div"), ratfunc_eq
-    else:
-        p, zero, one = Fraction(p), Fraction(0), Fraction(1)
-        sub, div, eq = operator.sub, operator.truediv, operator.eq
-    if eq(p, zero) or eq(p, one):
-        return [zero, one]
-    q, p_minus_one = sub(one, p), sub(p, one)
-    out: list = []
-    for c in (p, q, div(one, q), div(p, p_minus_one), div(p_minus_one, p), div(one, p)):
-        if not any(eq(c, seen) for seen in out):
-            out.append(c)
-    return out
+    if not isinstance(p, (GaussDyadic, RatFunc)):
+        p = Fraction(p)
+    forms, classes = _orbit(p, *_value_ops(p))
+    return [f for k, f in enumerate(forms) if classes is None or classes[k] == k]
 
 
 # ---------------------------------------------------------------------------
@@ -663,34 +692,80 @@ def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
     return ratfunc_eq(a, b)
 
 
-def _value_key(v: RatFunc | GaussDyadic) -> int | GaussDyadic | None:
-    """A hashable key on which exactly equal values agree: a Gaussian value
-    itself, else num/den at ratfunc_eq's screen point mod SCREEN_PRIME, or
-    None where that denominator residue is 0."""
-    if isinstance(v, GaussDyadic):
-        return v
-    num, den = v.screen_residues
-    return num * pow(den, -1, SCREEN_PRIME) % SCREEN_PRIME if den else None
+def _closure_of_seeds(
+    spec: PartialFieldSpec, screens: list | None = None
+) -> list[RatFunc | GaussDyadic]:
+    """Distinct values reachable from the seeds by taking associates, in the
+    depth-first order of a stack: a popped value equal to no kept value is
+    kept and pushes its associates().  Items are labels (parent index, map
+    k, root seed x, g in S3, screen) for e_g(x) = e_k(parent).  The screen,
+    the residue pair at ratfunc_eq's screen point or a Gaussian value itself,
+    follows k's op sequence, a ring homomorphism, and keys the buckets.  A
+    form is built from its parent's only to be kept or compared by value_eq.
+    Each kept value's carried screen is appended to screens, if given.
 
-
-def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
-    """Distinct values reachable from the seeds by taking associates, told
-    apart by value_eq among the kept values that share the _value_key."""
+    Soundness: for x not in {0, 1}, e_i(e_j(x)) = e_{_S3[i][j]}(x), so
+    e_g(x) = e_h(x) exactly when g and h share a class of _orbit(x), which
+    value_eq computes once per root.  That settles each comparison within a
+    root, and which associates a kept value pushes.  A comparison across
+    roots, or in the orbit {0, 1} of a seed equal to 0 or 1, is value_eq.
+    """
+    zero, one, sub, div, eq = _value_ops(spec.seeds[0])
+    P = SCREEN_PRIME
+    if spec.is_gauss:
+        screen_of = key_of = lambda x: x
+        screen_ops = (one, sub, div)
+    else:
+        screen_of = operator.attrgetter("screen_residues")
+        key_of = lambda s: s[0] * pow(s[1], -1, P) % P if s[1] else None
+        screen_ops = (
+            (1, 1),
+            lambda a, b: ((a[0] * b[1] - b[0] * a[1]) % P, a[1] * b[1] % P),
+            lambda a, b: (a[0] * b[1] % P, a[1] * b[0] % P),
+        )
     values: list = []
+    roots: list[int] = []  # the root seed of each kept value
+    classes: dict[int, tuple[int, ...] | None] = {}  # _orbit classes per root
+    kept: set[tuple[int, int]] = set()  # (root, class of g) of kept values
     buckets: dict = {}
-    queue = list(spec.seeds)
-    while queue:
-        v = queue.pop()
-        key = _value_key(v)
+    stack = [(None, 0, r, 0, screen_of(x)) for r, x in enumerate(spec.seeds)]
+    while stack:
+        parent, k, root, g, screen = stack.pop()
+        cls = classes.get(root)
+        if cls is not None and (root, cls[g]) in kept:
+            continue
+        key = key_of(screen)
         if key is None:
             probe = range(len(values))
         else:
             probe = buckets.get(key, []) + buckets.get(None, [])
-        if any(value_eq(values[i], v) for i in probe):
+        if parent is None:
+            v = spec.seeds[root]
+        elif cls is None:
+            v = (zero, one)[k]
+        else:
+            v = _ASSOCIATE_OPS[k](values[parent], one, sub, div)
+        cross = (i for i in probe if cls is None or roots[i] != root)
+        if any(value_eq(values[i], v) for i in cross):
             continue
-        buckets.setdefault(key, []).append(len(values))
+        if parent is None:
+            cls = classes[root] = _orbit(v, zero, one, sub, div, eq)[1]
+        i = len(values)
+        buckets.setdefault(key, []).append(i)
         values.append(v)
-        queue.extend(associates(v))
+        roots.append(root)
+        if screens is not None:
+            screens.append(screen)
+        if cls is None:
+            stack += [(i, j, root, 0, screen_of(c)) for j, c in enumerate((zero, one))]
+            continue
+        kept.add((root, cls[g]))
+        pushed = set()  # classes of the associates pushed so far
+        for j, op in enumerate(_ASSOCIATE_OPS):
+            h = _S3[j][g]
+            if cls[h] not in pushed:
+                pushed.add(cls[h])
+                stack.append((i, j, root, h, op(screen, *screen_ops)))
     return values
 
 

@@ -4,14 +4,19 @@ dual-route fundamental tables."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfverify import pfield
 from pfverify.exact import (
     PRIME_LIMIT,
+    SCREEN_PRIME,
+    GaussDyadic,
     gauss_eq,
     gauss_from_text,
     ratfunc_arith,
@@ -28,6 +33,7 @@ from pfverify.pfield import (
     fundamental_table,
     hom_gf5,
     is_fundamental_exact,
+    value_eq,
 )
 
 
@@ -74,6 +80,13 @@ def test_spec_prime_must_be_a_prime_below_the_proven_limit(prime) -> None:
     text = spec("H3").source_text.replace("prime 1299709", f"prime {prime}")
     with pytest.raises(ValueError, match="is not a prime"):
         pfield.parse_field_spec(text)
+
+
+def test_source_hash_is_computed_once_per_spec() -> None:
+    s = pfield.parse_field_spec(spec("H3").source_text)
+    first = s.source_hash
+    assert first == hashlib.sha256(s.source_text.encode()).hexdigest()
+    assert s.source_hash is first
 
 
 def test_single_variable_generator_residues() -> None:
@@ -133,6 +146,39 @@ def test_associates_of_gaussian_unit() -> None:
 def test_associates_deduplicates_coincident_expressions() -> None:
     # p = 2 collapses to three distinct associates: 2, -1, 1/2.
     assert len(associates(Fraction(2))) == 3
+
+
+# The associate maps e_0..e_5 as Mobius maps on rationals.  Two distinct
+# Mobius maps agree on at most two points, so three points tell them apart.
+MOBIUS = (
+    lambda x: x,
+    lambda x: 1 - x,
+    lambda x: 1 / (1 - x),
+    lambda x: x / (x - 1),
+    lambda x: (x - 1) / x,
+    lambda x: 1 / x,
+)
+POINTS = (Fraction(3), Fraction(-5, 7), Fraction(11, 2))
+
+
+def test_s3_table_is_the_composition_of_the_associate_maps() -> None:
+    derived = tuple(
+        tuple(
+            next(
+                k
+                for k in range(6)
+                if all(MOBIUS[i](MOBIUS[j](x)) == MOBIUS[k](x) for x in POINTS)
+            )
+            for j in range(6)
+        )
+        for i in range(6)
+    )
+    assert derived == pfield._S3
+
+
+def test_associates_lists_the_maps_in_table_order() -> None:
+    for x in POINTS:
+        assert associates(x) == [m(x) for m in MOBIUS]
 
 
 def test_associates_closure_is_idempotent_on_a_sample() -> None:
@@ -391,6 +437,109 @@ def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
     table = fundamental_table(spec("H3"))
     assert len(values) == 26
     assert all(any(ratfunc_eq(v, e.value) for e in table.entries) for v in values)
+
+
+def reference_closure(s: pfield.PartialFieldSpec) -> list:
+    """The associate closure as a plain loop over built forms: a popped value
+    that value_eq finds equal to no kept value sharing its screen key is
+    kept and pushes all of associates(value)."""
+
+    def key(v):
+        if isinstance(v, GaussDyadic):
+            return v
+        num, den = v.screen_residues
+        return num * pow(den, -1, SCREEN_PRIME) % SCREEN_PRIME if den else None
+
+    values: list = []
+    buckets: dict = {}
+    queue = list(s.seeds)
+    while queue:
+        v = queue.pop()
+        k = key(v)
+        if k is None:
+            probe = range(len(values))
+        else:
+            probe = buckets.get(k, []) + buckets.get(None, [])
+        if any(value_eq(values[i], v) for i in probe):
+            continue
+        buckets.setdefault(k, []).append(len(values))
+        values.append(v)
+        queue.extend(associates(v))
+    return values
+
+
+def with_seeds(name: str, seeds: list[str]) -> pfield.PartialFieldSpec:
+    """A builtin spec with its seed lines replaced by seeds, in order."""
+    lines = spec(name).source_text.splitlines()
+    kept = [line for line in lines if not line.startswith("seed ")]
+    text = "\n".join(kept + [f"seed {x}" for x in seeds]) + "\n"
+    return pfield.parse_field_spec(text)
+
+
+def assert_closure_matches_reference(s: pfield.PartialFieldSpec) -> None:
+    screens: list = []
+    got = pfield._closure_of_seeds(s, screens)
+    want = reference_closure(s)
+    if s.is_gauss:
+        assert got == want
+        assert screens == got
+    else:
+        assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
+        assert screens == [v.screen_residues for v in got]
+
+
+H3_SEEDS = list(spec("H3").seed_exprs)
+SCREEN_A = screen_point(1)[0]
+
+
+@pytest.mark.parametrize(
+    "s",
+    [spec(name) for name in ("H2", "H3", "H4", "H5")]
+    + [
+        with_seeds("H3", seeds)
+        for seeds in (
+            H3_SEEDS + ["-1"],  # the orbit {-1, 2, 1/2} has a stabilizer
+            H3_SEEDS + ["0"],
+            H3_SEEDS + ["a"],
+            H3_SEEDS + ["1 - a"],  # an associate of another seed
+            H3_SEEDS[::-1],
+            # a with a denominator that is 0 at the screen point: no key
+            H3_SEEDS + [f"a*(a - {SCREEN_A})/(a - {SCREEN_A})"],
+        )
+    ],
+    ids=["H2", "H3", "H4", "H5"]
+    + ["minus-one", "zero", "repeat", "associate", "reversed", "no-key"],
+)
+def test_closure_equals_the_reference_form_for_form(s) -> None:
+    assert_closure_matches_reference(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(spec("H4").seed_exprs), min_size=1, max_size=10, unique=True
+    )
+)
+def test_closure_equals_the_reference_on_h4_seed_subsets(seeds) -> None:
+    assert_closure_matches_reference(with_seeds("H4", seeds))
+
+
+def test_h5_closure_cross_multiplies_at_most_once_per_seed(monkeypatch) -> None:
+    # Equal values of one orbit are told apart by the seed's stabilizer, so
+    # ratfunc_eq reaches the exact cross-multiplication only across orbits.
+    s = spec("H5")
+    exact = 0
+
+    def counting_eq(a, b):
+        nonlocal exact
+        (a_num, a_den), (b_num, b_den) = a.screen_residues, b.screen_residues
+        if a is not b and not (a_num * b_den - b_num * a_den) % SCREEN_PRIME:
+            exact += 1
+        return ratfunc_eq(a, b)
+
+    monkeypatch.setattr(pfield, "ratfunc_eq", counting_eq)
+    pfield._closure_of_seeds(s)
+    assert exact <= len(s.seeds)
 
 
 # ---------------------------------------------------------------------------
