@@ -454,11 +454,9 @@ def memo_by_spec(compute):
 # Associates
 
 
-# The associate maps e_0..e_5: x, 1 - x, 1/(1 - x), x/(x - 1), (x - 1)/x,
-# 1/x, each one fixed op sequence, so every associate form is built alike.
-# They form the anharmonic group S3: e_i(e_j(x)) = e_k(x) with
-# k = _S3[i][j], an identity of rational functions for x not in {0, 1}.
-# The table is a literal so that importing the module computes nothing.
+# The associate maps e_0..e_5 (x, 1 - x, 1/(1 - x), x/(x - 1), (x - 1)/x,
+# 1/x), one op sequence each, form the anharmonic group S3: e_i(e_j(x)) =
+# e_k(x) with k = _S3[i][j] for x not in {0, 1}.  A literal: no import work.
 _ASSOCIATE_OPS = (
     lambda p, one, sub, div: p,
     lambda p, one, sub, div: sub(one, p),
@@ -485,16 +483,11 @@ def _value_ops(p: Fraction | GaussDyadic | RatFunc) -> tuple:
 
 
 def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
-    """p's associate forms e_0(p)..e_5(p) and, for each k, the first j with
-    e_j(p) equal to e_k(p); ([zero, one], None) when p is 0 or 1."""
+    """e_0(p)..e_5(p) and each one's first equal e_j(p); ([zero, one], None) at 0, 1."""
     if eq(p, zero) or eq(p, one):
         return [zero, one], None
     forms = [op(p, one, sub, div) for op in _ASSOCIATE_OPS]
-    classes: list[int] = []
-    for k, f in enumerate(forms):
-        classes.append(
-            next((j for j in range(k) if classes[j] == j and eq(f, forms[j])), k)
-        )
+    classes = [next(j for j in range(6) if eq(f, forms[j])) for f in forms]
     return forms, tuple(classes)
 
 
@@ -692,80 +685,60 @@ def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
     return ratfunc_eq(a, b)
 
 
-def _closure_of_seeds(
-    spec: PartialFieldSpec, screens: list | None = None
-) -> list[RatFunc | GaussDyadic]:
+def _closure_of_seeds(spec: PartialFieldSpec) -> list[RatFunc | GaussDyadic]:
     """Distinct values reachable from the seeds by taking associates, in the
-    depth-first order of a stack: a popped value equal to no kept value is
-    kept and pushes its associates().  Items are labels (parent index, map
-    k, root seed x, g in S3, screen) for e_g(x) = e_k(parent).  The screen,
-    the residue pair at ratfunc_eq's screen point or a Gaussian value itself,
-    follows k's op sequence, a ring homomorphism, and keys the buckets.  A
-    form is built from its parent's only to be kept or compared by value_eq.
-    Each kept value's carried screen is appended to screens, if given.
-
-    Soundness: for x not in {0, 1}, e_i(e_j(x)) = e_{_S3[i][j]}(x), so
-    e_g(x) = e_h(x) exactly when g and h share a class of _orbit(x), which
-    value_eq computes once per root.  That settles each comparison within a
-    root, and which associates a kept value pushes.  A comparison across
-    roots, or in the orbit {0, 1} of a seed equal to 0 or 1, is value_eq.
+    depth-first order of a stack of labels (parent index, map k, root seed x,
+    g in S3) for e_g(x) = e_k(parent).  A popped label that no kept value of
+    x settles gets a form, built from its parent's, and is kept, pushing its
+    associates(), unless value_eq finds it among the kept values sharing its
+    screen key.  Soundness: for x not in {0, 1}, e_i(e_j(x)) = e_{_S3[i][j]}(x),
+    so e_g(x) = e_h(x) iff g and h share a class of _orbit(x), which value_eq
+    computes once per root.  Across roots, and in the orbit {0, 1} of a seed
+    0 or 1, value_eq decides.
     """
     zero, one, sub, div, eq = _value_ops(spec.seeds[0])
-    P = SCREEN_PRIME
-    if spec.is_gauss:
-        screen_of = key_of = lambda x: x
-        screen_ops = (one, sub, div)
-    else:
-        screen_of = operator.attrgetter("screen_residues")
-        key_of = lambda s: s[0] * pow(s[1], -1, P) % P if s[1] else None
-        screen_ops = (
-            (1, 1),
-            lambda a, b: ((a[0] * b[1] - b[0] * a[1]) % P, a[1] * b[1] % P),
-            lambda a, b: (a[0] * b[1] % P, a[1] * b[0] % P),
-        )
     values: list = []
     roots: list[int] = []  # the root seed of each kept value
     classes: dict[int, tuple[int, ...] | None] = {}  # _orbit classes per root
     kept: set[tuple[int, int]] = set()  # (root, class of g) of kept values
     buckets: dict = {}
-    stack = [(None, 0, r, 0, screen_of(x)) for r, x in enumerate(spec.seeds)]
+    stack = [(None, 0, r, 0) for r in range(len(spec.seeds))]
     while stack:
-        parent, k, root, g, screen = stack.pop()
+        parent, k, root, g = stack.pop()
         cls = classes.get(root)
         if cls is not None and (root, cls[g]) in kept:
             continue
-        key = key_of(screen)
-        if key is None:
-            probe = range(len(values))
-        else:
-            probe = buckets.get(key, []) + buckets.get(None, [])
         if parent is None:
             v = spec.seeds[root]
         elif cls is None:
             v = (zero, one)[k]
         else:
             v = _ASSOCIATE_OPS[k](values[parent], one, sub, div)
-        cross = (i for i in probe if cls is None or roots[i] != root)
-        if any(value_eq(values[i], v) for i in cross):
+        if spec.is_gauss:
+            key = v
+        else:
+            num, den = v.screen_residues
+            key = num * pow(den, -1, SCREEN_PRIME) % SCREEN_PRIME if den else None
+        if key is None:
+            probe = range(len(values))
+        else:
+            probe = buckets.get(key, []) + buckets.get(None, [])
+        if any(value_eq(values[i], v) for i in probe if not cls or roots[i] != root):
             continue
+        i = len(values)
         if parent is None:
             cls = classes[root] = _orbit(v, zero, one, sub, div, eq)[1]
-        i = len(values)
         buckets.setdefault(key, []).append(i)
         values.append(v)
         roots.append(root)
-        if screens is not None:
-            screens.append(screen)
         if cls is None:
-            stack += [(i, j, root, 0, screen_of(c)) for j, c in enumerate((zero, one))]
+            stack += [(i, j, root, 0) for j in (0, 1)]
             continue
         kept.add((root, cls[g]))
-        pushed = set()  # classes of the associates pushed so far
-        for j, op in enumerate(_ASSOCIATE_OPS):
-            h = _S3[j][g]
-            if cls[h] not in pushed:
-                pushed.add(cls[h])
-                stack.append((i, j, root, h, op(screen, *screen_ops)))
+        pushes: dict = {}  # the first associate of each class, in map order
+        for j, h in enumerate(row[g] for row in _S3):
+            pushes.setdefault(cls[h], (i, j, root, h))
+        stack += pushes.values()
     return values
 
 

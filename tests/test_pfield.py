@@ -477,15 +477,12 @@ def with_seeds(name: str, seeds: list[str]) -> pfield.PartialFieldSpec:
 
 
 def assert_closure_matches_reference(s: pfield.PartialFieldSpec) -> None:
-    screens: list = []
-    got = pfield._closure_of_seeds(s, screens)
+    got = pfield._closure_of_seeds(s)
     want = reference_closure(s)
     if s.is_gauss:
         assert got == want
-        assert screens == got
     else:
         assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
-        assert screens == [v.screen_residues for v in got]
 
 
 H3_SEEDS = list(spec("H3").seed_exprs)
