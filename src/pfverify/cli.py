@@ -29,6 +29,7 @@ from .lift import (
     theorem1_report,
 )
 from .pfield import (
+    BUILTIN_TEXTS,
     PartialFieldSpec,
     VerificationError,
     builtin_specs,
@@ -140,23 +141,30 @@ def _resolve_field(args: argparse.Namespace) -> str:
     return name
 
 
-def _with_prime_start(
-    spec: PartialFieldSpec, start: int | None
-) -> PartialFieldSpec:
-    """Rebuild the spec with the first prime at or after start as its
-    declared fingerprint prime.  The sieve holds that prime to the rule for
-    any declared prime (a generator residue that vanishes there fails the
-    run) and still advances past collisions from it."""
-    if start is None or spec.is_gauss:
-        return spec
-    p = next_prime(start - 1)
-    lines = []
-    for line in spec.source_text.splitlines():
-        if line.split() and line.split()[0] == "prime":
-            lines.append(f"prime {p}")
-        else:
-            lines.append(line)
-    return parse_field_spec("\n".join(lines))
+def _is_prime_line(line: str) -> bool:
+    return line.split()[:1] == ["prime"]
+
+
+def _reprimed(text: str, start: int | None) -> str | None:
+    """text with its prime line declaring the first prime at or after start
+    as the fingerprint prime, or None without a start or a prime line (the
+    Gaussian field keeps its spec).  The sieve holds that prime to the rule
+    for any declared prime (a generator residue that vanishes there fails
+    the run) and still advances past collisions from it.  The lines are
+    joined without a trailing newline, as the fingerprints always were."""
+    if start is None:
+        return None
+    lines = text.splitlines()
+    if not any(map(_is_prime_line, lines)):
+        return None
+    prime_line = f"prime {next_prime(start - 1)}"
+    return "\n".join(prime_line if _is_prime_line(line) else line for line in lines)
+
+
+def _builtin_spec(name: str, start: int | None) -> PartialFieldSpec:
+    """A builtin field, re-primed at start if given; one parse either way."""
+    text = _reprimed(BUILTIN_TEXTS[name], start)
+    return builtin_specs()[name] if text is None else parse_field_spec(text)
 
 
 def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
@@ -169,14 +177,17 @@ def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
                 text = handle.read()
         except OSError as exc:
             raise _UsageError(f"cannot read spec file: {exc}")
+        # The file as written must parse, so a bad prime line is a usage
+        # error even when --prime-start replaces it.
         try:
             spec = parse_field_spec(text)
         except ValueError as exc:
             raise _UsageError(f"cannot parse spec file: {exc}")
-        return [_with_prime_start(spec, start)]
+        reprimed = _reprimed(text, start)
+        return [spec if reprimed is None else parse_field_spec(reprimed)]
     name = _resolve_field(args)
     names = FIELD_NAMES if name == "all" else (name,)
-    return [_with_prime_start(builtin_specs()[n], start) for n in names]
+    return [_builtin_spec(n, start) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +416,7 @@ def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     start = _resolve_prime_start(args)
     reports = []
     for name in FIELD_NAMES:
-        spec = _with_prime_start(builtin_specs()[name], start)
+        spec = _builtin_spec(name, start)
         _status(f"{spec.name}: running all verification stages")
         payload = theorem1_report(spec.report_index, spec=spec)
         payload["spec_fingerprint"] = spec.source_hash

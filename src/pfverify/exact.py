@@ -24,9 +24,7 @@ All values are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -231,27 +229,30 @@ def screen_point(arity: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class RatFunc:
     """An unreduced quotient of two polynomials; compare with ratfunc_eq only."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den", "_screen")
 
-    def __post_init__(self) -> None:
-        if not self.den:
+    def __init__(self, num: Poly, den: Poly) -> None:
+        if not den:
             raise ValueError("zero denominator")
-        _check_same_arity(self.num, self.den)
+        _check_same_arity(num, den)
+        self.num = num
+        self.den = den
+        self._screen: tuple[int, int] | None = None
 
-    @cached_property
+    @property
     def screen_residues(self) -> tuple[int, int]:
         """Numerator and denominator residues at screen_point, mod
         SCREEN_PRIME; computed once per object."""
-        point = screen_point(poly_arity(self.den) or 0)
-        return (
-            poly_eval_mod(self.num, point, SCREEN_PRIME),
-            poly_eval_mod(self.den, point, SCREEN_PRIME),
-        )
+        if self._screen is None:
+            point = screen_point(poly_arity(self.den) or 0)
+            self._screen = (
+                poly_eval_mod(self.num, point, SCREEN_PRIME),
+                poly_eval_mod(self.den, point, SCREEN_PRIME),
+            )
+        return self._screen
 
 
 def ratfunc_const(arity: int, value: int) -> RatFunc:
@@ -485,17 +486,26 @@ def gauss_to_str(a: GaussDyadic) -> str:
 # Modular evaluation
 
 
-@dataclass(frozen=True)
 class ModMap:
-    """A prime together with one residue per partial-field generator."""
+    """A prime together with one residue per partial-field generator; two
+    maps are equal when their primes and residues are."""
 
-    prime: int
-    gen_residues: tuple[int, ...]
+    __slots__ = ("prime", "gen_residues")
 
-    def __post_init__(self) -> None:
-        for r in self.gen_residues:
-            if r % self.prime == 0:
-                raise ValueError(f"generator residue divisible by {self.prime}")
+    def __init__(self, prime: int, gen_residues: tuple[int, ...]) -> None:
+        for r in gen_residues:
+            if r % prime == 0:
+                raise ValueError(f"generator residue divisible by {prime}")
+        self.prime = prime
+        self.gen_residues = gen_residues
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModMap):
+            return NotImplemented
+        return (self.prime, self.gen_residues) == (other.prime, other.gen_residues)
+
+    def __hash__(self) -> int:
+        return hash((self.prime, self.gen_residues))
 
 
 def ratfunc_eval_mod(x: RatFunc, point: Sequence[int], p: int) -> int | None:

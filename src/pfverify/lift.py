@@ -12,7 +12,6 @@ every check for one field into a machine-readable verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .pfield import (
@@ -114,13 +113,13 @@ def domain_key(spec: PartialFieldSpec, entry: TableEntry) -> GFTuple:
     return entry.gf5_image[: spec.report_index]
 
 
-@dataclass(eq=False)
 class LiftingFn:
     """Bijection from the cross-ratio domain onto the fundamental table."""
 
-    spec: PartialFieldSpec
-    width: int
-    table: dict
+    def __init__(self, *, spec: PartialFieldSpec, width: int, table: dict) -> None:
+        self.spec = spec
+        self.width = width
+        self.table = table
 
     def entry_for(self, key: GFTuple) -> TableEntry:
         entry = self.table.get(tuple(key))

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import cache, cached_property, partial, wraps
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from functools import cached_property, partial, wraps
+from typing import NamedTuple
 
 from .exact import (
     PRIME_LIMIT,
@@ -68,27 +67,47 @@ class FactoredElement(NamedTuple):
     exps: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class PartialFieldSpec:
     """Parsed description of one partial field."""
 
-    name: str
-    report_index: int
-    var_names: tuple[str, ...]
-    generator_exprs: tuple[str, ...]
-    generators: tuple[RatFunc | GaussDyadic, ...]
-    seed_exprs: tuple[str, ...]
-    seeds: tuple[RatFunc | GaussDyadic, ...]
-    gf5_width: int
-    gf5_var_images: tuple[tuple[int, ...], ...]
-    gf5_gen_images: tuple[tuple[int, ...], ...]
-    h2_hom_exprs: tuple[tuple[str, ...], ...]
-    h2_hom_images: tuple[tuple[GaussDyadic, ...], ...]
-    mod_prime: int | None
-    mod_var_residues: tuple[int, ...]
-    extra_bounds: tuple[tuple[int, int, int], ...]
-    include_zero_candidate: bool
-    source_text: str
+    def __init__(
+        self,
+        *,
+        name: str,
+        report_index: int,
+        var_names: tuple[str, ...],
+        generator_exprs: tuple[str, ...],
+        generators: tuple[RatFunc | GaussDyadic, ...],
+        seed_exprs: tuple[str, ...],
+        seeds: tuple[RatFunc | GaussDyadic, ...],
+        gf5_width: int,
+        gf5_var_images: tuple[tuple[int, ...], ...],
+        gf5_gen_images: tuple[tuple[int, ...], ...],
+        h2_hom_exprs: tuple[tuple[str, ...], ...],
+        h2_hom_images: tuple[tuple[GaussDyadic, ...], ...],
+        mod_prime: int | None,
+        mod_var_residues: tuple[int, ...],
+        extra_bounds: tuple[tuple[int, int, int], ...],
+        include_zero_candidate: bool,
+        source_text: str,
+    ) -> None:
+        self.name = name
+        self.report_index = report_index
+        self.var_names = var_names
+        self.generator_exprs = generator_exprs
+        self.generators = generators
+        self.seed_exprs = seed_exprs
+        self.seeds = seeds
+        self.gf5_width = gf5_width
+        self.gf5_var_images = gf5_var_images
+        self.gf5_gen_images = gf5_gen_images
+        self.h2_hom_exprs = h2_hom_exprs
+        self.h2_hom_images = h2_hom_images
+        self.mod_prime = mod_prime
+        self.mod_var_residues = mod_var_residues
+        self.extra_bounds = extra_bounds
+        self.include_zero_candidate = include_zero_candidate
+        self.source_text = source_text
 
     @property
     def arity(self) -> int:
@@ -409,7 +428,7 @@ h2hom 2, 1 - i, 1 - i
 h2hom 2, 1 + i, 1 + i
 """
 
-_BUILTIN_TEXTS = {
+BUILTIN_TEXTS = {
     "H2": H2_SPEC_TEXT,
     "H3": H3_SPEC_TEXT,
     "H4": H4_SPEC_TEXT,
@@ -417,12 +436,31 @@ _BUILTIN_TEXTS = {
 }
 
 
-@cache
+class _BuiltinSpecs(Mapping):
+    """Read-only name -> spec over BUILTIN_TEXTS; each field is parsed on
+    its first lookup, and that parse is kept."""
+
+    def __init__(self) -> None:
+        self._parsed: dict[str, PartialFieldSpec] = {}
+
+    def __getitem__(self, name: str) -> PartialFieldSpec:
+        if name not in self._parsed:
+            self._parsed[name] = parse_field_spec(BUILTIN_TEXTS[name])
+        return self._parsed[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(BUILTIN_TEXTS)
+
+    def __len__(self) -> int:
+        return len(BUILTIN_TEXTS)
+
+
+_BUILTIN_SPECS = _BuiltinSpecs()
+
+
 def builtin_specs() -> Mapping[str, PartialFieldSpec]:
-    """The four built-in field descriptions, parsed once; read-only."""
-    return MappingProxyType(
-        {name: parse_field_spec(text) for name, text in _BUILTIN_TEXTS.items()}
-    )
+    """The four built-in field descriptions, each parsed once, on first use."""
+    return _BUILTIN_SPECS
 
 
 # One memo for every computation made from a whole spec, keyed by the
@@ -654,27 +692,44 @@ def hom_gf5(spec: PartialFieldSpec, fe: FactoredElement) -> tuple[int, ...]:
 # Fundamental tables
 
 
-@dataclass(eq=False)
 class TableEntry:
     """One fundamental element with all its derived forms."""
 
-    element: FactoredElement
-    value: RatFunc | GaussDyadic
-    fingerprint: int | GaussDyadic
-    gf5_image: tuple[int, ...]
+    __slots__ = ("element", "value", "fingerprint", "gf5_image")
+
+    def __init__(
+        self,
+        element: FactoredElement,
+        value: RatFunc | GaussDyadic,
+        fingerprint: int | GaussDyadic,
+        gf5_image: tuple[int, ...],
+    ) -> None:
+        self.element = element
+        self.value = value
+        self.fingerprint = fingerprint
+        self.gf5_image = gf5_image
 
 
-@dataclass(eq=False)
 class FundamentalTable:
     """All fundamental elements of one field, ascending by fingerprint.
     partner sends each element's factored form to that of 1 - element."""
 
-    spec: PartialFieldSpec
-    mod_map: ModMap | None
-    entries: tuple[TableEntry, ...]
-    by_element: dict
-    nonzero_one: tuple[TableEntry, ...]
-    partner: dict
+    def __init__(
+        self,
+        *,
+        spec: PartialFieldSpec,
+        mod_map: ModMap | None,
+        entries: tuple[TableEntry, ...],
+        by_element: dict,
+        nonzero_one: tuple[TableEntry, ...],
+        partner: dict,
+    ) -> None:
+        self.spec = spec
+        self.mod_map = mod_map
+        self.entries = entries
+        self.by_element = by_element
+        self.nonzero_one = nonzero_one
+        self.partner = partner
 
 
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:

@@ -27,7 +27,6 @@ conjugating, and then pass the same exact check.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .exact import (
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class Automorphism:
     """One symmetry: where the indeterminates go, the factored images of
     every generator, and the induced GF(5) coordinate permutation.
@@ -72,20 +70,36 @@ class Automorphism:
     is stored as itself (exponent one on its own slot), so gen_images[j]
     is always unit vector j for the identity."""
 
-    var_images: tuple[TableEntry, ...]
-    gen_images: tuple[FactoredElement, ...]
-    coord_perm: tuple[int, ...]
+    __slots__ = ("var_images", "gen_images", "coord_perm")
+
+    def __init__(
+        self,
+        var_images: tuple[TableEntry, ...],
+        gen_images: tuple[FactoredElement, ...],
+        coord_perm: tuple[int, ...],
+    ) -> None:
+        self.var_images = var_images
+        self.gen_images = gen_images
+        self.coord_perm = coord_perm
 
 
-@dataclass(eq=False)
 class AutGroup:
     """All symmetries of one field, in discovery order."""
 
-    spec: PartialFieldSpec
-    table: FundamentalTable
-    elements: tuple[Automorphism, ...]
-    by_gen_images: dict
-    identity_index: int
+    def __init__(
+        self,
+        *,
+        spec: PartialFieldSpec,
+        table: FundamentalTable,
+        elements: tuple[Automorphism, ...],
+        by_gen_images: dict,
+        identity_index: int,
+    ) -> None:
+        self.spec = spec
+        self.table = table
+        self.elements = elements
+        self.by_gen_images = by_gen_images
+        self.identity_index = identity_index
 
 
 # ---------------------------------------------------------------------------

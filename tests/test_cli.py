@@ -371,6 +371,72 @@ def _funs_on_spec_text(tmp_path, text: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_prime_start_does_not_excuse_a_spec_file_that_fails_to_parse(
+    capsys, tmp_path
+) -> None:
+    # The file is parsed as written before its prime line is replaced.
+    path = tmp_path / "composite.pfs"
+    path.write_text(
+        builtin_specs()["H3"].source_text.replace("prime 1299709", "prime 1299711")
+    )
+    code, out, err = run_cli(
+        capsys, "funs", "--spec", str(path), "--prime-start", "1000003"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot parse spec file: ")
+
+
+def test_prime_start_keeps_the_gaussian_spec_and_its_fingerprint(capsys) -> None:
+    # H2 has no prime line, so --prime-start leaves its spec text as shipped.
+    code, out, _ = run_cli(
+        capsys, "report", "H2", "--prime-start", "100000000003", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["spec_fingerprint"] == builtin_specs()["H2"].source_hash
+
+
+# Runs the CLI in a fresh process, where no spec has been parsed yet, and
+# prints the number of spec texts parsed as its last stdout line.
+_COUNT_PARSES = """
+import sys
+from pfverify import cli, pfield
+parsed = []
+parse = pfield.parse_field_spec
+def counting(text):
+    parsed.append(text)
+    return parse(text)
+pfield.parse_field_spec = cli.parse_field_spec = counting
+code = cli.main(sys.argv[1:])
+print(len(parsed))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, parses",
+    [
+        (("report", "H3", "--prime-start", "523456789011"), 1),
+        (("funs", "H3"), 1),
+        (("funs", "all"), 4),
+    ],
+    ids=["report-H3-reprimed", "funs-H3", "funs-all"],
+)
+def test_a_command_parses_only_the_specs_it_uses(args, parses) -> None:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSES, *args, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(parses)
+
+
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:
     code, _, _ = run_cli(capsys, "funs", "--spec", str(tmp_path / "none.pfs"))
     assert code == 2
@@ -413,6 +479,9 @@ STDOUT_DIGESTS = {
     ("genesis",): "fae39a6815f580f74f866788b00b43c70ad2caae34cc50accbb2b403f19d5744",
     ("report", "H4", "--prime-start", "100000000003"): (
         "c9513ac0ccfec2920dea224bd80ab3e712151cc314d16281c7527b8f037c8814"
+    ),
+    ("report", "H2", "--prime-start", "100000000003"): (
+        "4fea6cb6a7e74f1c340ad6ed3e7cbd8854b32c9a36e0044daaf6c11959035151"
     ),
 }
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +56,31 @@ def test_the_symmetry_search_reads_no_fingerprint_state() -> None:
     }
     assert "partner" in read
     assert not read & FINGERPRINT_STATE, read & FINGERPRINT_STATE
+
+
+# Modules that only dataclasses brought in; a cold process pays for each.
+UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+PACKAGE_MODULES = {
+    f"pfverify.{name}"
+    for name in ("cli", "exact", "genesis", "lift", "pfield", "sieve", "symmetry")
+}
+
+
+def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
+    # perfbench/spans.py wraps the stage functions of every module found in
+    # sys.modules after `import pfverify.cli`, so that import must load all.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import pfverify.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert not added & UNUSED_STDLIB, added & UNUSED_STDLIB
+    assert {m for m in added if m.startswith("pfverify.")} == PACKAGE_MODULES

@@ -3,7 +3,7 @@ dual-route fundamental tables."""
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -415,7 +415,8 @@ def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) ->
     # The associate closure and the exact membership test must not read the
     # fingerprint prime, which belongs to the other route, the sieve.
     table = fundamental_table(spec(name))
-    blind = dataclasses.replace(spec(name), mod_prime=None, mod_var_residues=())
+    blind = copy.copy(spec(name))
+    blind.mod_prime, blind.mod_var_residues = None, ()
 
     def no_mod_map(self, prime=None):
         raise AssertionError("the modular map was read")
