@@ -524,7 +524,9 @@ def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
     """e_0(p)..e_5(p) and each one's first equal e_j(p); ([zero, one], None) at 0, 1."""
     if eq(p, zero) or eq(p, one):
         return [zero, one], None
-    forms = [op(p, one, sub, div) for op in _ASSOCIATE_OPS]
+    # The _ASSOCIATE_OPS sequences, with 1 - p and p - 1 made once each.
+    q, r = sub(one, p), sub(p, one)
+    forms = [p, q, div(one, q), div(p, r), div(r, p), div(one, p)]
     classes = [next(j for j in range(6) if eq(f, forms[j])) for f in forms]
     return forms, tuple(classes)
 
@@ -826,10 +828,11 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     """Construct the fundamental table by two routes and cross-check them.
 
     Route one closes the seeds under associates and factors every value over
-    the generators.  Route two enumerates the exponent box and sieves by
-    fingerprint.  The routes must agree elementwise; then each survivor,
-    in the sieve's ascending fingerprint order, becomes one entry valued by
-    the closure element with its factored form.  The 1 - s pairing that the
+    the generators.  Route two enumerates the integer points of the
+    exponent box's norm rows and sieves them by fingerprint.  The routes
+    must agree elementwise; then each survivor, in the sieve's ascending
+    fingerprint order, becomes one entry valued by the closure element
+    with its factored form.  The 1 - s pairing that the
     survivor check proved exactly is kept as the table's partner map.
     """
     from . import sieve

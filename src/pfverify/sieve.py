@@ -8,31 +8,32 @@ rows.  Each exponent is bounded in the real relaxation of those rows by an
 LP dual certificate: a float simplex picks the tight rows, and exact
 integer arithmetic solves for their multipliers and checks them.  A slot
 without a checked certificate is bounded by exact Fourier-Motzkin
-elimination instead.  A depth-first search then shrinks every box end until
-some integer point attains it, giving the bounding box of the integer
-points, which contains every fundamental element.
+elimination instead.  One pruned enumeration inside those outer ranges then
+lists the integer points of the rows: every exponent vector that can be
+fundamental.  The box is their bounding box.
 
-The box is then sieved: each candidate gets a fingerprint (its residue
-under the spec's modular map, or its exact value for the Gaussian field).
-No other module chooses a fingerprint prime or computes a fingerprint.
-A candidate is known by its index in enumerate_candidates order, whose
-mixed-radix digits are its sign and exponents.  For each prime tried, one
-pass over the box builds every fingerprint in that order: start from the
-two sign residues and, slot by slot, multiply each partial product by every
-residue power the slot takes.  No candidate tuple is built; a
-fingerprint -> index dict detects collisions, and an index is decoded to a
-factored element only for a survivor or a colliding pair.  A collision gets
-an exact check that tells a dependent generator set (a FAIL) from an
-unlucky prime (advance to the next one, up to a fixed count).  The search
-starts at the spec prime: a generator residue that vanishes there is a
-FAIL naming the generator, and a later prime where one vanishes is
-skipped.  A candidate survives iff the fingerprint of 1 - candidate also
-appears.  Survivors are cross-checked exactly.
+Each candidate gets a fingerprint (its residue under the spec's modular
+map, or its exact value for the Gaussian field).  No other module chooses
+a fingerprint prime or computes a fingerprint.  For each prime tried, the
+fingerprints of the whole box are checked to be distinct as the size of a
+set, built in one mixed-radix pass in enumerate_candidates order: start
+from the two sign residues and, slot by slot, multiply each partial product
+by every residue power the slot takes.  Only on a collision is the
+colliding pair found by index and decoded; an exact check tells a
+dependent generator set (a FAIL) from an unlucky prime (advance to the
+next one, up to a fixed count).  The search starts at the spec prime: a
+generator residue that vanishes there is a FAIL naming the generator, and
+a later prime where one vanishes is skipped.  The sieve itself
+fingerprints only the points, both signs, and zero: a candidate survives
+iff the fingerprint of 1 - candidate is also among them.  Survivors are
+cross-checked exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -64,14 +65,19 @@ from .pfield import (
 
 
 class CandidateBox(NamedTuple):
-    """Integer exponent ranges per generator slot; slot 0 is pinned to 0."""
+    """Integer exponent ranges per generator slot; slot 0 is pinned to 0.
+    points are the exponent vectors the sieve fingerprints; None, for a
+    box built without rows, stands for every vector of the ranges."""
 
     ranges: tuple[tuple[int, int], ...]
     include_zero: bool
+    points: tuple[tuple[int, ...], ...] | None = None
 
 
 class SieveResult(NamedTuple):
-    """Sieve output: surviving fingerprints mapped to factored elements."""
+    """Sieve output: surviving fingerprints mapped to factored elements.
+    candidate_count and distinct_count (0 included) count the whole box,
+    not only the fingerprinted points."""
 
     mod_map: ModMap | None
     fingerprints: dict
@@ -345,47 +351,52 @@ def _certified_ranges(int_rows, width: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _slice_feasible(int_rows, ranges, pin_slot: int, pin_value: int) -> bool:
-    """True iff some integer point of the box with slot pinned satisfies
-    every row.
+def _integer_points(int_rows, ranges) -> list[tuple[int, ...]]:
+    """Every integer point of the ranges that satisfies all rows, in
+    mixed-radix order (last slot fastest).
 
-    Depth-first search fixing one slot at a time.  Each row keeps its slack:
-    the right side minus the row's partial sum and the least the unfixed
-    slots can still add.  A branch is cut as soon as any slack goes
-    negative."""
-    spans = []
-    for j, (lo, hi) in enumerate(ranges):
-        if j == pin_slot:
-            lo = hi = pin_value
-        spans.append((lo, hi))
-    slack = [
-        rhs - sum(min(c * lo, c * hi) for c, (lo, hi) in zip(coeffs, spans))
-        for coeffs, rhs in int_rows
+    The points are extended one slot at a time.  Each partial point keeps
+    every row's slack: the right side minus the row's partial sum and the
+    least the unfixed slots can still add.  Fixing a slot only spends
+    slack, so a partial point with a negative slack has no completion and
+    is cut, and a full point is kept iff no slack is negative: the result
+    is exact.  The slacks are packed into one int, a field per row holding
+    a guard bit over the slack; every slack and cost is below the guard,
+    so subtracting a packed cost borrows across no field, and a slack is
+    negative iff its guard bit is clear."""
+    least = [
+        [min(c * lo, c * hi) for c, (lo, hi) in zip(coeffs, ranges)]
+        for coeffs, _ in int_rows
     ]
+    slack = [rhs - sum(m) for (_, rhs), m in zip(int_rows, least)]
     if min(slack, default=0) < 0:
-        return False
-    # Per free slot, one vector per value (smallest |value| first) of what
-    # fixing it there costs each row beyond its least contribution.
-    levels = []
-    for j, (lo, hi) in enumerate(spans):
-        if lo == hi:
-            continue
-        least = [min(coeffs[j] * lo, coeffs[j] * hi) for coeffs, _ in int_rows]
-        levels.append([
-            [coeffs[j] * e - m for (coeffs, _), m in zip(int_rows, least)]
-            for e in sorted(range(lo, hi + 1), key=abs)
-        ])
+        return []
+    # Per slot and value, what fixing the slot there costs each row.
+    levels = [
+        [
+            (e, [coeffs[j] * e - m[j] for (coeffs, _), m in zip(int_rows, least)])
+            for e in range(lo, hi + 1)
+        ]
+        for j, (lo, hi) in enumerate(ranges)
+    ]
+    spends = (c for level in levels for _, cost in level for c in cost)
+    top = max([*slack, *spends], default=0)
+    field = top.bit_length() + 1
 
-    def search(depth: int, slack: list[int]) -> bool:
-        if depth == len(levels):
-            return True
-        for cost in levels[depth]:
-            child = [s - c for s, c in zip(slack, cost)]
-            if min(child, default=0) >= 0 and search(depth + 1, child):
-                return True
-        return False
+    def pack(values) -> int:
+        return sum(v << (field * i) for i, v in enumerate(values))
 
-    return search(0, slack)
+    guards = pack([1 << (field - 1)] * len(int_rows))
+    partial = [(pack(slack) + guards, ())]
+    for level in levels:
+        costs = [(e, pack(cost)) for e, cost in level]
+        partial = [
+            (rest, point + (e,))
+            for total, point in partial
+            for e, cost in costs
+            if (rest := total - cost) & guards == guards
+        ]
+    return [point for _, point in partial]
 
 
 def _doubled_rows(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...], int]]:
@@ -416,32 +427,23 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     certificate that a float simplex proposes and exact integer arithmetic
     checks, or, for a slot whose certificates fail, by Fourier-Motzkin
     elimination (gcd-normalised, exact right sides, Imbert's history
-    bound).  Only the validity of these outer bounds matters: each end is
-    then shrunk, by a depth-first search over the other slots, until some
-    integer point attains it, in one pass over the deduplicated rows (a
-    shrink drops only values no integer point takes, so it never changes
-    another end's test).  The result is the bounding box of the integer
-    points.  Extra per-slot bounds join the system.  An unbounded slot, or
-    a slot range with no integer left in it before or after the shrink, is
-    a VerificationError."""
+    bound).  Only the validity of these outer bounds matters: one
+    enumeration inside them lists the integer points of the deduplicated
+    rows, and the box is their bounding box, carrying the points.  That
+    loses no fundamental element: every fundamental element satisfies every
+    norm row, so it is one of the points, and the rows are the only source
+    of the box.  Extra per-slot bounds join the system.  An unbounded slot,
+    or a system without integer points, is a VerificationError."""
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
     int_rows = _doubled_rows(rows, extra_bounds, width)
     int_rows = [(c, r) for c, r, _ in _dedup([(c, r, 0) for c, r in int_rows])]
-    ranges = [(0, 0)] + _certified_ranges(int_rows, width)
-    if any(lo > hi for lo, hi in ranges):
+    points = _integer_points(int_rows, [(0, 0)] + _certified_ranges(int_rows, width))
+    if not points:
         raise VerificationError("exponent constraints are infeasible")
-    for j in range(1, width):
-        lo, hi = ranges[j]
-        while lo <= hi and not _slice_feasible(int_rows, ranges, j, lo):
-            lo += 1
-        if lo > hi:
-            raise VerificationError("exponent constraints are infeasible")
-        while hi > lo and not _slice_feasible(int_rows, ranges, j, hi):
-            hi -= 1
-        ranges[j] = (lo, hi)
-    return CandidateBox(tuple(ranges), include_zero)
+    ranges = tuple((min(column), max(column)) for column in zip(*points))
+    return CandidateBox(ranges, include_zero, tuple(points))
 
 
 @memo_by_spec
@@ -512,28 +514,34 @@ def candidate_at(box: CandidateBox, index: int) -> FactoredElement:
 MAX_PRIMES_TRIED = 256
 
 
-def box_fingerprints(mm: ModMap, box: CandidateBox) -> list[int]:
+def box_fingerprints(mm: ModMap, box: CandidateBox) -> Iterator[int]:
     """Residue of every candidate under mm, in enumerate_candidates order.
 
     Mixed-radix evaluation: start from the two sign residues and, slot by
     slot, multiply every partial product by each of the slot's residue
-    powers, so no candidate tuple is built."""
+    powers, so no candidate tuple is built.  The products with the last
+    slot's powers are yielded as they are made, never held in a list."""
     p = mm.prime
+    *head, last = (
+        [pow(r, e, p) for e in range(lo, hi + 1)]
+        for r, (lo, hi) in zip(mm.gen_residues, box.ranges)
+    )
     fps = [1, p - 1]
-    for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
-        table = [pow(r, e, p) for e in range(lo, hi + 1)]
+    for table in head:
         fps = [f * t % p for f in fps for t in table]
-    if box.include_zero:
-        fps.append(0)
-    return fps
+    return chain((f * t % p for f in fps for t in last), [0] * box.include_zero)
 
 
 def resolve_mod_map(
     spec: PartialFieldSpec, box: CandidateBox
-) -> tuple[ModMap, dict]:
-    """Modular map whose fingerprints separate all candidates and 0, and its
-    fingerprint -> candidate index dict (see candidate_at), 0 included.
+) -> tuple[ModMap, dict, int]:
+    """Modular map whose fingerprints separate all candidates and 0; its
+    fingerprint -> factored element dict over the box's points, both signs,
+    and 0; and the number of distinct fingerprints in the whole box, 0
+    included.
 
+    Separation is checked as the size of the set of box_fingerprints; only
+    a collision looks up the colliding pair by index (see candidate_at).
     At the spec prime a vanishing generator residue raises the ValueError
     naming the generator.  A collision advances to the next prime, and a
     later prime where a generator vanishes is skipped, for at most
@@ -543,6 +551,7 @@ def resolve_mod_map(
     start = p = spec.mod_prime
     if len(box.ranges) != len(spec.generators):
         raise ValueError("exponent vector length mismatch")
+    count = candidate_count(box)
     for _ in range(MAX_PRIMES_TRIED):
         try:
             mm = spec.mod_map(p)
@@ -552,14 +561,22 @@ def resolve_mod_map(
             p = next_prime(p)
             continue
         assert mm is not None
-        fps: dict = {}
+        if len(set(box_fingerprints(mm, box))) == count:
+            points = box.points
+            if points is None:
+                points = product(*(range(lo, hi + 1) for lo, hi in box.ranges))
+            fps = {0: FactoredElement(0, (0,) * len(box.ranges))}
+            for point in points:
+                fp = mod_eval(mm, 1, point)
+                fps[fp] = FactoredElement(1, point)
+                fps[p - fp] = FactoredElement(-1, point)
+            # A unit's residue is never 0, so 0 is new unless the box has it.
+            return mm, fps, count + (not box.include_zero)
+        seen: dict = {}
         for i, fp in enumerate(box_fingerprints(mm, box)):
-            j = fps.setdefault(fp, i)
+            j = seen.setdefault(fp, i)
             if j != i:
                 break
-        else:
-            fps.setdefault(0, 2 * _box_size(box))
-            return mm, fps
         first, second = candidate_at(box, j), candidate_at(box, i)
         if value_eq(expand_element(spec, first), expand_element(spec, second)):
             raise VerificationError(
@@ -569,7 +586,7 @@ def resolve_mod_map(
         p = next_prime(p)
     raise VerificationError(
         f"{spec.name}: no fingerprint prime among {MAX_PRIMES_TRIED} from "
-        f"{start} separates the {candidate_count(box)} candidates"
+        f"{start} separates the {count} candidates"
     )
 
 
@@ -591,17 +608,15 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
 
 
 def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
-    """Keep the candidates c with both c and 1 - c in the fingerprint image;
-    only the survivors are decoded.  The prime comes from resolve_mod_map."""
+    """Keep the points c, of both signs, and 0, with both c and 1 - c among
+    their fingerprints.  The prime and the fingerprints come from
+    resolve_mod_map."""
     if spec.is_gauss:
         return _gauss_sieve(spec, enumerate_candidates(box))
-    mm, fps = resolve_mod_map(spec, box)
+    mm, fps, distinct = resolve_mod_map(spec, box)
     p = mm.prime
-    survivors = {
-        fp: candidate_at(box, fps[fp])
-        for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)
-    }
-    return SieveResult(mm, survivors, len(fps), candidate_count(box))
+    survivors = {fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)}
+    return SieveResult(mm, survivors, distinct, candidate_count(box))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfverify import sieve
-from pfverify.exact import gauss_from_text, gauss_re_im, mod_eval
+from pfverify.exact import gauss_from_text, gauss_re_im, mod_eval, next_prime
 from pfverify.pfield import (
     H3_SPEC_TEXT,
     FactoredElement,
@@ -137,10 +137,10 @@ def test_non_half_integer_row_is_an_error() -> None:
 )
 def test_empty_slot_range_is_infeasible(rows, extra) -> None:
     # No elimination step meets the contradiction, so it only shows as a
-    # slot range with lo > hi: in the real relaxation, or, where the
-    # relaxation is feasible but holds no integer point, once the shrink
-    # has rejected every value of a slot.  The last input forces x1 = 1
-    # and -5/6 <= x2 + x3 <= -1/6, which no integers meet.
+    # system without integer points: a slot range with lo > hi in the real
+    # relaxation, or a relaxation that is feasible but holds no integer
+    # point.  The last input forces x1 = 1 and -5/6 <= x2 + x3 <= -1/6,
+    # which no integers meet.
     with pytest.raises(
         VerificationError, match="^exponent constraints are infeasible$"
     ):
@@ -208,22 +208,29 @@ def test_rejected_certificates_fall_back_to_fourier_motzkin(
     assert calls == list(range(1, len(box.ranges)))
 
 
-def test_box_ends_shrink_in_one_pass(specs, monkeypatch) -> None:
-    # H5: 30 distinct rows among its 60 doubled ones, and 20 end tests.
-    searches = []
-    real_slice_feasible = sieve._slice_feasible
+# Deduplicated doubled norm rows, and their integer points; the boxes
+# hold 175 / 6,615 / 32,805 exponent vectors.
+ROWS_AND_POINTS = {"H3": (6, 63), "H4": (18, 243), "H5": (30, 433)}
 
-    def counted(int_rows, *args):
-        searches.append(len(int_rows))
-        return real_slice_feasible(int_rows, *args)
 
-    monkeypatch.setattr(sieve, "_slice_feasible", counted)
-    spec = specs["H5"]
-    box = sieve.bound_exponents(
-        sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
-    )
-    assert box.ranges == FROZEN_RANGES["H5"]
-    assert searches == [30] * 20
+def test_one_enumeration_lists_the_integer_points(specs, monkeypatch) -> None:
+    enumerations = []
+    real_integer_points = sieve._integer_points
+
+    def counted(int_rows, ranges):
+        enumerations.append(len(int_rows))
+        return real_integer_points(int_rows, ranges)
+
+    monkeypatch.setattr(sieve, "_integer_points", counted)
+    for name, (rows, points) in ROWS_AND_POINTS.items():
+        spec = specs[name]
+        enumerations.clear()
+        box = sieve.bound_exponents(
+            sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+        )
+        assert enumerations == [rows]
+        assert box.ranges == FROZEN_RANGES[name]
+        assert len(box.points) == points
 
 
 @st.composite
@@ -263,15 +270,13 @@ def _satisfies(int_rows, point) -> bool:
     )
 
 
-def _integer_bounding_box(int_rows, outer):
-    """Bounding box of the integer points of the outer box satisfying
-    every row, by brute force."""
-    points = [
+def _points_by_brute_force(int_rows, outer):
+    """The integer points of the outer box satisfying every row."""
+    return [
         point
         for point in itertools.product(*(range(lo, hi + 1) for lo, hi in outer))
         if _satisfies(int_rows, point)
     ]
-    return tuple((min(column), max(column)) for column in zip(*points))
 
 
 @pytest.mark.parametrize("name", ["H3", "H4"])
@@ -283,17 +288,10 @@ def test_box_is_the_bounding_box_of_the_integer_points(specs, name) -> None:
     outer = [(0, 0)] + [
         sieve._fm_bounds(int_rows, j, width) for j in range(1, width)
     ]
-    assert sieve.candidate_box(spec).ranges == _integer_bounding_box(
-        int_rows, outer
-    )
-
-
-def _slice_feasible_by_enumeration(int_rows, ranges, pin_slot, pin_value):
-    spans = [
-        (pin_value,) if j == pin_slot else range(lo, hi + 1)
-        for j, (lo, hi) in enumerate(ranges)
-    ]
-    return any(_satisfies(int_rows, point) for point in itertools.product(*spans))
+    points = _points_by_brute_force(int_rows, outer)
+    box = sieve.candidate_box(spec)
+    assert box.ranges == tuple((min(column), max(column)) for column in zip(*points))
+    assert list(box.points) == points
 
 
 @st.composite
@@ -311,16 +309,15 @@ def _small_systems(draw):
             max_size=6,
         )
     )
-    pin_slot = draw(st.integers(0, width - 1))
-    lo, hi = ranges[pin_slot]
-    return int_rows, ranges, pin_slot, draw(st.integers(lo, hi))
+    return int_rows, ranges
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_systems())
-def test_slice_search_agrees_with_enumeration(system) -> None:
-    assert sieve._slice_feasible(*system) == _slice_feasible_by_enumeration(
-        *system
+def test_integer_points_equal_the_brute_force_filter(system) -> None:
+    int_rows, ranges = system
+    assert sieve._integer_points(int_rows, ranges) == _points_by_brute_force(
+        int_rows, ranges
     )
 
 
@@ -430,9 +427,9 @@ SMALL_BOX = sieve.CandidateBox(((0, 0), (-1, 1), (-1, 1), (-1, 1)), False)
 def test_prime_advances_until_fingerprints_separate(specs) -> None:
     # The sieve must walk past 59 to a larger prime on its own.
     assert sieve.candidate_count(SMALL_BOX) == 54
-    mm, index = sieve.resolve_mod_map(_at_prime(specs["H3"], 59), SMALL_BOX)
+    mm, _, distinct = sieve.resolve_mod_map(_at_prime(specs["H3"], 59), SMALL_BOX)
     assert mm.prime > 59
-    assert len(index) == 55
+    assert distinct == 55
 
 
 def _h3_vanishing_at_61(prime: int):
@@ -453,9 +450,9 @@ def test_a_later_prime_where_a_generator_vanishes_is_skipped(monkeypatch) -> Non
     with pytest.raises(ValueError, match="vanishes mod 61"):
         spec.mod_map(61)
     # 59 has a collision, so the search reaches 61, skips it and goes on.
-    mm, index = sieve.resolve_mod_map(spec, SMALL_BOX)
+    mm, _, distinct = sieve.resolve_mod_map(spec, SMALL_BOX)
     assert mm.prime > 61
-    assert len(index) == 55
+    assert distinct == 55
     # The skipped prime counts against the cap: 59 and 61 are two tries.
     monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 2)
     with pytest.raises(VerificationError, match="among 2 from 59 "):
@@ -470,16 +467,20 @@ def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
         spec = _at_prime(spec, prime_start)
     box = sieve.candidate_box(spec)
     candidates = sieve.enumerate_candidates(box)
-    mm, index = sieve.resolve_mod_map(spec, box)
+    mm, index, distinct = sieve.resolve_mod_map(spec, box)
     assert mm.prime >= spec.mod_prime
-    fps = sieve.box_fingerprints(mm, box)
+    fps = list(sieve.box_fingerprints(mm, box))
     assert len(fps) == len(candidates)
     for fp, fe in zip(fps, candidates):
         assert fp == mod_eval(mm, fe.sign, fe.exps)
-    assert len(index) == len(set(fps) | {0})
-    for fp, i in index.items():
-        fe = sieve.candidate_at(box, i)
+    assert distinct == len(set(fps) | {0})
+    # The index holds the points, both signs, and 0, each at its own
+    # fingerprint, which is one of the box's or 0.
+    assert len(index) == 2 * len(box.points) + 1
+    assert {fe.exps for fe in index.values() if fe.sign} == set(box.points)
+    for fp, fe in index.items():
         assert fp == mod_eval(mm, fe.sign, fe.exps)
+    assert set(index) <= set(fps) | {0}
 
 
 @pytest.mark.parametrize(
@@ -520,6 +521,73 @@ def test_survivors_equal_the_candidate_by_candidate_sieve(specs, name) -> None:
     result = sieve.fingerprint_sieve(specs[name], box)
     expected = _sieve_by_enumeration(specs[name], box)
     assert list(result.fingerprints.items()) == list(expected.items())
+
+
+def _box_wide_sieve(spec, box):
+    """The survivor scan over the whole box, the reference for the sieve over
+    the points: for each prime from the spec's, a fingerprint -> index dict
+    over every candidate in enumerate_candidates order, advancing past a
+    collision; then every candidate whose 1 - fp is also in the dict
+    survives, decoded by index.  The Gaussian field keeps its one path."""
+    if spec.is_gauss:
+        return sieve._gauss_sieve(spec, sieve.enumerate_candidates(box))
+    p = spec.mod_prime
+    while True:
+        try:
+            mm = spec.mod_map(p)
+        except ValueError:
+            p = next_prime(p)
+            continue
+        fps = [1, p - 1]
+        for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
+            table = [pow(r, e, p) for e in range(lo, hi + 1)]
+            fps = [f * t % p for f in fps for t in table]
+        fps += [0] * box.include_zero
+        index: dict = {}
+        for i, fp in enumerate(fps):
+            if index.setdefault(fp, i) != i:
+                break
+        else:
+            index.setdefault(0, len(fps) - box.include_zero)
+            survivors = {
+                fp: sieve.candidate_at(box, index[fp])
+                for fp in sorted(fp for fp in index if (1 - fp) % p in index)
+            }
+            return sieve.SieveResult(mm, survivors, len(index), len(fps))
+        p = next_prime(p)
+
+
+@pytest.mark.parametrize(
+    "name, prime_start",
+    [(name, None) for name in ("H2", "H3", "H4", "H5")]
+    + [
+        (name, start)
+        for start in (100000000003, 523456789011)
+        for name in ("H3", "H4")
+    ],
+)
+def test_survivors_equal_the_box_wide_scan(specs, name, prime_start) -> None:
+    spec = specs[name]
+    if prime_start is not None:
+        spec = _at_prime(spec, next_prime(prime_start - 1))
+    box = sieve.candidate_box(spec)
+    result = sieve.fingerprint_sieve(spec, box)
+    expected = _box_wide_sieve(spec, box)
+    assert result.mod_map == expected.mod_map
+    assert list(result.fingerprints.items()) == list(expected.fingerprints.items())
+    assert result.distinct_count == expected.distinct_count
+    assert result.candidate_count == expected.candidate_count
+
+
+def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("candidate_at ran")
+
+    monkeypatch.setattr(sieve, "candidate_at", refuse)
+    for name in ("H3", "H4", "H5"):
+        spec = specs[name]
+        result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
+        assert result.mod_map.prime == spec.mod_prime
 
 
 def test_prime_search_is_capped(specs, monkeypatch) -> None:
