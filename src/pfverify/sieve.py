@@ -4,11 +4,9 @@ Every unit of a field is sign * prod(generators ** exps).  Mapping the
 indeterminates to Gaussian dyadic units turns each generator into a unit
 whose log2-norm is an exact half-integer, so every such map yields one
 linear row r with |r . exps| <= 1.  Doubling the rows makes them integer
-rows.  Each exponent is bounded in the real relaxation of those rows by an
-LP dual certificate: a float simplex picks the tight rows, and exact
-integer arithmetic solves for their multipliers and checks them.  A slot
-without a checked certificate is bounded by exact Fourier-Motzkin
-elimination instead.  One pruned enumeration inside those outer ranges then
+rows.  Each exponent is bounded in the real relaxation of those rows by one
+simplex in exact integer arithmetic, a phase 1 first if the origin
+violates a row.  One pruned enumeration inside those outer ranges then
 lists the integer points of the rows: every exponent vector that can be
 fundamental.  The box is their bounding box.
 
@@ -108,19 +106,16 @@ def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin bounding on doubled integer rows: the exact fallback for
-# a slot without LP certificates, and the reference the tests compare them
-# against.
+# Exact LP bounds on doubled integer rows.
 #
-# A row (coeffs, rhs, hist) stands for coeffs . exps <= rhs with integer
-# coeffs and rhs whose common gcd is 1, so the right-hand side stays exact;
-# hist is the bitmask of the original rows it was combined from.
+# A row (coeffs, rhs) stands for coeffs . exps <= rhs with integer coeffs
+# and rhs whose common gcd is 1, so the right-hand side stays exact.
 
 
 def _dedup(rows):
     """Keep, per primitive coefficient direction, the tightest right side."""
     best: dict[tuple[int, ...], tuple] = {}
-    for coeffs, rhs, hist in rows:
+    for coeffs, rhs in rows:
         g = gcd(*coeffs)
         if not g:
             if rhs < 0:
@@ -134,221 +129,118 @@ def _dedup(rows):
         key = coeffs if g == 1 else tuple(c // g for c in coeffs)
         cur = best.get(key)
         # Along one direction the bound is rhs / g; compare cross-multiplied.
-        if cur is None:
-            best[key] = (coeffs, rhs, hist, g)
-            continue
-        lhs, rhs_cur = rhs * cur[3], cur[1] * g
-        if lhs < rhs_cur or (
-            lhs == rhs_cur and hist.bit_count() < cur[2].bit_count()
-        ):
-            best[key] = (coeffs, rhs, hist, g)
-    return [(c, r, h) for c, r, h, _ in best.values()]
+        if cur is None or rhs * cur[2] < cur[1] * g:
+            best[key] = (coeffs, rhs, g)
+    return [(c, r) for c, r, _ in best.values()]
 
 
-def _eliminate(rows, j: int, max_hist: int):
-    """One Fourier-Motzkin step.  Combinations drawing on more than
-    max_hist original rows are redundant (Imbert) and dropped."""
-    pos, neg, rest = [], [], []
-    for row in rows:
-        c = row[0][j]
-        if c > 0:
-            pos.append(row)
-        elif c < 0:
-            neg.append(row)
-        else:
-            rest.append(row)
-    for pc, pr, ph in pos:
-        a = pc[j]
-        for nc, nr, nh in neg:
-            hist = ph | nh
-            if hist.bit_count() > max_hist:
-                continue
-            b = -nc[j]
-            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-            rest.append((coeffs, b * pr + a * nr, hist))
-    return _dedup(rest)
+class _IntegerSimplex:
+    """Primal simplex for max +-x_j over rows a_i . x <= b_i with x free,
+    in exact integer arithmetic.
 
+    The state is a vertex x with n linearly independent tight rows, the
+    basis M; it carries over from one objective to the next, so each later
+    objective starts at the last optimum.  Over one positive integer D, the
+    tableau holds D (a_i M^-1 | slack_i) for every row and D (M^-1 | -x) for
+    the coordinates; with D = |det M| every entry is an integer (Cramer's
+    rule).  A pivot is the integer-preserving update of Bareiss and
+    Edmonds, whose division by the old D is exact.  The search starts at
+    the given point, which must satisfy every row, with the n coordinate
+    hyperplanes through it standing in for tight rows (basis entries
+    -1 - k).  A basis entry leaves when its multiplier is negative, or, for
+    a stand-in, nonzero; stand-ins first, then the lowest row index.  The
+    entering row is the first hit along the edge, ties to the lowest index.
+    Stand-ins never come back, and with exact arithmetic this rule (Bland's)
+    cannot cycle."""
 
-def _fm_bounds(int_rows, target: int, width: int) -> tuple[int, int]:
-    """Integer range of one slot over the real relaxation of the rows."""
-    cur = _dedup([(c, r, 1 << i) for i, (c, r) in enumerate(int_rows)])
-    remaining = [j for j in range(1, width) if j != target]
-    eliminated = 0
-    while remaining:
-        eliminated += 1
-
-        def fill(j: int) -> int:
-            p = sum(1 for row in cur if row[0][j] > 0)
-            n = sum(1 for row in cur if row[0][j] < 0)
-            return p * n - p - n
-
-        j = min(remaining, key=fill)
-        remaining.remove(j)
-        cur = _eliminate(cur, j, eliminated + 1)
-    lo = hi = None
-    for coeffs, rhs, _ in cur:
-        c = coeffs[target]
-        if c > 0:
-            bound = rhs // c
-            hi = bound if hi is None else min(hi, bound)
-        elif c < 0:
-            bound = -(rhs // -c)
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None:
-        raise VerificationError(f"exponent slot {target} is unbounded")
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Exact LP certificates
-#
-# By LP duality, y >= 0 with sum y_i a_i = s e_j proves s x_j <= y . b for
-# every real point of the rows a_i . x <= b_i.  A float simplex proposes the
-# rows y rests on; the multipliers are then solved for and checked in exact
-# integer arithmetic, so a float error can cost a fallback to Fourier-Motzkin
-# but never a wrong bound.
-
-# Float tolerance of the simplex.  It only steers the search: every bound
-# it leads to is checked exactly.
-_EPS = 1e-9
-
-# Pivots one objective may take before the float search gives it up.
-_MAX_PIVOTS = 1000
-
-
-class _VertexSimplex:
-    """Primal simplex for max +-x_j over rows a_i . x <= b_i with x free.
-
-    The state is a vertex, kept as the slack of every row, with n linearly
-    independent tight rows (the basis B); it carries over from one
-    objective to the next, so each later objective starts at the last
-    optimum.  The tableau holds a_i B^-1 for every row,
-    followed by the rows of B^-1.  The search starts at the origin, which
-    must be feasible, with the n coordinate hyperplanes through it standing
-    in for tight rows (basis entries -1 - k); Bland's rule moves those out
-    first and never lets them back.  A basis row leaves when its multiplier
-    is negative, the lowest row index first, and the entering row is the
-    first hit along the edge, ties to the lowest index."""
-
-    def __init__(self, rows) -> None:
-        n = len(rows[0][0])
-        self.tableau = [[float(c) for c in coeffs] for coeffs, _ in rows] + [
-            [float(i == k) for k in range(n)] for i in range(n)
+    def __init__(self, rows, start) -> None:
+        n = len(start)
+        self.rows = [
+            [*coeffs, rhs - sum(c * s for c, s in zip(coeffs, start))]
+            for coeffs, rhs in rows
         ]
-        self.slack = [float(rhs) for _, rhs in rows]
+        self.inverse = [
+            [int(i == k) for k in range(n)] + [-x] for i, x in enumerate(start)
+        ]
         self.basis = [-1 - k for k in range(n)]
+        self.det = 1
 
-    def maximise(self, j: int, sign: int) -> list[int] | None:
-        """Row indices of an optimal basis for max sign * x_j, or None if
-        the objective looks unbounded or the pivot budget runs out."""
-        basis, tableau, slack = self.basis, self.tableau, self.slack
-        m = len(slack)
-        for _ in range(_MAX_PIVOTS):
-            # The multipliers y with y B = sign e_j are sign times row j of
-            # B^-1.
-            y = tableau[m + j]
+    def maximise(self, j: int, sign: int) -> bool:
+        """Pivot to a vertex where sign * x_j is largest; False, with the
+        vertex kept, if no row bounds it."""
+        basis, rows = self.basis, self.rows
+        # The multipliers y with y M = sign e_j are sign times row j of
+        # M^-1.
+        y = self.inverse[j]
+        while True:
             leaving = [
-                (r, k) for k, r in enumerate(basis) if r < 0 or sign * y[k] < -_EPS
+                (r, k)
+                for k, r in enumerate(basis)
+                if sign * y[k] < 0 or (r < 0 and y[k])
             ]
             if not leaving:
-                return list(basis)
+                return True
             _, k = min(leaving)
-            # Edge direction d = step * B^-1 e_k, along which sign * d_j >= 0.
-            step = 1.0 if basis[k] < 0 and sign * y[k] >= 0 else -1.0
-            rates = [step * row[k] for row in tableau[:m]]
-            entering, t = None, 0.0
-            for i, (rate, room) in enumerate(zip(rates, slack)):
-                if rate > _EPS and i not in basis:
-                    ratio = max(room, 0.0) / rate
-                    if entering is None or ratio < t - _EPS:
-                        entering, t = i, ratio
+            # Edge direction d = step * M^-1 e_k, along which sign * x_j grows;
+            # row i rises at step times its entry k.
+            step = 1 if sign * y[k] > 0 else -1
+            entering = None
+            for i, row in enumerate(rows):
+                rate = step * row[k]
+                if rate > 0 and (entering is None or row[-1] * best < room * rate):
+                    entering, room, best = i, row[-1], rate
             if entering is None:
-                return None
-            # Basis row k becomes the entering row.
-            alpha = list(tableau[entering])
-            pivot = alpha[k]
-            for row in tableau:
-                f = row[k] / pivot
-                if f:
-                    row[:] = [v - f * a for v, a in zip(row, alpha)]
+                return False
+            # Basis entry k becomes the entering row.
+            alpha = rows[entering][:]
+            pivot, old = abs(alpha[k]), self.det
+            for row in chain(rows, self.inverse):
+                f = row[k] if alpha[k] > 0 else -row[k]
+                row[:] = [(pivot * v - f * a) // old for v, a in zip(row, alpha)]
                 row[k] = f
-            slack[:] = [room - t * rate for room, rate in zip(slack, rates)]
+            self.det = pivot
             basis[k] = entering
-        return None
 
 
-def _fraction_free_solve(m: list[list[int]]) -> tuple[int, list[int]] | None:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination on the integer
-    n x (n + 1) augmented matrix m, in place.  Returns (d, nums) with the
-    solution nums[i] / d and d != 0, or None if the matrix is singular.
-    Every division is exact."""
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return None
-        m[k], m[p] = m[p], m[k]
-        pivot_row = m[k]
-        pk = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(pk * v - f * w) // prev for v, w in zip(m[i], pivot_row)]
-        prev = pk
-    return prev, [row[n] for row in m]
-
-
-def _certified_bound(rows, basis, j: int, sign: int) -> int | None:
-    """floor(y . b) for the multipliers y >= 0 of the basis rows with
-    sum y_i a_i = sign * e_j, or None if the basis gives no such y.
-
-    The multipliers are solved for exactly and the certificate is checked
-    term by term, so the result bounds sign * x_j on every real point."""
-    n = len(basis)
-    basis_rows = [rows[r][0] for r in basis]
-    target = [sign * (i == j) for i in range(n)]
-    solved = _fraction_free_solve(
-        [[row[i] for row in basis_rows] + [target[i]] for i in range(n)]
-    )
-    if solved is None:
-        return None
-    d, nums = solved
-    if d < 0:
-        d, nums = -d, [-v for v in nums]
-    if min(nums) < 0:
-        return None
-    for i in range(n):
-        if sum(v * row[i] for v, row in zip(nums, basis_rows)) != d * target[i]:
-            return None
-    return sum(v * rows[r][1] for v, r in zip(nums, basis)) // d
-
-
-def _certified_ranges(int_rows, width: int) -> list[tuple[int, int]]:
+def _lp_ranges(int_rows, width: int) -> list[tuple[int, int]]:
     """Integer range of every slot but the pinned slot 0 over the real
-    relaxation, each end from an exactly checked LP certificate.  A slot
-    that does not get both certificates gets _fm_bounds, which also raises
-    the unbounded and infeasible errors."""
-    rows = [(c[1:], r) for c, r, _ in _dedup([(c, r, 0) for c, r in int_rows])]
+    relaxation of the rows: each end is floor(max +-x_j), an exact LP
+    optimum.  An unbounded slot, the lowest first, or rows that no real
+    point satisfies, are a VerificationError.
+
+    The simplex starts at the origin.  If that violates a row, a phase 1
+    first adds a column t >= 0 that relaxes the violated rows, starts at
+    t = the largest violation and maximises -t; t > 0 at the optimum means
+    no point satisfies the rows.  Otherwise the row t <= 0 joins, read off
+    the tableau with slack 0, and the bounds are taken from that vertex."""
+    rows = [(c[1:], r) for c, r in int_rows]
     n = width - 1
-    ends = {}
-    if rows and min(r for _, r in rows) >= 0:
-        simplex = _VertexSimplex(rows)
-        # All upper ends, then all lower ends: on the builtin fields this
-        # order takes fewer pivots than alternating the two ends of a slot.
-        for sign in (1, -1):
-            for j in range(n):
-                basis = simplex.maximise(j, sign)
-                if basis is not None:
-                    ends[j, sign] = _certified_bound(rows, basis, j, sign)
-    ranges = []
-    for j in range(n):
-        hi, neg_lo = ends.get((j, 1)), ends.get((j, -1))
-        if hi is None or neg_lo is None:
-            ranges.append(_fm_bounds(int_rows, j + 1, width))
-        else:
-            ranges.append((-neg_lo, hi))
-    return ranges
+    violation = -min([0] + [r for _, r in rows])
+    if not violation:
+        simplex = _IntegerSimplex(rows, [0] * n)
+    else:
+        simplex = _IntegerSimplex(
+            [((*c, -(r < 0)), r) for c, r in rows] + [((0,) * n + (-1,), 0)],
+            [0] * n + [violation],
+        )
+        simplex.maximise(n, -1)
+        if simplex.inverse[n][-1]:
+            raise VerificationError("exponent constraints are infeasible")
+        simplex.rows.append(simplex.inverse[n][:])
+    ends, unbounded = {}, []
+    # All upper ends, then all lower ends: on the builtin fields this order
+    # takes fewer pivots than alternating the two ends of a slot.
+    for sign in (1, -1):
+        for j in range(n):
+            if simplex.maximise(j, sign):
+                # floor(sign * x_j) at the optimal vertex, which is the dual
+                # bound y . b of the basis rows' multipliers.
+                ends[j, sign] = -sign * simplex.inverse[j][-1] // simplex.det
+            else:
+                unbounded.append(j + 1)
+    if unbounded:
+        raise VerificationError(f"exponent slot {min(unbounded)} is unbounded")
+    return [(-ends[j, -1], ends[j, 1]) for j in range(n)]
 
 
 def _integer_points(int_rows, ranges) -> list[tuple[int, ...]]:
@@ -419,27 +311,35 @@ def _doubled_rows(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...],
     return int_rows
 
 
+# Most exponent vectors the outer LP ranges may hold before the integer
+# points are enumerated inside them; the H5 box holds 32,805.
+MAX_BOX_VECTORS = 1 << 20
+
+
 def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     """Integer exponent box from norm rows.
 
-    The half-integer norm rows are doubled into integer rows, and each
-    slot is bounded in their real relaxation: each end by an LP dual
-    certificate that a float simplex proposes and exact integer arithmetic
-    checks, or, for a slot whose certificates fail, by Fourier-Motzkin
-    elimination (gcd-normalised, exact right sides, Imbert's history
-    bound).  Only the validity of these outer bounds matters: one
-    enumeration inside them lists the integer points of the deduplicated
+    The half-integer norm rows are doubled into integer rows, deduplicated,
+    and each slot is bounded in their real relaxation by an exact integer
+    simplex (see _lp_ranges).  Only the validity of these outer bounds
+    matters: one enumeration inside them lists the integer points of the
     rows, and the box is their bounding box, carrying the points.  That
     loses no fundamental element: every fundamental element satisfies every
     norm row, so it is one of the points, and the rows are the only source
     of the box.  Extra per-slot bounds join the system.  An unbounded slot,
-    or a system without integer points, is a VerificationError."""
+    outer ranges of more than MAX_BOX_VECTORS vectors, or a system without
+    integer points, is a VerificationError."""
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
-    int_rows = _doubled_rows(rows, extra_bounds, width)
-    int_rows = [(c, r) for c, r, _ in _dedup([(c, r, 0) for c, r in int_rows])]
-    points = _integer_points(int_rows, [(0, 0)] + _certified_ranges(int_rows, width))
+    int_rows = _dedup(_doubled_rows(rows, extra_bounds, width))
+    ranges = [(0, 0)] + _lp_ranges(int_rows, width)
+    size = prod(max(hi - lo + 1, 0) for lo, hi in ranges)
+    if size > MAX_BOX_VECTORS:
+        raise VerificationError(
+            f"the exponent box holds {size} vectors, more than {MAX_BOX_VECTORS}"
+        )
+    points = _integer_points(int_rows, ranges)
     if not points:
         raise VerificationError("exponent constraints are infeasible")
     ranges = tuple((min(column), max(column)) for column in zip(*points))

@@ -333,6 +333,12 @@ def _h4_with_only_the_first_h2hom() -> str:
     return "".join(line for i, line in enumerate(lines) if i not in homs[1:])
 
 
+def _h3_with_only_h2hom_i_and_wide_bounds() -> str:
+    text = builtin_specs()["H3"].source_text
+    text = text.replace("h2hom 1 - i\n", "").replace("h2hom (1 - i)/2\n", "")
+    return text + "".join(f"extrabound {slot} -300 300\n" for slot in (1, 2, 3))
+
+
 @pytest.mark.parametrize(
     "text, fail",
     [
@@ -345,8 +351,13 @@ def _h4_with_only_the_first_h2hom() -> str:
             builtin_specs()["H3"].source_text + "gen a^2 - 5*a\n",
             "H3: generator 'a^2 - 5*a' is not a unit at h2hom row 1 (i)",
         ),
+        (
+            # 601 x 5 x 601 vectors: the lone norm row bounds slot 2 alone.
+            _h3_with_only_h2hom_i_and_wide_bounds(),
+            "H3: the exponent box holds 1806005 vectors, more than 1048576",
+        ),
     ],
-    ids=["infeasible", "unbounded", "non-unit-generator"],
+    ids=["infeasible", "unbounded", "non-unit-generator", "too-wide"],
 )
 def test_exponent_box_failure_names_the_field(tmp_path, text, fail) -> None:
     proc = _funs_on_spec_text(tmp_path, text)

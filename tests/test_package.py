@@ -26,6 +26,20 @@ def test_library_imports_only_the_standard_library() -> None:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_the_library_has_no_float() -> None:
+    # Every verdict rests on exact arithmetic: no float literal (a complex
+    # one is a pair of floats) and no use of the name float, so no float
+    # search or tolerance comes back.  A string such as "3.3e24" is text.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            ) or (isinstance(node, ast.Name) and node.id == "float"):
+                found.append((path.name, node.lineno))
+    assert SOURCES and not found, found
+
+
 # The functions that choose a fingerprint prime or compute a fingerprint.
 FINGERPRINT_RULE = {"mod_map", "mod_eval", "box_fingerprints", "resolve_mod_map"}
 

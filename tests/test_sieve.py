@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -136,11 +136,15 @@ def test_non_half_integer_row_is_an_error() -> None:
     ids=["one-slot", "two-slots", "no-integer-point"],
 )
 def test_empty_slot_range_is_infeasible(rows, extra) -> None:
-    # No elimination step meets the contradiction, so it only shows as a
-    # system without integer points: a slot range with lo > hi in the real
-    # relaxation, or a relaxation that is feasible but holds no integer
-    # point.  The last input forces x1 = 1 and -5/6 <= x2 + x3 <= -1/6,
-    # which no integers meet.
+    # No integer point satisfies the rows, and Fourier-Motzkin elimination
+    # does not raise on them: it shows the contradiction only as a slot
+    # range with lo > hi, or as outer ranges that hold no integer point of
+    # the rows.  The last input forces x1 = 1 and -5/6 <= x2 + x3 <= -1/6,
+    # which no integers meet.  The LP's phase 1 finds that the first two
+    # have no real point; the enumeration finds the last one empty.
+    width = len(rows[0])
+    int_rows = sieve._doubled_rows(rows, extra, width)
+    assert not _points_by_brute_force(int_rows, _fm_outer(int_rows, width))
     with pytest.raises(
         VerificationError, match="^exponent constraints are infeasible$"
     ):
@@ -152,60 +156,6 @@ FROZEN_RANGES = {
     "H4": ((0, 0), (-1, 1), (-1, 1), (-3, 3), (-3, 3), (-1, 1), (-2, 2)),
     "H5": ((0, 0),) + ((-1, 1),) * 6 + ((-2, 2),) + ((-1, 1),) * 2,
 }
-
-
-def test_builtin_boxes_need_no_fourier_motzkin(specs, monkeypatch) -> None:
-    def refuse(*args):
-        raise AssertionError("Fourier-Motzkin fallback ran")
-
-    monkeypatch.setattr(sieve, "_fm_bounds", refuse)
-    sieve.candidate_box.cache_clear()
-    for name, ranges in FROZEN_RANGES.items():
-        assert sieve.candidate_box(specs[name]).ranges == ranges
-
-
-_real_maximise = sieve._VertexSimplex.maximise
-
-
-def _opposite_basis(self, j, sign):
-    # Optimal for the other end of the slot, so its multipliers are < 0.
-    return _real_maximise(self, j, -sign)
-
-
-@pytest.mark.parametrize(
-    "owner, attr, fake",
-    [
-        (sieve._VertexSimplex, "maximise", lambda self, j, sign: None),
-        (
-            sieve._VertexSimplex,
-            "maximise",
-            lambda self, j, sign: [0] * len(self.basis),
-        ),
-        (sieve._VertexSimplex, "maximise", _opposite_basis),
-        # Non-negative multipliers that do not solve the system.
-        (sieve, "_fraction_free_solve", lambda m: (1, [1] * len(m))),
-    ],
-    ids=["no-basis", "singular-basis", "negative-multipliers", "wrong-solve"],
-)
-@pytest.mark.parametrize("name", ["H3", "H4"])
-def test_rejected_certificates_fall_back_to_fourier_motzkin(
-    specs, monkeypatch, owner, attr, fake, name
-) -> None:
-    calls = []
-    real_fm_bounds = sieve._fm_bounds
-
-    def counted(*args):
-        calls.append(args[1])
-        return real_fm_bounds(*args)
-
-    monkeypatch.setattr(owner, attr, fake)
-    monkeypatch.setattr(sieve, "_fm_bounds", counted)
-    spec = specs[name]
-    box = sieve.bound_exponents(
-        sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
-    )
-    assert box.ranges == FROZEN_RANGES[name]
-    assert calls == list(range(1, len(box.ranges)))
 
 
 # Deduplicated doubled norm rows, and their integer points; the boxes
@@ -233,35 +183,129 @@ def test_one_enumeration_lists_the_integer_points(specs, monkeypatch) -> None:
         assert len(box.points) == points
 
 
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination: the reference for the exact LP ranges.
+#
+# A row (coeffs, rhs, hist) is a doubled integer row, as in the sieve, with
+# hist the bitmask of the original rows it was combined from.
+
+
+def _fm_dedup(rows):
+    """sieve._dedup, keeping the history of each kept row; between two
+    equally tight rows, the one drawn from fewer original rows."""
+    best: dict[tuple[int, ...], tuple] = {}
+    for coeffs, rhs, hist in rows:
+        g = math.gcd(*coeffs)
+        if not g:
+            if rhs < 0:
+                raise VerificationError("exponent constraints are infeasible")
+            continue
+        common = math.gcd(g, rhs)
+        coeffs = tuple(c // common for c in coeffs)
+        rhs //= common
+        g //= common
+        key = tuple(c // g for c in coeffs)
+        cur = best.get(key)
+        if cur is None:
+            best[key] = (coeffs, rhs, hist, g)
+            continue
+        lhs, rhs_cur = rhs * cur[3], cur[1] * g
+        if lhs < rhs_cur or (lhs == rhs_cur and hist.bit_count() < cur[2].bit_count()):
+            best[key] = (coeffs, rhs, hist, g)
+    return [(c, r, h) for c, r, h, _ in best.values()]
+
+
+def _eliminate(rows, j: int, max_hist: int):
+    """One Fourier-Motzkin step.  Combinations drawing on more than
+    max_hist original rows are redundant (Imbert) and dropped."""
+    pos = [row for row in rows if row[0][j] > 0]
+    neg = [row for row in rows if row[0][j] < 0]
+    rest = [row for row in rows if not row[0][j]]
+    for pc, pr, ph in pos:
+        a = pc[j]
+        for nc, nr, nh in neg:
+            hist = ph | nh
+            if hist.bit_count() > max_hist:
+                continue
+            b = -nc[j]
+            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
+            rest.append((coeffs, b * pr + a * nr, hist))
+    return _fm_dedup(rest)
+
+
+def _fm_bounds(int_rows, target: int, width: int) -> tuple[int, int]:
+    """Integer range of one slot over the real relaxation of the rows, slot
+    0 pinned to 0, by eliminating every other slot."""
+    cur = _fm_dedup([(c, r, 1 << i) for i, (c, r) in enumerate(int_rows)])
+    remaining = [j for j in range(1, width) if j != target]
+    eliminated = 0
+    while remaining:
+        eliminated += 1
+
+        def fill(j: int) -> int:
+            p = sum(1 for row in cur if row[0][j] > 0)
+            n = sum(1 for row in cur if row[0][j] < 0)
+            return p * n - p - n
+
+        j = min(remaining, key=fill)
+        remaining.remove(j)
+        cur = _eliminate(cur, j, eliminated + 1)
+    uppers = [rhs // c[target] for c, rhs, _ in cur if c[target] > 0]
+    lowers = [-(rhs // -c[target]) for c, rhs, _ in cur if c[target] < 0]
+    if not uppers or not lowers:
+        raise VerificationError(f"exponent slot {target} is unbounded")
+    return max(lowers), min(uppers)
+
+
+def _fm_outer(int_rows, width: int) -> list[tuple[int, int]]:
+    return [(0, 0)] + [_fm_bounds(int_rows, j, width) for j in range(1, width)]
+
+
 @st.composite
-def _bounded_systems(draw):
-    """Random integer rows with their negations, inside the unit box, as
-    (int_rows, width); slot 0 is pinned, as in bound_exponents."""
+def _norm_systems(draw):
+    """Integer rows made the way bound_exponents makes them, as (int_rows,
+    width): half-integer norm rows with slot 0's coefficient 0, each giving
+    a +- pair with right side 2, and extra-bound pairs whose range may
+    exclude 0 or be empty.  Nothing makes the rows span every slot."""
     width = draw(st.integers(2, 5))
-    int_rows = []
-    for coeffs in draw(
-        st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=6)
-    ):
-        int_rows.append((coeffs, draw(st.integers(0, 6))))
-        int_rows.append((tuple(-c for c in coeffs), draw(st.integers(0, 6))))
-    for slot in range(1, width):
-        unit = tuple(int(k == slot) for k in range(width))
-        int_rows.append((unit, 1))
-        int_rows.append((tuple(-u for u in unit), 1))
-    return int_rows, width
+    halves = st.integers(-6, 6).map(lambda c: Fraction(c, 2))
+    rows = [
+        (0, *row)
+        for row in draw(st.lists(st.tuples(*[halves] * (width - 1)), max_size=6))
+    ]
+    bounds = st.tuples(st.integers(1, width - 1), st.integers(-4, 4), st.integers(-1, 4))
+    extra = [
+        (slot, lo, lo + span)
+        for slot, lo, span in draw(st.lists(bounds, max_size=4))
+    ]
+    return sieve._doubled_rows(rows, extra, width), width
+
+
+def _lp_outer(int_rows, width: int) -> list[tuple[int, int]]:
+    return [(0, 0)] + sieve._lp_ranges(sieve._dedup(int_rows), width)
+
+
+def _outcome(outer, int_rows, width: int):
+    """The outer ranges, or the message of the VerificationError."""
+    try:
+        return outer(int_rows, width)
+    except VerificationError as exc:
+        return str(exc)
+
+
+INFEASIBLE = "exponent constraints are infeasible"
 
 
 @settings(max_examples=300, deadline=None)
-@given(_bounded_systems())
+@given(_norm_systems())
 def test_certified_bounds_equal_fourier_motzkin(system) -> None:
-    int_rows, width = system
-    expected = [sieve._fm_bounds(int_rows, j, width) for j in range(1, width)]
-    # With the fallback answering None, the slots that come back with a
-    # range are exactly those bounded by certificates alone.
-    with mock.patch.object(sieve, "_fm_bounds", lambda *args: None):
-        certified = sieve._certified_ranges(int_rows, width)
-    for got, want in zip(certified, expected):
-        assert got is None or got == want
+    got, want = _outcome(_lp_outer, *system), _outcome(_fm_outer, *system)
+    if got == INFEASIBLE and want != INFEASIBLE:
+        # No real point satisfies the rows; elimination may show that only
+        # as an empty range.
+        assert not isinstance(want, str) and any(lo > hi for lo, hi in want)
+    else:
+        assert got == want
 
 
 def _satisfies(int_rows, point) -> bool:
@@ -279,19 +323,24 @@ def _points_by_brute_force(int_rows, outer):
     ]
 
 
-@pytest.mark.parametrize("name", ["H3", "H4"])
-def test_box_is_the_bounding_box_of_the_integer_points(specs, name) -> None:
-    spec = specs[name]
+@pytest.mark.parametrize(
+    "name, extra, count",
+    [("H3", "", 63), ("H4", "", 243), ("H4", "extrabound 3 1 1\n", 56)],
+    # The last box excludes the origin, so the LP starts with a phase 1.
+    ids=["H3", "H4", "H4-slot-3-at-1"],
+)
+def test_box_is_the_bounding_box_of_the_integer_points(
+    specs, name, extra, count
+) -> None:
+    spec = parse_field_spec(specs[name].source_text + extra) if extra else specs[name]
     rows = sieve.lognorm_rows(spec)
     width = len(rows[0])
     int_rows = sieve._doubled_rows(rows, spec.extra_bounds, width)
-    outer = [(0, 0)] + [
-        sieve._fm_bounds(int_rows, j, width) for j in range(1, width)
-    ]
-    points = _points_by_brute_force(int_rows, outer)
+    points = _points_by_brute_force(int_rows, _fm_outer(int_rows, width))
     box = sieve.candidate_box(spec)
     assert box.ranges == tuple((min(column), max(column)) for column in zip(*points))
     assert list(box.points) == points
+    assert len(points) == count
 
 
 @st.composite
