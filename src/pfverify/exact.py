@@ -572,18 +572,6 @@ def next_prime(n: int) -> int:
     return candidate
 
 
-_GF5_INVERSE = {1: 1, 2: 3, 3: 2, 4: 4}
-
-
-def to_gf5(x: Fraction | int) -> int:
-    """Reduce an exact rational to GF(5); rejects denominators divisible by 5."""
-    x = Fraction(x)
-    den = x.denominator % 5
-    if den == 0:
-        raise ValueError(f"no GF(5) image: denominator of {x} is divisible by 5")
-    return x.numerator * _GF5_INVERSE[den] % 5
-
-
 # ---------------------------------------------------------------------------
 # Expression parsing (ASCII math for the declarative field format)
 

@@ -713,8 +713,7 @@ class TableEntry:
 
 
 class FundamentalTable:
-    """All fundamental elements of one field, ascending by fingerprint.
-    partner sends each element's factored form to that of 1 - element."""
+    """All fundamental elements of one field, ascending by fingerprint."""
 
     def __init__(
         self,
@@ -724,14 +723,12 @@ class FundamentalTable:
         entries: tuple[TableEntry, ...],
         by_element: dict,
         nonzero_one: tuple[TableEntry, ...],
-        partner: dict,
     ) -> None:
         self.spec = spec
         self.mod_map = mod_map
         self.entries = entries
         self.by_element = by_element
         self.nonzero_one = nonzero_one
-        self.partner = partner
 
 
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
@@ -832,8 +829,7 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     exponent box's norm rows and sieves them by fingerprint.  The routes
     must agree elementwise; then each survivor, in the sieve's ascending
     fingerprint order, becomes one entry valued by the closure element
-    with its factored form.  The 1 - s pairing that the
-    survivor check proved exactly is kept as the table's partner map.
+    with its factored form.
     """
     from . import sieve
 
@@ -847,7 +843,7 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     ]
 
     result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
-    partner = sieve.verify_survivors(spec, result, elements)
+    sieve.verify_survivors(spec, result, elements)
 
     value_of = dict(elements)
     image_of = {fe: hom_gf5(spec, fe) for fe in value_of}
@@ -872,7 +868,6 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
         entries=tuple(entries),
         by_element=by_element,
         nonzero_one=nonzero_one,
-        partner=partner,
     )
 
 

@@ -533,21 +533,18 @@ def verify_survivors(
     spec: PartialFieldSpec,
     result: SieveResult,
     elements: list[tuple[FactoredElement, RatFunc | GaussDyadic]],
-) -> dict[FactoredElement, FactoredElement]:
+) -> None:
     """Cross-check sieve survivors against the associate-closure route.
 
-    Checks that the counts match, that 1 - s is exactly the survivor the
-    fingerprint arithmetic pairs it with, and that fingerprints put the two
-    routes in elementwise bijection.  Raises VerificationError otherwise.
-    Returns the checked pairing, s -> 1 - s, on factored forms.
+    Checks that 1 - s is exactly the survivor the fingerprint arithmetic
+    pairs it with, then that the counts match, and that fingerprints put
+    the two routes in elementwise bijection.  A survivor that fails the
+    exact check comes first, so a prime too small to separate the
+    fundamentals is named as the cause.  Raises VerificationError
+    otherwise, naming the fingerprint prime.
     """
-    if len(result.fingerprints) != len(elements):
-        raise VerificationError(
-            f"{spec.name}: sieve found {len(result.fingerprints)} survivors, "
-            f"closure found {len(elements)}"
-        )
     mm = result.mod_map
-    partner_of = {}
+    at = "" if mm is None else f" at fingerprint prime {mm.prime}"
     for fp, fe in result.fingerprints.items():
         value = expand_element(spec, fe)
         if isinstance(fp, GaussDyadic):
@@ -558,25 +555,29 @@ def verify_survivors(
         partner = result.fingerprints.get(partner_fp)
         if partner is None:
             raise VerificationError(
-                f"{spec.name}: survivor {fe} has no partner for 1 - s"
+                f"{spec.name}: survivor {fe} has no partner for 1 - s{at}"
             )
         complement = _exact_complement(spec, value)
         if not value_eq(complement, expand_element(spec, partner)):
             raise VerificationError(
-                f"{spec.name}: 1 - s is not exactly the paired survivor for {fe}"
+                f"{spec.name}: 1 - s is not exactly the paired survivor "
+                f"for {fe}{at}"
             )
-        partner_of[fe] = partner
+    if len(result.fingerprints) != len(elements):
+        raise VerificationError(
+            f"{spec.name}: sieve found {len(result.fingerprints)} survivors, "
+            f"closure found {len(elements)}{at}"
+        )
     for fe, value in elements:
         # A Gaussian value is its own fingerprint.
         fp = value if mm is None else mod_eval(mm, fe.sign, fe.exps)
         survivor = result.fingerprints.get(fp)
         if survivor is None:
             raise VerificationError(
-                f"{spec.name}: closure element {fe} missing from the sieve"
+                f"{spec.name}: closure element {fe} missing from the sieve{at}"
             )
         if survivor != fe:
             raise VerificationError(
                 f"{spec.name}: routes disagree at fingerprint {fp}: "
-                f"{survivor} vs {fe}"
+                f"{survivor} vs {fe}{at}"
             )
-    return partner_of

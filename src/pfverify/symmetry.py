@@ -6,22 +6,26 @@ are read off the table: for each permutation of the coordinates, each
 indeterminate goes to the nonzero-one fundamental whose GF(5) image is the
 indeterminate's own image, permuted.  That misses no symmetry once the
 coordinates are every homomorphism to GF(5), which is checked exactly
-first by evaluating the generators mod 5.  Each candidate then passes one
-exact check: every generator must map to a nonzero unit, and exponent
-arithmetic through those images must permute the table.  The GF(5) images
-only propose; the exact check decides.  Symmetries are stored through the
-factored images of all generators, which makes applying and composing them
-integer arithmetic on exponent vectors.
+first by evaluating the generators mod 5.  Symmetries are stored through
+the factored images of all generators, which makes applying and composing
+them integer arithmetic on exponent vectors.
 
-The generator images take no polynomial arithmetic.  A symmetry sigma keeps
-sigma(1 - p) = 1 - sigma(p), and the table carries the partner map
-p -> 1 - p, proved exactly when it was built.  A per-field plan orders
-table entries p so that each partner 1 - p holds one generator whose image
-is not yet known: sigma(p) by exponent arithmetic, then its partner, give
-that image.  A field with no complete plan substitutes and factors instead.
-So does the Gaussian field, which has no indeterminates: its two candidate
-symmetries (identity and conjugation) give the generator values by
-conjugating, and then pass the same exact check.
+The group is built from generators (Dimino's algorithm; Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).  The
+candidates are visited in order, and one the group built so far already
+holds is skipped.  Any other passes one exact check: its images are
+substituted into every generator, each result must factor as a nonzero
+unit, and exponent arithmetic through those units must permute the table.
+The GF(5) images only propose; the exact check decides.  A confirmed
+candidate joins the generators, and the group is extended by composing
+exponent vectors.  A product of maps that each permute the table permutes
+it too, so the group is closed by construction, and every element is a
+symmetry.  Every product must also be a candidate, or the completeness
+argument is false for the spec, which is a VerificationError.
+
+The Gaussian field has no indeterminates: its two candidate symmetries
+(identity and conjugation) give the generator values by conjugating, and
+then pass the same exact check.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .exact import (
     GaussDyadic,
     RatFunc,
     gauss_conj,
-    ratfunc_eq,
     ratfunc_eval_mod,
     ratfunc_subst,
     ratfunc_var,
@@ -130,7 +133,7 @@ def _factored_images(
 ) -> list[FactoredElement] | None:
     """The sign generator's image, then the values of generators 1..,
     taken lazily and factored; None at the first that is no nonzero unit."""
-    gen_fes = [_sign_gen_image(spec)]
+    gen_fes = [_identity_images(spec)[0]]
     for value in gen_values:
         try:
             fe = factor_over_generators(spec, value)
@@ -142,104 +145,18 @@ def _factored_images(
     return gen_fes
 
 
-@memo_by_spec
-def _confirmation_plan(spec: PartialFieldSpec) -> tuple | None:
-    """(var_slots, steps): how a candidate's generator images follow from
-    its indeterminate images by exponent arithmetic alone, or None when
-    they do not.
-
-    Every indeterminate must be a generator; var_slots are their slots in
-    variable order.  These and slot 0 (the sign) start out known.  A step
-    (p, q, j) takes the first nonzero-one fundamental p whose factored form
-    uses known slots only and whose partner q = 1 - p uses exactly one
-    unknown slot j, with exponent +-1; then j is known.  The plan is
-    complete when every slot is known."""
-    if spec.is_gauss:
-        return None
-    n = len(spec.generators)
-    var_slots = []
-    for v in range(spec.arity):
-        x = ratfunc_var(spec.arity, v)
-        slot = next((j for j in range(1, n) if ratfunc_eq(spec.generators[j], x)), None)
-        if slot is None:
-            return None
-        var_slots.append(slot)
-    table = fundamental_table(spec)
-    known = {0, *var_slots}
-    steps = []
-    while len(known) < n:
-        for entry in table.nonzero_one:
-            p = entry.element
-            if any(e and k not in known for k, e in enumerate(p.exps)):
-                continue
-            q = table.partner[p]
-            new = [k for k, e in enumerate(q.exps) if e and k not in known]
-            if len(new) == 1 and abs(q.exps[new[0]]) == 1:
-                steps.append((p, q, new[0]))
-                known.add(new[0])
-                break
-        else:
-            return None
-    return tuple(var_slots), tuple(steps)
-
-
-def _planned_images(
-    table: FundamentalTable, plan: tuple, entries: tuple[TableEntry, ...]
-) -> list[FactoredElement] | None:
-    """Generator images of the candidate sigma sending the indeterminates
-    to entries, derived by the plan's steps, or None when some sigma(p) is
-    no nonzero-one fundamental.
-
-    Each step is exact.  sigma(p) is exponent arithmetic through images
-    already derived.  A symmetry maps the table onto itself, fixing 0 and
-    1, so a sigma(p) outside the nonzero-one fundamentals means sigma is
-    none.  Otherwise sigma(q) = sigma(1 - p) = 1 - sigma(p) is sigma(p)'s
-    partner, which the table build proved exactly, and dividing out q's
-    known slots leaves sigma(g_j) ** (+-1).  So every derived image has
-    exactly the value of g_j with the indeterminates replaced, and as the
-    generators are multiplicatively independent (the sieve fails a
-    dependent set), it is the factored form that factoring that value
-    would give: the verdict and the images are those of substituting."""
-    spec = table.spec
-    var_slots, steps = plan
-    n = len(spec.generators)
-    one = FactoredElement(1, (0,) * n)
-    images: list = [None] * n
-    images[0] = _sign_gen_image(spec)
-    for j, entry in zip(var_slots, entries):
-        images[j] = entry.element
-    for p, q, j in steps:
-        image_p = _map_element(images, p)
-        if image_p == one or image_p not in table.by_element:
-            return None
-        image_q = table.partner[image_p]
-        # sigma(q) = rest * sigma(g_j) ** e, where rest is q without slot j.
-        e = q.exps[j]
-        rest = _map_element(
-            images, FactoredElement(q.sign, q.exps[:j] + (0,) + q.exps[j + 1 :])
-        )
-        images[j] = FactoredElement(
-            image_q.sign * rest.sign,
-            tuple(e * (x - y) for x, y in zip(image_q.exps, rest.exps)),
-        )
-    return images
-
-
 def confirm_candidate(
     spec: PartialFieldSpec, table: FundamentalTable, entries: tuple[TableEntry, ...]
 ) -> Automorphism | None:
     """Exact confirmation: the symmetry sending the indeterminates to the
-    candidate images, or None when there is none.  The generator images
-    come from the spec's confirmation plan; a spec without one substitutes
-    the images into each generator and factors the result."""
-    plan = _confirmation_plan(spec)
-    if plan is None:
-        values = [e.value for e in entries]
-        gen_images = _factored_images(
-            spec, (ratfunc_subst(gen, values) for gen in spec.generators[1:])
-        )
-    else:
-        gen_images = _planned_images(table, plan, entries)
+    candidate images, or None when there is none.  The images are
+    substituted into each generator and the results factored; each must be
+    a nonzero unit, and exponent arithmetic through them must permute the
+    table."""
+    values = [e.value for e in entries]
+    gen_images = _factored_images(
+        spec, (ratfunc_subst(gen, values) for gen in spec.generators[1:])
+    )
     return _confirm(spec, table, tuple(entries), gen_images)
 
 
@@ -292,9 +209,9 @@ def apply_automorphism(aut: Automorphism, fe: FactoredElement) -> FactoredElemen
 
 
 def _map_element(
-    gen_images: Sequence[FactoredElement | None], fe: FactoredElement
+    gen_images: Sequence[FactoredElement], fe: FactoredElement
 ) -> FactoredElement:
-    """sign * prod(gen_images ** exps); a slot fe does not use may be None."""
+    """sign * prod(gen_images ** exps)."""
     if fe.sign == 0:
         return fe
     sign = fe.sign
@@ -318,9 +235,12 @@ def _permutes_table(table: FundamentalTable, aut: Automorphism) -> bool:
     return images == set(table.by_element)
 
 
-def _sign_gen_image(spec: PartialFieldSpec) -> FactoredElement:
+def _identity_images(spec: PartialFieldSpec) -> tuple[FactoredElement, ...]:
+    """The identity's generator images: unit vector j for generator j."""
     n = len(spec.generators)
-    return FactoredElement(1, tuple(int(j == 0) for j in range(n)))
+    return tuple(
+        FactoredElement(1, tuple(int(i == j) for j in range(n))) for i in range(n)
+    )
 
 
 def compose_gen_images(
@@ -412,10 +332,7 @@ def _finish_group(
     by_gen_images = {aut.gen_images: i for i, aut in enumerate(elements)}
     if len(by_gen_images) != len(elements):
         raise VerificationError(f"{spec.name}: duplicate symmetries found")
-    n = len(spec.generators)
-    identity = tuple(
-        FactoredElement(1, tuple(int(i == j) for j in range(n))) for i in range(n)
-    )
+    identity = _identity_images(spec)
     if identity not in by_gen_images:
         raise VerificationError(f"{spec.name}: identity symmetry missing")
     return AutGroup(
@@ -431,13 +348,66 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
     # Repeated coordinates fail here, before the loop over their permutations.
     _base_columns(spec)
+    candidates = _candidate_tuples(spec, table)
+    proposed = set(candidates)
     entries = table.nonzero_one
-    elements = []
-    for t in _candidate_tuples(spec, table):
-        aut = confirm_candidate(spec, table, tuple(entries[i] for i in t))
-        if aut is not None:
-            elements.append(aut)
-    return _finish_group(spec, table, elements)
+    index_of = {e.element: i for i, e in enumerate(entries)}
+
+    def element(images: Sequence[FactoredElement], gen_images, coord_perm):
+        """The symmetry with these indeterminate images, keyed by its
+        candidate tuple; images that no candidate proposes fail the field."""
+        t = tuple(index_of.get(fe) for fe in images)
+        if t not in proposed:
+            raise VerificationError(
+                f"{spec.name}: the symmetry sending the indeterminates to "
+                f"{list(images)} is no candidate"
+            )
+        return t, Automorphism(tuple(entries[i] for i in t), gen_images, coord_perm)
+
+    def compose(outer: Automorphism, inner: Automorphism):
+        """outer . inner (apply inner first), by exponent arithmetic."""
+        return element(
+            [_map_element(outer.gen_images, e.element) for e in inner.var_images],
+            tuple(_map_element(outer.gen_images, fe) for fe in inner.gen_images),
+            tuple(inner.coord_perm[k] for k in outer.coord_perm),
+        )
+
+    var_fes = []
+    for v, name in enumerate(spec.var_names):
+        try:
+            fe = factor_over_generators(spec, ratfunc_var(spec.arity, v))
+        except ValueError:
+            fe = None
+        if fe not in index_of:
+            raise VerificationError(
+                f"{spec.name}: indeterminate {name} is no nonzero-one fundamental"
+            )
+        var_fes.append(fe)
+    key, identity = element(
+        var_fes, _identity_images(spec), tuple(range(spec.gf5_width))
+    )
+    group = {key: identity}
+    gens: list[Automorphism] = []
+    for t in candidates:
+        if t in group:
+            continue
+        gen = confirm_candidate(spec, table, tuple(entries[i] for i in t))
+        if gen is None:
+            continue
+        # Extend the group H by gen, one right coset H . r at a time, until
+        # r . g is in the group for every coset representative r and
+        # generator g; the group is then closed under composition.
+        gens.append(gen)
+        subgroup = list(group.values())
+        reps = [identity]
+        for r in reps:
+            for g in gens:
+                key, rep = compose(r, g)
+                if key in group:
+                    continue
+                reps.append(rep)
+                group.update(compose(h, rep) for h in subgroup)
+    return _finish_group(spec, table, [group[t] for t in candidates if t in group])
 
 
 @memo_by_spec
@@ -445,9 +415,11 @@ def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     """All symmetries of the field, cached per spec text.
 
     Over indeterminates, one image tuple per GF(5) coordinate permutation
-    is proposed, and the exact check decides every one; the symmetries come
-    out in the order of their image tuples.
-    The Gaussian field's two candidate symmetries get the same exact check."""
+    is proposed.  Walking them in order, the exact check decides each tuple
+    that the group generated so far lacks, and each confirmed one extends
+    the group by composition; the symmetries come out in the order of
+    their image tuples.  The Gaussian field's two candidate symmetries get
+    the same exact check."""
     if spec.is_gauss:
         return _find_gauss_automorphisms(spec)
     return _search_automorphisms(spec)

@@ -32,7 +32,6 @@ from pfverify.exact import (
     ratfunc_eval_gauss,
     ratfunc_eval_mod,
     ratfunc_from_text,
-    to_gf5,
 )
 
 
@@ -341,45 +340,6 @@ def test_next_prime_advances_deterministically() -> None:
     assert next_prime(1299709) == 1299721
     assert next_prime(2) == 3
     assert next_prime(179424673) == 179424691
-
-
-# ---------------------------------------------------------------------------
-# Reduction to GF(5)
-
-
-def test_gf5_of_reducible_fraction() -> None:
-    assert to_gf5(Fraction(14, 72)) == 2
-
-
-def test_gf5_of_one() -> None:
-    assert to_gf5(Fraction(1)) == 1
-
-
-def test_gf5_of_fraction_with_removable_factor_of_five() -> None:
-    assert to_gf5(Fraction(30, 20)) == 4
-
-
-def test_gf5_rejects_denominator_divisible_by_five() -> None:
-    with pytest.raises(ValueError):
-        to_gf5(Fraction(1, 5))
-    with pytest.raises(ValueError):
-        to_gf5(Fraction(3, 10))
-
-
-def test_gf5_inverse_table_matches_fermat_inverses() -> None:
-    for d in (1, 2, 3, 4):
-        assert to_gf5(Fraction(1, d)) == pow(d, 3, 5)
-
-
-def test_gf5_of_reciprocal_multiplies_to_one() -> None:
-    rng = random.Random(3)
-    for _ in range(200):
-        num = rng.randint(-50, 50)
-        den = rng.randint(1, 50)
-        x = Fraction(num, den)
-        if x == 0 or x.denominator % 5 == 0 or x.numerator % 5 == 0:
-            continue
-        assert to_gf5(x) * to_gf5(1 / x) % 5 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from pfverify import symmetry
-from pfverify.exact import ratfunc_eq, ratfunc_from_text
+from pfverify.exact import ratfunc_eq, ratfunc_eval_mod, ratfunc_from_text
 from pfverify.pfield import (
     VerificationError,
     associates,
@@ -117,14 +117,34 @@ def test_known_two_variable_image_pair_is_found() -> None:
 # Search
 
 
+def _may_be_symmetry(spec, images) -> bool:
+    """False when some generator vanishes mod 5 at the GF(5) images of some
+    coordinate, with a nonzero denominator.  Such images are no symmetry's:
+    a symmetry sigma sends each generator g to the unit sigma(g), the
+    GF(5) homomorphism at a coordinate sends a unit to a nonzero residue,
+    and there sigma(g) has the residue of g at the images' residues."""
+    for k in range(spec.gf5_width):
+        point = tuple(e.gf5_image[k] for e in images)
+        if any(ratfunc_eval_mod(g, point, 5) == 0 for g in spec.generators):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("name", ["H3", "H4"])
 def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
-    # Every ordered tuple of distinct nonzero-one fundamentals goes to the
-    # exact check, unfiltered: 24 on H3, 2,862 on H4.
+    # Ordered tuples of distinct nonzero-one fundamentals go to the exact
+    # check: all 24 on H3, and on H4 the 102 of 2,862 pairs that
+    # _may_be_symmetry keeps, a necessary condition.
     spec = specs[name]
     table = fundamental_table(spec)
+    tuples = [
+        images
+        for images in permutations(table.nonzero_one, spec.arity)
+        if name == "H3" or _may_be_symmetry(spec, images)
+    ]
+    assert len(tuples) == {"H3": 24, "H4": 102}[name]
     brute = set()
-    for images in permutations(table.nonzero_one, spec.arity):
+    for images in tuples:
         aut = symmetry.confirm_candidate(spec, table, images)
         if aut is not None:
             brute.add(aut.gen_images)
@@ -133,7 +153,7 @@ def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
 
 def test_search_leaves_are_exactly_the_symmetries(specs) -> None:
     # One candidate per permutation of the 3 / 4 / 6 GF(5) coordinates, and
-    # the exact check confirms every one.
+    # every one is a symmetry.
     for name, order in (("H3", 6), ("H4", 24), ("H5", 720)):
         spec = specs[name]
         leaves = symmetry._candidate_tuples(spec, fundamental_table(spec))
@@ -175,61 +195,7 @@ def test_a_homomorphism_missing_from_the_coordinates_fails(specs, name) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Confirmation plan
-
-
-def test_builtin_fields_have_complete_confirmation_plans(specs) -> None:
-    # One step per generator that is neither the sign nor an indeterminate.
-    for name, steps in (("H3", 2), ("H4", 4), ("H5", 6)):
-        plan = symmetry._confirmation_plan(specs[name])
-        assert plan is not None
-        assert len(plan[1]) == steps
-    assert symmetry._confirmation_plan(specs["H2"]) is None
-
-
-def _outcome(aut):
-    return None if aut is None else (aut.gen_images, aut.coord_perm)
-
-
-def _substituted(spec, table, images):
-    """confirm_candidate's verdict without a plan: substitute and factor."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symmetry, "_confirmation_plan", lambda spec: None)
-        return _outcome(symmetry.confirm_candidate(spec, table, images))
-
-
-def _sampled_tuples(name, kind):
-    spec = builtin_specs()[name]
-    entries = fundamental_table(spec).nonzero_one
-    rng = random.Random(f"{name}-{kind}")
-    if kind == "symmetries":
-        auts = group(name).elements
-        return [aut.var_images for aut in rng.sample(auts, min(30, len(auts)))]
-    picked = {}
-    while len(picked) < 300:
-        picked.setdefault(tuple(rng.sample(entries, spec.arity)))
-    return list(picked)
-
-
-@pytest.mark.parametrize(
-    "name, kind",
-    [("H4", "symmetries"), ("H4", "tuples"), ("H5", "symmetries"), ("H5", "tuples")],
-)
-def test_plan_and_substitution_agree(specs, name, kind) -> None:
-    # All 24 H4 symmetries, 30 of H5's 720, and 300 seeded ordered tuples
-    # of distinct nonzero-one fundamentals on each field.
-    spec = specs[name]
-    table = fundamental_table(spec)
-    tuples = _sampled_tuples(name, kind)
-    accepted = 0
-    for images in tuples:
-        planned = _outcome(symmetry.confirm_candidate(spec, table, images))
-        assert planned == _substituted(spec, table, images), images
-        accepted += planned is not None
-    if kind == "symmetries":
-        assert accepted == len(tuples) == min(30, len(group(name).elements))
-    else:
-        assert accepted < len(tuples)
+# Generators and composition
 
 
 def _group_data(g):
@@ -241,28 +207,105 @@ def _group_data(g):
     )
 
 
+def _per_candidate_search(spec):
+    """The reference search: the exact check on every candidate tuple."""
+    table = fundamental_table(spec)
+    entries = table.nonzero_one
+    found = []
+    for t in symmetry._candidate_tuples(spec, table):
+        aut = symmetry.confirm_candidate(spec, table, tuple(entries[i] for i in t))
+        if aut is not None:
+            found.append(aut)
+    return symmetry._finish_group(spec, table, found)
+
+
 @pytest.mark.parametrize("name", ["H3", "H4"])
-def test_search_without_a_plan_finds_the_same_group(specs, monkeypatch, name) -> None:
-    planned = symmetry.find_automorphisms(specs[name])
-    monkeypatch.setattr(symmetry, "_confirmation_plan", lambda spec: None)
-    # The undecorated search, so that the memo keeps the planned group.
-    substituted = symmetry.find_automorphisms.__wrapped__(specs[name])
-    assert _group_data(substituted) == _group_data(planned)
+def test_composed_group_equals_the_per_candidate_search(specs, name) -> None:
+    assert _group_data(group(name)) == _group_data(_per_candidate_search(specs[name]))
 
 
-def test_planned_search_needs_no_polynomial_arithmetic(specs, monkeypatch) -> None:
-    for name in ("H3", "H4", "H5"):
-        fundamental_table(specs[name])
-    symmetry._confirmation_plan.cache_clear()
+def test_sampled_h5_candidates_confirm_to_the_composed_elements(specs) -> None:
+    spec = specs["H5"]
+    g = group("H5")
+    for aut in random.Random("H5-symmetries").sample(g.elements, 30):
+        confirmed = symmetry.confirm_candidate(spec, g.table, aut.var_images)
+        assert confirmed is not None
+        assert (confirmed.gen_images, confirmed.coord_perm) == (
+            aut.gen_images,
+            aut.coord_perm,
+        )
 
-    def refuse(*args):
-        raise AssertionError("polynomial arithmetic in the planned search")
 
-    monkeypatch.setattr(symmetry, "factor_over_generators", refuse)
-    monkeypatch.setattr(symmetry, "ratfunc_subst", refuse)
-    for name in ("H3", "H4", "H5"):
+def _counting_confirmations(monkeypatch) -> list:
+    calls = []
+    confirm = symmetry.confirm_candidate
+
+    def counted(spec, table, entries):
+        calls.append(spec.name)
+        return confirm(spec, table, entries)
+
+    monkeypatch.setattr(symmetry, "confirm_candidate", counted)
+    return calls
+
+
+def test_only_generators_are_confirmed(specs, monkeypatch) -> None:
+    # Each confirmed generator at least doubles the group, so a search over
+    # symmetries alone confirms at most floor(log2 |G|) candidates.
+    calls = _counting_confirmations(monkeypatch)
+    for name, confirmed in (("H3", 2), ("H4", 3), ("H5", 4)):
+        # The undecorated search, so that the memo plays no part.
         found = symmetry.find_automorphisms.__wrapped__(specs[name])
         assert _group_data(found) == _group_data(group(name))
+        order = len(found.elements)
+        assert calls.count(name) == confirmed <= order.bit_length() - 1
+
+
+def test_non_symmetry_candidates_leave_the_group_unchanged(specs, monkeypatch) -> None:
+    # The builtin candidates are every symmetry, so any other tuple is none.
+    spec = specs["H4"]
+    table = fundamental_table(spec)
+    tuples = symmetry._candidate_tuples(spec, table)
+    rng = random.Random("H4-non-symmetries")
+    extra = set()
+    while len(extra) < 40:
+        t = tuple(rng.sample(range(len(table.nonzero_one)), spec.arity))
+        if t not in tuples:
+            extra.add(t)
+    mixed = sorted([*tuples, *extra])
+    monkeypatch.setattr(symmetry, "_candidate_tuples", lambda spec, table: mixed)
+    calls = _counting_confirmations(monkeypatch)
+    found = symmetry.find_automorphisms.__wrapped__(spec)
+    assert _group_data(found) == _group_data(group("H4"))
+    # The group never holds a non-symmetry, so each one is checked.
+    assert len(calls) == 3 + len(extra)
+
+
+@pytest.mark.parametrize("dropped", [0, 11, 23])
+def test_a_product_that_no_candidate_proposes_fails(specs, monkeypatch, dropped) -> None:
+    spec = specs["H4"]
+    tuples = symmetry._candidate_tuples(spec, fundamental_table(spec))
+    kept = tuples[:dropped] + tuples[dropped + 1 :]
+    monkeypatch.setattr(symmetry, "_candidate_tuples", lambda spec, table: kept)
+    fail = r"^H4: the symmetry sending the indeterminates to \[.*\] is no candidate$"
+    with pytest.raises(VerificationError, match=fail):
+        symmetry.find_automorphisms.__wrapped__(spec)
+
+
+@pytest.mark.parametrize("factored", ["no-unit", "one"])
+def test_an_indeterminate_outside_the_table_fails(specs, monkeypatch, factored) -> None:
+    spec = specs["H4"]
+    one = symmetry.FactoredElement(1, (0,) * len(spec.generators))
+
+    def factor(spec, x):
+        if factored == "one":
+            return one
+        raise ValueError("not a unit")
+
+    monkeypatch.setattr(symmetry, "factor_over_generators", factor)
+    with pytest.raises(
+        VerificationError, match="^H4: indeterminate a is no nonzero-one fundamental$"
+    ):
+        symmetry.find_automorphisms.__wrapped__(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +318,12 @@ def test_induced_permutations_realize_every_coordinate_permutation(specs) -> Non
         width = specs[name].gf5_width
         perms = {aut.coord_perm for aut in g.elements}
         assert perms == set(permutations(range(width)))
+
+
+@pytest.mark.parametrize("name", ["H3", "H4", "H5"])
+def test_composed_coordinate_permutations_are_the_induced_ones(specs, name) -> None:
+    for aut in group(name).elements:
+        assert aut.coord_perm == symmetry._induced_perm(specs[name], aut.gen_images)
 
 
 # ---------------------------------------------------------------------------
