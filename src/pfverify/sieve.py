@@ -13,18 +13,20 @@ fundamental.  The box is their bounding box.
 Each candidate gets a fingerprint (its residue under the spec's modular
 map, or its exact value for the Gaussian field).  No other module chooses
 a fingerprint prime or computes a fingerprint.  For each prime tried, the
-fingerprints of the whole box are checked to be distinct as the size of a
-set, built in one mixed-radix pass in enumerate_candidates order: start
-from the two sign residues and, slot by slot, multiply each partial product
-by every residue power the slot takes.  Only on a collision is the
-colliding pair found by index and decoded; an exact check tells a
+fingerprints of the whole box are checked to be distinct.  Mod p > 2,
+sigma r(e) = sigma' r(e') forces r(e)^2 = r(e')^2, so that holds iff the
+squared residues of the exponent vectors are distinct: one mixed-radix
+pass (from 1, slot by slot, times each power of the slot's squared
+residue) over half as many products, checked as the size of a set.  Only
+on a collision are the fingerprints walked in enumerate_candidates order
+and the colliding pair decoded by index; an exact check tells a
 dependent generator set (a FAIL) from an unlucky prime (advance to the
 next one, up to a fixed count).  The search starts at the spec prime: a
 generator residue that vanishes there is a FAIL naming the generator, and
 a later prime where one vanishes is skipped.  The sieve itself
 fingerprints only the points, both signs, and zero: a candidate survives
 iff the fingerprint of 1 - candidate is also among them.  Survivors are
-cross-checked exactly.
+cross-checked exactly, once per pair {s, 1 - s}.
 """
 
 from __future__ import annotations
@@ -414,22 +416,40 @@ def candidate_at(box: CandidateBox, index: int) -> FactoredElement:
 MAX_PRIMES_TRIED = 256
 
 
-def box_fingerprints(mm: ModMap, box: CandidateBox) -> Iterator[int]:
-    """Residue of every candidate under mm, in enumerate_candidates order.
-
-    Mixed-radix evaluation: start from the two sign residues and, slot by
-    slot, multiply every partial product by each of the slot's residue
-    powers, so no candidate tuple is built.  The products with the last
-    slot's powers are yielded as they are made, never held in a list."""
-    p = mm.prime
+def _products(p: int, start: list[int], residues, ranges) -> Iterator[int]:
+    """Every product of a start value and one power per slot of the slot's
+    residue mod p, in mixed-radix order (last slot fastest).  Each slot
+    multiplies every partial product by each of its powers, so no exponent
+    tuple is built, and the last slot's products are yielded as they are
+    made, never held in a list."""
     *head, last = (
         [pow(r, e, p) for e in range(lo, hi + 1)]
-        for r, (lo, hi) in zip(mm.gen_residues, box.ranges)
+        for r, (lo, hi) in zip(residues, ranges)
     )
-    fps = [1, p - 1]
     for table in head:
-        fps = [f * t % p for f in fps for t in table]
-    return chain((f * t % p for f in fps for t in last), [0] * box.include_zero)
+        start = [f * t % p for f in start for t in table]
+    return (f * t % p for f in start for t in last)
+
+
+def box_fingerprints(mm: ModMap, box: CandidateBox) -> Iterator[int]:
+    """Residue of every candidate under mm, in enumerate_candidates order:
+    the products from the two sign residues, then 0 if the box has it."""
+    p = mm.prime
+    products = _products(p, [1, p - 1], mm.gen_residues, box.ranges)
+    return chain(products, [0] * box.include_zero)
+
+
+def _separates(mm: ModMap, box: CandidateBox) -> bool:
+    """Whether mm gives every candidate of the box, and 0, its own residue.
+
+    For p > 2, iff the squares of the exponent vectors' residues are
+    distinct: sigma r(e) = sigma' r(e') forces r(e)^2 = r(e')^2; r(e)^2 =
+    r(e')^2 with e != e' gives r(e) = +-r(e'), a collision; and the two
+    signs of one vector would need 2 r(e) = 0.  No unit's residue is 0.  At
+    p = 2, 1 = -1, so the test fails."""
+    p = mm.prime
+    squares = [r * r % p for r in mm.gen_residues]
+    return p > 2 and len(set(_products(p, [1], squares, box.ranges))) == _box_size(box)
 
 
 def resolve_mod_map(
@@ -440,8 +460,9 @@ def resolve_mod_map(
     and 0; and the number of distinct fingerprints in the whole box, 0
     included.
 
-    Separation is checked as the size of the set of box_fingerprints; only
-    a collision looks up the colliding pair by index (see candidate_at).
+    Separation is checked on squared residues, for p > 2 (see _separates);
+    only a collision walks box_fingerprints and looks the colliding pair up
+    by index (see candidate_at).
     At the spec prime a vanishing generator residue raises the ValueError
     naming the generator.  A collision advances to the next prime, and a
     later prime where a generator vanishes is skipped, for at most
@@ -461,7 +482,7 @@ def resolve_mod_map(
             p = next_prime(p)
             continue
         assert mm is not None
-        if len(set(box_fingerprints(mm, box))) == count:
+        if _separates(mm, box):
             points = box.points
             if points is None:
                 points = product(*(range(lo, hi + 1) for lo, hi in box.ranges))
@@ -536,17 +557,18 @@ def verify_survivors(
 ) -> None:
     """Cross-check sieve survivors against the associate-closure route.
 
-    Checks that 1 - s is exactly the survivor the fingerprint arithmetic
-    pairs it with, then that the counts match, and that fingerprints put
-    the two routes in elementwise bijection.  A survivor that fails the
-    exact check comes first, so a prime too small to separate the
-    fundamentals is named as the cause.  Raises VerificationError
-    otherwise, naming the fingerprint prime.
+    Checks that every survivor s has a partner, the survivor at the
+    fingerprint of 1 - s, and that 1 - s is exactly that partner, once per
+    pair {s, t}, since 1 - s = t iff 1 - t = s; then that the counts match,
+    and that fingerprints put the two routes in elementwise bijection.  A
+    survivor that fails either check comes first, so a prime too small to
+    separate the fundamentals is named as the cause.  Raises
+    VerificationError otherwise, naming the fingerprint prime.
     """
     mm = result.mod_map
     at = "" if mm is None else f" at fingerprint prime {mm.prime}"
+    checked = set()  # fingerprints of partners already checked exactly
     for fp, fe in result.fingerprints.items():
-        value = expand_element(spec, fe)
         if isinstance(fp, GaussDyadic):
             partner_fp = gauss_sub(GAUSS_ONE, fp)
         else:
@@ -557,7 +579,10 @@ def verify_survivors(
             raise VerificationError(
                 f"{spec.name}: survivor {fe} has no partner for 1 - s{at}"
             )
-        complement = _exact_complement(spec, value)
+        if fp in checked:
+            continue
+        checked.add(partner_fp)
+        complement = _exact_complement(spec, expand_element(spec, fe))
         if not value_eq(complement, expand_element(spec, partner)):
             raise VerificationError(
                 f"{spec.name}: 1 - s is not exactly the paired survivor "

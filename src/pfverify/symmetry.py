@@ -353,10 +353,13 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     entries = table.nonzero_one
     index_of = {e.element: i for i, e in enumerate(entries)}
 
+    def key_of(images: Sequence[FactoredElement]) -> tuple:
+        return tuple(index_of.get(fe) for fe in images)
+
     def element(images: Sequence[FactoredElement], gen_images, coord_perm):
         """The symmetry with these indeterminate images, keyed by its
         candidate tuple; images that no candidate proposes fail the field."""
-        t = tuple(index_of.get(fe) for fe in images)
+        t = key_of(images)
         if t not in proposed:
             raise VerificationError(
                 f"{spec.name}: the symmetry sending the indeterminates to "
@@ -364,10 +367,14 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
             )
         return t, Automorphism(tuple(entries[i] for i in t), gen_images, coord_perm)
 
+    def var_images(outer: Automorphism, inner: Automorphism):
+        """Where outer . inner sends the indeterminates."""
+        return [_map_element(outer.gen_images, e.element) for e in inner.var_images]
+
     def compose(outer: Automorphism, inner: Automorphism):
         """outer . inner (apply inner first), by exponent arithmetic."""
         return element(
-            [_map_element(outer.gen_images, e.element) for e in inner.var_images],
+            var_images(outer, inner),
             tuple(_map_element(outer.gen_images, fe) for fe in inner.gen_images),
             tuple(inner.coord_perm[k] for k in outer.coord_perm),
         )
@@ -396,15 +403,16 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
             continue
         # Extend the group H by gen, one right coset H . r at a time, until
         # r . g is in the group for every coset representative r and
-        # generator g; the group is then closed under composition.
+        # generator g; the group is then closed under composition.  A key
+        # already in the group was proposed, so only a new r . g is built.
         gens.append(gen)
         subgroup = list(group.values())
         reps = [identity]
         for r in reps:
             for g in gens:
-                key, rep = compose(r, g)
-                if key in group:
+                if key_of(var_images(r, g)) in group:
                     continue
+                _, rep = compose(r, g)
                 reps.append(rep)
                 group.update(compose(h, rep) for h in subgroup)
     return _finish_group(spec, table, [group[t] for t in candidates if t in group])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,18 @@ def test_non_unit_closure_element_fails_naming_the_element() -> None:
         pfield.build_fundamental_table(broken)
 
 
+@pytest.mark.parametrize(
+    "seed, text", [("a^2", "-a^2 + 1"), ("-1", "2")], ids=["a-squared", "minus-one"]
+)
+def test_a_non_unit_associate_is_named_by_its_one_minus_seed(seed, text) -> None:
+    broken = pfield.parse_field_spec(spec("H3").source_text + f"seed {seed}\n")
+    with pytest.raises(
+        pfield.VerificationError,
+        match=rf"^H3: closure element '{re.escape(text)}' is not a unit ",
+    ):
+        pfield.build_fundamental_table(broken)
+
+
 @pytest.mark.parametrize("name, count", [("H3", 26), ("H4", 56), ("H5", 92)])
 def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) -> None:
     # The associate closure and the exact membership test must not read the
@@ -422,11 +435,16 @@ def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) ->
         raise AssertionError("the modular map was read")
 
     monkeypatch.setattr(pfield.PartialFieldSpec, "mod_map", no_mod_map)
-    values = pfield._closure_of_seeds(blind)
+    values, _, _ = pfield._closure_of_seeds(blind)
     assert len(values) == count
     for v in values:
         assert sum(ratfunc_eq(v, e.value) for e in table.entries) == 1
         assert is_fundamental_exact(blind, v)
+    # Route one's factored forms, the derived ones included, are the table's.
+    elements = pfield._closure_elements(blind)
+    assert {fe for fe, _ in elements} == table.by_element.keys()
+    for fe, v in elements:
+        assert ratfunc_eq(v, table.by_element[fe].value)
 
 
 def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
@@ -434,7 +452,7 @@ def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
     # screen point; it and its associates have no bucket key.
     s = screen_point(1)[0]
     text = spec("H3").source_text + f"seed a*(a - {s})/(a - {s})\n"
-    values = pfield._closure_of_seeds(pfield.parse_field_spec(text))
+    values, _, _ = pfield._closure_of_seeds(pfield.parse_field_spec(text))
     table = fundamental_table(spec("H3"))
     assert len(values) == 26
     assert all(any(ratfunc_eq(v, e.value) for e in table.entries) for v in values)
@@ -478,7 +496,7 @@ def with_seeds(name: str, seeds: list[str]) -> pfield.PartialFieldSpec:
 
 
 def assert_closure_matches_reference(s: pfield.PartialFieldSpec) -> None:
-    got = pfield._closure_of_seeds(s)
+    got, _, _ = pfield._closure_of_seeds(s)
     want = reference_closure(s)
     if s.is_gauss:
         assert got == want
@@ -490,7 +508,7 @@ H3_SEEDS = list(spec("H3").seed_exprs)
 SCREEN_A = screen_point(1)[0]
 
 
-@pytest.mark.parametrize(
+CLOSURE_SPECS = pytest.mark.parametrize(
     "s",
     [spec(name) for name in ("H2", "H3", "H4", "H5")]
     + [
@@ -508,18 +526,65 @@ SCREEN_A = screen_point(1)[0]
     ids=["H2", "H3", "H4", "H5"]
     + ["minus-one", "zero", "repeat", "associate", "reversed", "no-key"],
 )
+H4_SEED_SUBSETS = given(
+    st.lists(
+        st.sampled_from(spec("H4").seed_exprs), min_size=1, max_size=10, unique=True
+    )
+)
+
+
+@CLOSURE_SPECS
 def test_closure_equals_the_reference_form_for_form(s) -> None:
     assert_closure_matches_reference(s)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.sampled_from(spec("H4").seed_exprs), min_size=1, max_size=10, unique=True
-    )
-)
+@H4_SEED_SUBSETS
 def test_closure_equals_the_reference_on_h4_seed_subsets(seeds) -> None:
     assert_closure_matches_reference(with_seeds("H4", seeds))
+
+
+def assert_derived_forms_are_factored_forms(s: pfield.PartialFieldSpec) -> None:
+    """Route one's forms, derived from the seeds and each root's 1 - x,
+    equal factor_over_generators of every closure value; when some value is
+    no unit, route one fails instead."""
+    values, _, _ = pfield._closure_of_seeds(s)
+    try:
+        want = [factor_over_generators(s, v) for v in values]
+    except ValueError:
+        with pytest.raises(pfield.VerificationError, match="is not a unit"):
+            pfield._closure_elements(s)
+        return
+    assert [fe for fe, _ in pfield._closure_elements(s)] == want
+
+
+@CLOSURE_SPECS
+def test_derived_forms_equal_the_factored_forms(s) -> None:
+    assert_derived_forms_are_factored_forms(s)
+
+
+@settings(max_examples=15, deadline=None)
+@H4_SEED_SUBSETS
+def test_derived_forms_equal_the_factored_forms_on_h4_seed_subsets(seeds) -> None:
+    assert_derived_forms_are_factored_forms(with_seeds("H4", seeds))
+
+
+@pytest.mark.parametrize("name, calls", [("H3", 9), ("H4", 19), ("H5", 31)])
+def test_a_table_build_factors_only_seeds_and_their_complements(
+    monkeypatch, name, calls
+) -> None:
+    counted = []
+
+    def counting_factor(s, x):
+        counted.append(x)
+        return factor_over_generators(s, x)
+
+    monkeypatch.setattr(pfield, "factor_over_generators", counting_factor)
+    table = pfield.build_fundamental_table(spec(name))
+    assert len(counted) == calls
+    assert [e.element for e in table.entries] == [
+        e.element for e in fundamental_table(spec(name)).entries
+    ]
 
 
 def test_h5_closure_cross_multiplies_at_most_once_per_seed(monkeypatch) -> None:

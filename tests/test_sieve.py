@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfverify import sieve
-from pfverify.exact import gauss_from_text, gauss_re_im, mod_eval, next_prime
+from pfverify.exact import ModMap, gauss_from_text, gauss_re_im, mod_eval, next_prime
 from pfverify.pfield import (
     H3_SPEC_TEXT,
     FactoredElement,
@@ -637,6 +637,75 @@ def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> N
         spec = specs[name]
         result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
         assert result.mod_map.prime == spec.mod_prime
+
+
+def _separated_by_the_box_wide_set(mm, box) -> bool:
+    return len(set(sieve.box_fingerprints(mm, box))) == sieve.candidate_count(box)
+
+
+def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> None:
+    h3 = specs["H3"]
+    box = sieve.candidate_box(h3)
+    tried = separated = 0
+    for p in range(2, 2000):
+        if not all(p % d for d in range(2, math.isqrt(p) + 1)):
+            continue
+        try:
+            mm = h3.mod_map(p)
+        except ValueError:
+            continue
+        got = sieve._separates(mm, box)
+        assert got == _separated_by_the_box_wide_set(mm, box)
+        tried += 1
+        separated += got
+    assert tried > 250 and 0 < separated < tried
+    h4 = specs["H4"]
+    box = sieve.candidate_box(h4)
+    # The shipped prime, colliding primes, and a separating prime among them.
+    for p, want in (
+        (h4.mod_prime, True), (10007, False), (100003, False),
+        (100103, True), (100129, False),
+    ):
+        mm = h4.mod_map(p)
+        assert sieve._separates(mm, box) == _separated_by_the_box_wide_set(mm, box)
+        assert sieve._separates(mm, box) == want
+
+
+@pytest.mark.parametrize(
+    "ranges, at_three",
+    [(((0, 0),) * 4, True), (SMALL_BOX.ranges, False)],
+    ids=["one-vector", "small-box"],
+)
+def test_squared_residues_never_separate_at_two(ranges, at_three) -> None:
+    # Mod 2, 1 = -1, so the two signs of every vector collide, even in a box
+    # of one vector, whose one square is trivially distinct.
+    box = sieve.CandidateBox(ranges, False)
+    for mm, separates in (
+        (ModMap(2, (1,) * 4), False),
+        (ModMap(3, (2, 1, 1, 1)), at_three),
+    ):
+        assert sieve._separates(mm, box) == separates
+        assert _separated_by_the_box_wide_set(mm, box) == separates
+
+
+def test_survivor_pairs_are_checked_exactly_once(specs, monkeypatch) -> None:
+    checks = []
+
+    def counting_complement(spec, value):
+        checks.append(value)
+        return complement(spec, value)
+
+    complement = sieve._exact_complement
+    monkeypatch.setattr(sieve, "_exact_complement", counting_complement)
+    for name, pairs in (("H2", 6), ("H3", 13), ("H4", 28), ("H5", 46)):
+        spec = specs[name]
+        table = fundamental_table(spec)
+        result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
+        elements = [(e.element, e.value) for e in table.entries]
+        checks.clear()
+        sieve.verify_survivors(spec, result, elements)
+        assert len(checks) == pairs
+        assert 2 * pairs - len(result.fingerprints) in (0, 1)
 
 
 def test_prime_search_is_capped(specs, monkeypatch) -> None:
