@@ -194,7 +194,7 @@ def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
 # Command payloads (dicts that double as the JSON output)
 
 
-def _funs_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _funs_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: building the fundamental table by both routes")
     table = fundamental_table(spec)
     entries = []
@@ -231,7 +231,7 @@ def _funs_text(payload: dict) -> list[str]:
     return lines
 
 
-def _auts_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _auts_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: searching for symmetries")
     group = find_automorphisms(spec)
     perms = sorted(aut.coord_perm for aut in group.elements)
@@ -253,7 +253,7 @@ def _auts_text(payload: dict) -> list[str]:
     ]
 
 
-def _u25_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _u25_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: enumerating rank-2 representation pairs")
     pairs = enumerate_u25(spec)
     tuples = gf5_u25_tuples(spec.report_index)
@@ -278,7 +278,7 @@ def _u25_text(payload: dict) -> list[str]:
     ]
 
 
-def _lift_check_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _lift_check_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: lifting every tuple pair")
     tuples = gf5_u25_tuples(spec.report_index)
     violations = local_lift_check(spec, tuples)
@@ -307,7 +307,7 @@ def _lift_check_text(payload: dict) -> list[str]:
     return lines
 
 
-def _bounds_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _bounds_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: bounding the exponent box")
     box = sieve.candidate_box(spec)
     return {
@@ -331,7 +331,7 @@ def _bounds_text(payload: dict) -> list[str]:
     ]
 
 
-def _report_payload(spec: PartialFieldSpec, args: argparse.Namespace) -> dict:
+def _report_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: running all verification stages")
     payload = theorem1_report(spec.report_index, spec=spec)
     payload["command"] = "report"
@@ -458,7 +458,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_verify_all(args, fmt)
     build, render = _PER_FIELD[args.command]
     specs = _load_specs(args)
-    payloads = [build(spec, args) for spec in specs]
+    payloads = [build(spec) for spec in specs]
     return _emit(payloads, render, fmt)
 
 

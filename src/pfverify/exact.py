@@ -575,16 +575,11 @@ def next_prime(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Expression parsing (ASCII math for the declarative field format)
 
-# AST nodes: ('num', int) | ('var', str) | ('neg', e) | ('pow', e, int)
-#            | ('chain', e, ((op, e), ...)) with op 'add'|'sub'|'mul'|'div',
-#              a left-to-right run of one precedence level, kept flat so
-#              that a long run adds no recursion depth
-Expr = tuple
-
-# Caps on one expression, checked before anything is expanded.  Nesting
-# counts parentheses and unary minus, the only recursion in the parser and
-# in the walks over its output.  Degree bounds the rational function the
-# expression expands to.  The builtin fields reach nesting 2 and degree 3.
+# Caps on one expression.  Nesting counts parentheses and unary minus, the
+# only recursion in the parser.  Degree bounds the numerator and denominator
+# of every value the parser builds; each operation's bound is checked before
+# the operation is carried out.  The builtin fields reach nesting 2 and
+# degree 3.
 MAX_NESTING = 32
 MAX_DEGREE = 8
 
@@ -616,9 +611,23 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _capped(num: int, den: int) -> tuple[int, int]:
+    if max(num, den) > MAX_DEGREE:
+        raise ValueError(f"expression degree exceeds {MAX_DEGREE}")
+    return num, den
+
+
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    """Recursive descent that builds values as it reads: each parse method
+    returns a RatFunc over var_names with the degree bounds (numerator,
+    denominator) of the value it expands to.  A power x^k counts k times
+    the degree of x and at least k, so powers of constants are bounded too.
+    Along a chain the bounds only grow, so a chain is over the cap exactly
+    when one of its steps is."""
+
+    def __init__(self, tokens: list[str], var_names: Sequence[str]):
         self.tokens = tokens
+        self.var_names = var_names
         self.pos = 0
         self.nesting = 0
 
@@ -637,122 +646,80 @@ class _Parser:
         if got != tok:
             raise ValueError(f"expected {tok!r}, got {got!r}")
 
-    def nested(self, parse) -> Expr:
+    def nested(self, parse) -> tuple[RatFunc, tuple[int, int]]:
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
-        node = parse()
+        parsed = parse()
         self.nesting -= 1
-        return node
+        return parsed
 
-    def parse_chain(self, parse_operand, ops: dict[str, str]) -> Expr:
-        first = parse_operand()
-        rest = []
+    def parse_chain(
+        self, parse_operand, ops: dict[str, str]
+    ) -> tuple[RatFunc, tuple[int, int]]:
+        acc, (num, den) = parse_operand()
         while self.peek() in ops:
             op = ops[self.take()]
-            rest.append((op, parse_operand()))
-        return ("chain", first, tuple(rest)) if rest else first
+            value, (n, d) = parse_operand()
+            if op == "mul":
+                num, den = _capped(num + n, den + d)
+            elif op == "div":
+                num, den = _capped(num + d, den + n)
+            else:
+                num, den = _capped(max(num + d, n + den), den + d)
+            acc = ratfunc_arith(acc, value, op)
+        return acc, (num, den)
 
-    def parse_expr(self) -> Expr:
+    def parse_sum(self) -> tuple[RatFunc, tuple[int, int]]:
         return self.parse_chain(self.parse_term, {"+": "add", "-": "sub"})
 
-    def parse_term(self) -> Expr:
+    def parse_term(self) -> tuple[RatFunc, tuple[int, int]]:
         return self.parse_chain(self.parse_unary, {"*": "mul", "/": "div"})
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[RatFunc, tuple[int, int]]:
         if self.peek() == "-":
             self.take()
-            return ("neg", self.nested(self.parse_unary))
+            value, degrees = self.nested(self.parse_unary)
+            return ratfunc_neg(value), degrees
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            exponent = self.take()
-            if not exponent.isdigit():
-                raise ValueError(f"expected integer exponent, got {exponent!r}")
-            return ("pow", base, int(exponent))
-        return base
+    def parse_power(self) -> tuple[RatFunc, tuple[int, int]]:
+        base, (num, den) = self.parse_atom()
+        if self.peek() != "^":
+            return base, (num, den)
+        self.take()
+        exponent = self.take()
+        if not exponent.isdigit():
+            raise ValueError(f"expected integer exponent, got {exponent!r}")
+        k = int(exponent)
+        degrees = _capped(k * max(num, 1), k * den)
+        return RatFunc(poly_pow(base.num, k), poly_pow(base.den, k)), degrees
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[RatFunc, tuple[int, int]]:
         tok = self.take()
         if tok == "(":
-            node = self.nested(self.parse_expr)
+            parsed = self.nested(self.parse_sum)
             self.expect(")")
-            return node
+            return parsed
+        arity = len(self.var_names)
         if tok.isdigit():
-            return ("num", int(tok))
+            return ratfunc_const(arity, int(tok)), (0, 0)
         if tok[0].isalpha() or tok[0] == "_":
-            return ("var", tok)
+            if tok not in self.var_names:
+                raise ValueError(f"unknown variable {tok!r}")
+            return ratfunc_var(arity, self.var_names.index(tok)), (1, 0)
         raise ValueError(f"unexpected token {tok!r}")
 
 
-def _degrees(expr: Expr) -> tuple[int, int]:
-    """Degree bounds of the numerator and denominator that expr_to_ratfunc
-    builds, raising ValueError where any subexpression exceeds MAX_DEGREE.
-    A power x^k counts k times the degree of x and at least k, so powers of
-    constants are bounded too."""
-    kind = expr[0]
-    if kind == "num":
-        num, den = 0, 0
-    elif kind == "var":
-        num, den = 1, 0
-    elif kind == "neg":
-        num, den = _degrees(expr[1])
-    elif kind == "pow":
-        num, den = _degrees(expr[1])
-        num, den = expr[2] * max(num, 1), expr[2] * den
-    else:
-        num, den = _degrees(expr[1])
-        for op, operand in expr[2]:
-            n, d = _degrees(operand)
-            if op == "mul":
-                num, den = num + n, den + d
-            elif op == "div":
-                num, den = num + d, den + n
-            else:
-                num, den = max(num + d, n + den), den + d
-    if max(num, den) > MAX_DEGREE:
-        raise ValueError(f"expression degree exceeds {MAX_DEGREE}")
-    return num, den
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse ASCII math (+ - * / ^ and parentheses) into an AST; raises
-    ValueError on malformed text or on an expression over a cap."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+def ratfunc_from_text(text: str, var_names: Sequence[str]) -> RatFunc:
+    """Parse ASCII math (+ - * / ^ and parentheses) into a rational function
+    over the named variables; raises ValueError on malformed text or on an
+    expression over a cap."""
+    parser = _Parser(_tokenize(text), var_names)
+    value, _ = parser.parse_sum()
     if parser.peek() is not None:
         raise ValueError(f"trailing tokens in {text!r}")
-    _degrees(node)
-    return node
-
-
-def expr_to_ratfunc(expr: Expr, var_names: Sequence[str]) -> RatFunc:
-    """Evaluate an AST over rational functions in the named variables."""
-    arity = len(var_names)
-    kind = expr[0]
-    if kind == "num":
-        return ratfunc_const(arity, expr[1])
-    if kind == "var":
-        if expr[1] not in var_names:
-            raise ValueError(f"unknown variable {expr[1]!r}")
-        return ratfunc_var(arity, var_names.index(expr[1]))
-    if kind == "neg":
-        return ratfunc_neg(expr_to_ratfunc(expr[1], var_names))
-    if kind == "pow":
-        base = expr_to_ratfunc(expr[1], var_names)
-        return RatFunc(poly_pow(base.num, expr[2]), poly_pow(base.den, expr[2]))
-    acc = expr_to_ratfunc(expr[1], var_names)
-    for op, operand in expr[2]:
-        acc = ratfunc_arith(acc, expr_to_ratfunc(operand, var_names), op)
-    return acc
-
-
-def ratfunc_from_text(text: str, var_names: Sequence[str]) -> RatFunc:
-    """Parse ASCII math into a rational function over the named variables."""
-    return expr_to_ratfunc(parse_expr(text), var_names)
+    return value
 
 
 def gauss_from_text(text: str) -> GaussDyadic:

@@ -13,6 +13,7 @@ every check for one field into a machine-readable verdict.
 from __future__ import annotations
 
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .pfield import (
     FactoredElement,
@@ -113,13 +114,12 @@ def domain_key(spec: PartialFieldSpec, entry: TableEntry) -> GFTuple:
     return entry.gf5_image[: spec.report_index]
 
 
-class LiftingFn:
+class LiftingFn(NamedTuple):
     """Bijection from the cross-ratio domain onto the fundamental table."""
 
-    def __init__(self, *, spec: PartialFieldSpec, width: int, table: dict) -> None:
-        self.spec = spec
-        self.width = width
-        self.table = table
+    spec: PartialFieldSpec
+    width: int
+    table: dict
 
     def entry_for(self, key: GFTuple) -> TableEntry:
         entry = self.table.get(tuple(key))

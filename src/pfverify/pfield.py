@@ -15,7 +15,7 @@ import hashlib
 import operator
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import cached_property, partial, wraps
+from functools import partial, wraps
 from typing import NamedTuple
 
 from .exact import (
@@ -67,47 +67,28 @@ class FactoredElement(NamedTuple):
     exps: tuple[int, ...]
 
 
-class PartialFieldSpec:
-    """Parsed description of one partial field."""
+class PartialFieldSpec(NamedTuple):
+    """Parsed description of one partial field; source_hash is the SHA-256
+    of source_text."""
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        report_index: int,
-        var_names: tuple[str, ...],
-        generator_exprs: tuple[str, ...],
-        generators: tuple[RatFunc | GaussDyadic, ...],
-        seed_exprs: tuple[str, ...],
-        seeds: tuple[RatFunc | GaussDyadic, ...],
-        gf5_width: int,
-        gf5_var_images: tuple[tuple[int, ...], ...],
-        gf5_gen_images: tuple[tuple[int, ...], ...],
-        h2_hom_exprs: tuple[tuple[str, ...], ...],
-        h2_hom_images: tuple[tuple[GaussDyadic, ...], ...],
-        mod_prime: int | None,
-        mod_var_residues: tuple[int, ...],
-        extra_bounds: tuple[tuple[int, int, int], ...],
-        include_zero_candidate: bool,
-        source_text: str,
-    ) -> None:
-        self.name = name
-        self.report_index = report_index
-        self.var_names = var_names
-        self.generator_exprs = generator_exprs
-        self.generators = generators
-        self.seed_exprs = seed_exprs
-        self.seeds = seeds
-        self.gf5_width = gf5_width
-        self.gf5_var_images = gf5_var_images
-        self.gf5_gen_images = gf5_gen_images
-        self.h2_hom_exprs = h2_hom_exprs
-        self.h2_hom_images = h2_hom_images
-        self.mod_prime = mod_prime
-        self.mod_var_residues = mod_var_residues
-        self.extra_bounds = extra_bounds
-        self.include_zero_candidate = include_zero_candidate
-        self.source_text = source_text
+    name: str
+    report_index: int
+    var_names: tuple[str, ...]
+    generator_exprs: tuple[str, ...]
+    generators: tuple[RatFunc | GaussDyadic, ...]
+    seed_exprs: tuple[str, ...]
+    seeds: tuple[RatFunc | GaussDyadic, ...]
+    gf5_width: int
+    gf5_var_images: tuple[tuple[int, ...], ...]
+    gf5_gen_images: tuple[tuple[int, ...], ...]
+    h2_hom_exprs: tuple[tuple[str, ...], ...]
+    h2_hom_images: tuple[tuple[GaussDyadic, ...], ...]
+    mod_prime: int | None
+    mod_var_residues: tuple[int, ...]
+    extra_bounds: tuple[tuple[int, int, int], ...]
+    include_zero_candidate: bool
+    source_text: str
+    source_hash: str
 
     @property
     def arity(self) -> int:
@@ -116,10 +97,6 @@ class PartialFieldSpec:
     @property
     def is_gauss(self) -> bool:
         return self.arity == 0
-
-    @cached_property
-    def source_hash(self) -> str:
-        return hashlib.sha256(self.source_text.encode()).hexdigest()
 
     def mod_map(self, prime: int | None = None) -> ModMap | None:
         """Modular fingerprint map at the spec prime or an override."""
@@ -245,7 +222,10 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         for row in hom_rows:
             if len(row) != arity:
                 raise ValueError("h2hom rows must give one value per indeterminate")
-        hom_images = tuple(tuple(gauss_from_text(e) for e in row) for row in hom_rows)
+        # Each distinct text is parsed once, in the order the rows name them.
+        texts = dict.fromkeys(e for row in hom_rows for e in row)
+        value_of = {e: gauss_from_text(e) for e in texts}
+        hom_images = tuple(tuple(value_of[e] for e in row) for row in hom_rows)
         if prime is None:
             raise ValueError("fields with indeterminates need a fingerprint prime")
         if set(var_residues) != set(var_names):
@@ -274,6 +254,7 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         extra_bounds=tuple(extra_bounds),
         include_zero_candidate=include_zero,
         source_text=text,
+        source_hash=hashlib.sha256(text.encode()).hexdigest(),
     )
 
 
@@ -694,41 +675,23 @@ def hom_gf5(spec: PartialFieldSpec, fe: FactoredElement) -> tuple[int, ...]:
 # Fundamental tables
 
 
-class TableEntry:
+class TableEntry(NamedTuple):
     """One fundamental element with all its derived forms."""
 
-    __slots__ = ("element", "value", "fingerprint", "gf5_image")
-
-    def __init__(
-        self,
-        element: FactoredElement,
-        value: RatFunc | GaussDyadic,
-        fingerprint: int | GaussDyadic,
-        gf5_image: tuple[int, ...],
-    ) -> None:
-        self.element = element
-        self.value = value
-        self.fingerprint = fingerprint
-        self.gf5_image = gf5_image
+    element: FactoredElement
+    value: RatFunc | GaussDyadic
+    fingerprint: int | GaussDyadic
+    gf5_image: tuple[int, ...]
 
 
-class FundamentalTable:
+class FundamentalTable(NamedTuple):
     """All fundamental elements of one field, ascending by fingerprint."""
 
-    def __init__(
-        self,
-        *,
-        spec: PartialFieldSpec,
-        mod_map: ModMap | None,
-        entries: tuple[TableEntry, ...],
-        by_element: dict,
-        nonzero_one: tuple[TableEntry, ...],
-    ) -> None:
-        self.spec = spec
-        self.mod_map = mod_map
-        self.entries = entries
-        self.by_element = by_element
-        self.nonzero_one = nonzero_one
+    spec: PartialFieldSpec
+    mod_map: ModMap | None
+    entries: tuple[TableEntry, ...]
+    by_element: dict
+    nonzero_one: tuple[TableEntry, ...]
 
 
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:

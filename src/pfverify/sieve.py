@@ -445,11 +445,13 @@ def _separates(mm: ModMap, box: CandidateBox) -> bool:
     For p > 2, iff the squares of the exponent vectors' residues are
     distinct: sigma r(e) = sigma' r(e') forces r(e)^2 = r(e')^2; r(e)^2 =
     r(e')^2 with e != e' gives r(e) = +-r(e'), a collision; and the two
-    signs of one vector would need 2 r(e) = 0.  No unit's residue is 0.  At
-    p = 2, 1 = -1, so the test fails."""
-    p = mm.prime
+    signs of one vector would need 2 r(e) = 0.  No unit's residue is 0.
+    For odd p there are only (p - 1)/2 nonzero squares, so at p <= 2|B| the
+    |B| squares cannot all be distinct; at p = 2, 1 = -1.  Either way the
+    test fails without computing a square."""
+    p, size = mm.prime, _box_size(box)
     squares = [r * r % p for r in mm.gen_residues]
-    return p > 2 and len(set(_products(p, [1], squares, box.ranges))) == _box_size(box)
+    return p > 2 * size and len(set(_products(p, [1], squares, box.ranges))) == size
 
 
 def resolve_mod_map(
@@ -460,7 +462,7 @@ def resolve_mod_map(
     and 0; and the number of distinct fingerprints in the whole box, 0
     included.
 
-    Separation is checked on squared residues, for p > 2 (see _separates);
+    Separation is checked on squared residues, for p > 2|B| (see _separates);
     only a collision walks box_fingerprints and looks the colliding pair up
     by index (see candidate_at).
     At the spec prime a vanishing generator residue raises the ValueError

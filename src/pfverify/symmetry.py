@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .exact import (
     GaussDyadic,
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 
-class Automorphism:
+class Automorphism(NamedTuple):
     """One symmetry: where the indeterminates go, the factored images of
     every generator, and the induced GF(5) coordinate permutation.
 
@@ -73,36 +74,19 @@ class Automorphism:
     is stored as itself (exponent one on its own slot), so gen_images[j]
     is always unit vector j for the identity."""
 
-    __slots__ = ("var_images", "gen_images", "coord_perm")
-
-    def __init__(
-        self,
-        var_images: tuple[TableEntry, ...],
-        gen_images: tuple[FactoredElement, ...],
-        coord_perm: tuple[int, ...],
-    ) -> None:
-        self.var_images = var_images
-        self.gen_images = gen_images
-        self.coord_perm = coord_perm
+    var_images: tuple[TableEntry, ...]
+    gen_images: tuple[FactoredElement, ...]
+    coord_perm: tuple[int, ...]
 
 
-class AutGroup:
+class AutGroup(NamedTuple):
     """All symmetries of one field, in discovery order."""
 
-    def __init__(
-        self,
-        *,
-        spec: PartialFieldSpec,
-        table: FundamentalTable,
-        elements: tuple[Automorphism, ...],
-        by_gen_images: dict,
-        identity_index: int,
-    ) -> None:
-        self.spec = spec
-        self.table = table
-        self.elements = elements
-        self.by_gen_images = by_gen_images
-        self.identity_index = identity_index
+    spec: PartialFieldSpec
+    table: FundamentalTable
+    elements: tuple[Automorphism, ...]
+    by_gen_images: dict
+    identity_index: int
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +103,11 @@ def _confirm(
     None when there is none: the images are None, or exponent arithmetic
     through them does not permute the table.  A confirmed symmetry whose
     GF(5) images match no coordinate permutation is a VerificationError."""
-    if gen_images is None:
+    if gen_images is None or not _permutes_table(table, gen_images):
         return None
-    aut = Automorphism(var_images, tuple(gen_images), coord_perm=())
-    if not _permutes_table(table, aut):
-        return None
-    aut.coord_perm = _induced_perm(spec, aut.gen_images)
-    return aut
+    return Automorphism(
+        var_images, tuple(gen_images), _induced_perm(spec, gen_images)
+    )
 
 
 def _factored_images(
@@ -180,7 +162,7 @@ def _base_columns(spec: PartialFieldSpec) -> dict[tuple[int, ...], int]:
 
 
 def _induced_perm(
-    spec: PartialFieldSpec, gen_images: tuple[FactoredElement, ...]
+    spec: PartialFieldSpec, gen_images: Sequence[FactoredElement]
 ) -> tuple[int, ...]:
     """The unique coordinate permutation matching the generator images'
     GF(5) columns to the base columns."""
@@ -227,9 +209,11 @@ def _map_element(
     return FactoredElement(sign, tuple(exps))
 
 
-def _permutes_table(table: FundamentalTable, aut: Automorphism) -> bool:
+def _permutes_table(
+    table: FundamentalTable, gen_images: Sequence[FactoredElement]
+) -> bool:
     images = {
-        canonical_element(table.spec, apply_automorphism(aut, e.element))
+        canonical_element(table.spec, _map_element(gen_images, e.element))
         for e in table.entries
     }
     return images == set(table.by_element)

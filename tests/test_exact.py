@@ -23,7 +23,6 @@ from pfverify.exact import (
     is_prime,
     mod_eval,
     next_prime,
-    parse_expr,
     poly_arith,
     poly_eval_mod,
     poly_subst,
@@ -415,7 +414,7 @@ def test_parser_rejects_nesting_beyond_the_cap() -> None:
     assert ratfunc_eq(rf("-" * depth + "a"), rf("a"))
     for text in ("(" * (depth + 1) + "a" + ")" * (depth + 1), "-" * (depth + 1) + "a"):
         with pytest.raises(ValueError, match="nests deeper"):
-            parse_expr(text)
+            ratfunc_from_text(text, ("a",))
 
 
 def test_parser_accepts_long_operator_chains() -> None:
@@ -435,4 +434,27 @@ def test_parser_rejects_degree_beyond_the_cap() -> None:
         "*".join(["a"] * (cap + 1)),
     ):
         with pytest.raises(ValueError, match="degree exceeds"):
-            parse_expr(text)
+            ratfunc_from_text(text, ("a",))
+
+
+@pytest.mark.parametrize("text", ["((1 - a)^40)^0", "a^8*a"])
+def test_parser_carries_out_no_operation_over_the_degree_cap(monkeypatch, text) -> None:
+    # Each operation's degree bound is checked before the operation runs, so
+    # nothing over the cap is ever expanded, even inside a text that fails.
+    degrees = []
+    poly_pow, ratfunc_arith = exact.poly_pow, exact.ratfunc_arith
+
+    def recording_pow(a, n):
+        degrees.append(n)
+        return poly_pow(a, n)
+
+    def recording_arith(a, b, kind):
+        out = ratfunc_arith(a, b, kind)
+        degrees.extend(sum(mono) for mono in (*out.num, *out.den))
+        return out
+
+    monkeypatch.setattr(exact, "poly_pow", recording_pow)
+    monkeypatch.setattr(exact, "ratfunc_arith", recording_arith)
+    with pytest.raises(ValueError, match="degree exceeds"):
+        ratfunc_from_text(text, ("a",))
+    assert degrees and max(degrees) <= exact.MAX_DEGREE

@@ -3,7 +3,6 @@ dual-route fundamental tables."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import random
 import re
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import pfield
+from pfverify import cli, pfield
 from pfverify.exact import (
     PRIME_LIMIT,
     SCREEN_PRIME,
@@ -88,6 +87,33 @@ def test_source_hash_is_computed_once_per_spec() -> None:
     first = s.source_hash
     assert first == hashlib.sha256(s.source_text.encode()).hexdigest()
     assert s.source_hash is first
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5", "H4-reprimed"])
+def test_source_hash_is_the_sha256_of_the_source_text(name) -> None:
+    if name == "H4-reprimed":
+        s = cli._builtin_spec("H4", 523456789011)
+        assert s.mod_prime != spec("H4").mod_prime
+    else:
+        s = spec(name)
+    assert s.source_hash == hashlib.sha256(s.source_text.encode()).hexdigest()
+
+
+def test_each_distinct_h2hom_text_is_parsed_once(monkeypatch) -> None:
+    texts = []
+
+    def counting_gauss_from_text(text):
+        texts.append(text)
+        return parse(text)
+
+    parse = pfield.gauss_from_text
+    monkeypatch.setattr(pfield, "gauss_from_text", counting_gauss_from_text)
+    h5 = pfield.parse_field_spec(pfield.H5_SPEC_TEXT)
+    assert len(texts) == len(set(texts)) == 9
+    assert len(h5.h2_hom_images) == 30
+    assert h5.h2_hom_images == tuple(
+        tuple(parse(text) for text in row) for row in h5.h2_hom_exprs
+    )
 
 
 def test_single_variable_generator_residues() -> None:
@@ -428,8 +454,7 @@ def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) ->
     # The associate closure and the exact membership test must not read the
     # fingerprint prime, which belongs to the other route, the sieve.
     table = fundamental_table(spec(name))
-    blind = copy.copy(spec(name))
-    blind.mod_prime, blind.mod_var_residues = None, ()
+    blind = spec(name)._replace(mod_prime=None, mod_var_residues=())
 
     def no_mod_map(self, prime=None):
         raise AssertionError("the modular map was read")

@@ -671,6 +671,35 @@ def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> No
         assert sieve._separates(mm, box) == want
 
 
+def test_no_squares_are_computed_where_the_box_cannot_separate(
+    specs, monkeypatch
+) -> None:
+    # At p <= 2|B| there are fewer nonzero squares than exponent vectors.
+    passes = []
+
+    def counting_products(*args):
+        passes.append(args[0])
+        return products(*args)
+
+    products = sieve._products
+    monkeypatch.setattr(sieve, "_products", counting_products)
+    h3 = specs["H3"]
+    box = sieve.candidate_box(h3)
+    assert 2 * sieve._box_size(box) == 350
+    tried = 0
+    for p in range(2, 400):
+        if not all(p % d for d in range(2, math.isqrt(p) + 1)):
+            continue
+        try:
+            mm = h3.mod_map(p)
+        except ValueError:
+            continue
+        sieve._separates(mm, box)
+        tried += p <= 350
+    assert tried > 60
+    assert passes and min(passes) > 350
+
+
 @pytest.mark.parametrize(
     "ranges, at_three",
     [(((0, 0),) * 4, True), (SMALL_BOX.ranges, False)],
