@@ -25,6 +25,7 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -95,7 +96,7 @@ def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
         out = {}
         for mono_a, coeff_a in a.items():
             for mono_b, coeff_b in b.items():
-                mono = tuple(x + y for x, y in zip(mono_a, mono_b))
+                mono = tuple(map(add, mono_a, mono_b))
                 out[mono] = out.get(mono, 0) + coeff_a * coeff_b
         return canonicalize(out)
     raise ValueError(f"unknown kind {kind!r}")

@@ -540,13 +540,13 @@ def poly_divexact(a: Poly, g: Poly) -> Poly | None:
     while rem:
         lead = max(rem, key=grlex_key)
         lc = rem[lead]
-        mono = tuple(x - y for x, y in zip(lead, g_lead))
+        mono = tuple(map(operator.sub, lead, g_lead))
         if any(m < 0 for m in mono) or lc % g_lc:
             return None
         c = lc // g_lc
         quot[mono] = c
         for e, gc in g.items():
-            key = tuple(x + y for x, y in zip(mono, e))
+            key = tuple(map(operator.add, mono, e))
             nv = rem.get(key, 0) - c * gc
             if nv:
                 rem[key] = nv

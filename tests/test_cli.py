@@ -336,10 +336,12 @@ def _h4_with_only_the_first_h2hom() -> str:
     return "".join(line for i, line in enumerate(lines) if i not in homs[1:])
 
 
-def _h3_with_only_h2hom_i_and_wide_bounds() -> str:
+def _h3_with_only_h2hom_i_and_wide_bounds(bound: int = 300) -> str:
     text = builtin_specs()["H3"].source_text
     text = text.replace("h2hom 1 - i\n", "").replace("h2hom (1 - i)/2\n", "")
-    return text + "".join(f"extrabound {slot} -300 300\n" for slot in (1, 2, 3))
+    return text + "".join(
+        f"extrabound {slot} -{bound} {bound}\n" for slot in (1, 2, 3)
+    )
 
 
 @pytest.mark.parametrize(
@@ -367,6 +369,19 @@ def test_exponent_box_failure_names_the_field(tmp_path, text, fail) -> None:
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == f"FAIL: {fail}\n"
+
+
+def test_primes_too_small_to_separate_the_box_are_skipped_unwalked(tmp_path) -> None:
+    # 2,088,491 candidates: each of the 256 primes tried from the spec
+    # prime 1,299,709 is at most 2|B| = 2,088,490, so none can separate the
+    # box and none has its 2 M fingerprints walked.  The cut is at 10 s.
+    proc = _funs_on_spec_text(tmp_path, _h3_with_only_h2hom_i_and_wide_bounds(228))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == (
+        "FAIL: H3: no fingerprint prime among 256 from 1299709 separates "
+        "the 2088491 candidates\n"
+    )
 
 
 def _funs_on_spec_text(tmp_path, text: str) -> subprocess.CompletedProcess:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -629,14 +630,18 @@ def test_survivors_equal_the_box_wide_scan(specs, name, prime_start) -> None:
 
 
 def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> None:
-    def refuse(*args):
-        raise AssertionError("candidate_at ran")
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} ran")
 
-    monkeypatch.setattr(sieve, "candidate_at", refuse)
+        return refused
+
+    monkeypatch.setattr(sieve, "candidate_at", refuse("candidate_at"))
+    monkeypatch.setattr(sieve, "box_fingerprints", refuse("box_fingerprints"))
     for name in ("H3", "H4", "H5"):
-        spec = specs[name]
-        result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
-        assert result.mod_map.prime == spec.mod_prime
+        for spec in (specs[name], _at_prime(specs[name], 100000000003)):
+            result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
+            assert result.mod_map.prime == spec.mod_prime
 
 
 def _separated_by_the_box_wide_set(mm, box) -> bool:
@@ -669,6 +674,92 @@ def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> No
         mm = h4.mod_map(p)
         assert sieve._separates(mm, box) == _separated_by_the_box_wide_set(mm, box)
         assert sieve._separates(mm, box) == want
+
+
+@pytest.mark.parametrize(
+    "name, start, count", [("H4", 10**6, 20), ("H5", 10**8, 30)]
+)
+def test_the_split_separates_exactly_when_the_box_wide_set_does(
+    specs, name, start, count
+) -> None:
+    spec = specs[name]
+    box = sieve.candidate_box(spec)
+    outcomes = set()
+    p = start
+    for _ in range(count):
+        p = next_prime(p)
+        mm = spec.mod_map(p)
+        got = sieve._separates(mm, box)
+        assert got == _separated_by_the_box_wide_set(mm, box), p
+        outcomes.add(got)
+    assert outcomes == {False, True}
+
+
+def _hand_built_map(prime: int, residues) -> ModMap:
+    """A ModMap that skips the constructor's check, so a residue may be 0."""
+    mm = object.__new__(ModMap)
+    mm.prime, mm.gen_residues = prime, tuple(residues)
+    return mm
+
+
+_SPLIT_PRIMES = [2, 3, 5, 7, 11, 13, 31, 61, 127, 257, 1021, 4099, 16411, 65537]
+
+
+@st.composite
+def _small_maps_and_boxes(draw):
+    p = draw(st.sampled_from(_SPLIT_PRIMES))
+    slots = draw(st.integers(1, 5))
+    ranges = []
+    for _ in range(slots):
+        lo = draw(st.integers(-3, 3))
+        ranges.append((lo, lo + draw(st.integers(0, 5))))
+    residue = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    residues = draw(st.lists(residue, min_size=slots, max_size=slots))
+    return _hand_built_map(p, residues), sieve.CandidateBox(tuple(ranges), False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_maps_and_boxes())
+def test_the_split_equals_the_box_wide_set_on_small_boxes(map_and_box) -> None:
+    mm, box = map_and_box
+    try:
+        want = _separated_by_the_box_wide_set(mm, box)
+    except ValueError:
+        # A zero residue has no negative powers: no such map separates.
+        want = False
+    assert sieve._separates(mm, box) == want
+
+
+@pytest.mark.parametrize("name, bound", [("H3", 94), ("H4", 910), ("H5", 4250)])
+def test_one_separation_proof_takes_few_products(
+    specs, monkeypatch, name, bound
+) -> None:
+    # Against |B| = 175 / 6,615 / 32,805 products for the box-wide set.
+    made = []
+
+    def counting_products(*args):
+        for value in products(*args):
+            made.append(value)
+            yield value
+
+    products = sieve._products
+    monkeypatch.setattr(sieve, "_products", counting_products)
+    spec = specs[name]
+    assert sieve._separates(spec.mod_map(spec.mod_prime), sieve.candidate_box(spec))
+    assert 0 < len(made) <= bound
+
+
+def test_the_h5_sieve_holds_no_box_wide_set(specs) -> None:
+    spec = specs["H5"]
+    box = sieve.candidate_box(spec)
+    tracemalloc.start()
+    try:
+        sieve.fingerprint_sieve(spec, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A set of the 32,805 squared residues alone peaks above 3 MiB.
+    assert peak < 1 << 20
 
 
 def test_no_squares_are_computed_where_the_box_cannot_separate(
