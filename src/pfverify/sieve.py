@@ -12,25 +12,20 @@ fundamental.  The box is their bounding box.
 
 Each candidate gets a fingerprint (its residue under the spec's modular
 map, or its exact value for the Gaussian field).  No other module chooses
-a fingerprint prime or computes a fingerprint.  For each prime tried, the
-fingerprints of the whole box are proved distinct.  Mod p > 2,
-sigma r(e) = sigma' r(e') forces r(e)^2 = r(e')^2, so that holds iff the
-squared residues h^e of the exponent vectors are distinct, that is iff no
-nonzero d in the difference box D of the slot ranges has h^d = 1.  That
-is decided meet-in-the-middle (baby-step giant-step over a box): D splits
-into D_A x D_B, the products over D_A other than 1 are held in one set,
-and those over D_B are streamed against it, |D_A| + |D_B| products in all
-instead of |B|.  A prime p <= 2|B| has too few squares to separate the
-box and is skipped at once.  Only when a larger prime fails are the
-fingerprints walked in enumerate_candidates order and the colliding pair
-decoded by index; an exact check tells a dependent generator set (a FAIL)
-from an unlucky prime (advance to the next one, up to a fixed count).
-The search starts at the spec prime: a generator residue that vanishes
-there is a FAIL naming the generator, and a later prime where one
-vanishes is skipped.  The sieve itself
-fingerprints only the points, both signs, and zero: a candidate survives
-iff the fingerprint of 1 - candidate is also among them.  Survivors are
-cross-checked exactly, once per pair {s, 1 - s}.
+a fingerprint prime or computes a fingerprint.  Each prime tried is
+decided in one pass (_collision): the fingerprints of the whole box are
+distinct iff no nonzero d in the difference box of the slot ranges has
+prod r_i^(2 d_i) = 1 mod p, which a meet-in-the-middle search over two
+halves of that box decides in |D_A| + |D_B| products, not |B|, and a hit
+names its d.  The quotient sign * g^d, sign = r^d = +-1 mod p, is then
+screened and, if it passes, checked exactly: 1 means the generators are
+dependent (a FAIL naming two equal candidates), anything else an unlucky
+prime (advance to the next one, up to a fixed count).  The search starts
+at the spec prime: a generator residue that vanishes there is a FAIL
+naming the generator, and a later prime where one vanishes is skipped.
+The sieve itself fingerprints only the points, both signs, and zero: a
+candidate survives iff the fingerprint of 1 - candidate is also among
+them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from typing import NamedTuple
 
 from .exact import (
     GAUSS_ONE,
+    SCREEN_PRIME,
     GaussDyadic,
     ModMap,
     RatFunc,
@@ -70,8 +66,8 @@ from .pfield import (
 
 class CandidateBox(NamedTuple):
     """Integer exponent ranges per generator slot; slot 0 is pinned to 0.
-    points are the exponent vectors the sieve fingerprints; None, for a
-    box built without rows, stands for every vector of the ranges."""
+    points are the exponent vectors the sieve fingerprints; the Gaussian
+    box, whose candidates are expanded exactly, has none."""
 
     ranges: tuple[tuple[int, int], ...]
     include_zero: bool
@@ -397,21 +393,6 @@ def enumerate_candidates(box: CandidateBox) -> list[FactoredElement]:
     return out
 
 
-def candidate_at(box: CandidateBox, index: int) -> FactoredElement:
-    """The candidate at index in enumerate_candidates order, decoded from
-    its mixed-radix digits.  The index just past the signed candidates is
-    always the zero element, whether or not the box includes it."""
-    size = _box_size(box)
-    if index == 2 * size:
-        return FactoredElement(0, (0,) * len(box.ranges))
-    sign_digit, rest = divmod(index, size)
-    exps = []
-    for lo, hi in reversed(box.ranges):
-        rest, digit = divmod(rest, hi - lo + 1)
-        exps.append(lo + digit)
-    return FactoredElement(-1 if sign_digit else 1, tuple(reversed(exps)))
-
-
 # ---------------------------------------------------------------------------
 # Fingerprint sieve
 
@@ -420,89 +401,105 @@ def candidate_at(box: CandidateBox, index: int) -> FactoredElement:
 MAX_PRIMES_TRIED = 256
 
 
-def _products(p: int, start: list[int], residues, ranges) -> Iterator[int]:
-    """Every product of a start value and one power per slot of the slot's
-    residue mod p, in mixed-radix order (last slot fastest).  Each slot
-    multiplies every partial product by each of its powers, so no exponent
-    tuple is built, and the last slot's products are yielded as they are
-    made, never held in a list."""
+def _products(p: int, residues, ranges) -> Iterator[int]:
+    """Every product of one power per slot of the slot's residue mod p, in
+    mixed-radix order (last slot fastest).  Each slot multiplies every
+    partial product by each of its powers, so no exponent tuple is built,
+    and the last slot's products are yielded as they are made, never held
+    in a list."""
     *head, last = (
         [pow(r, e, p) for e in range(lo, hi + 1)]
         for r, (lo, hi) in zip(residues, ranges)
     )
+    partial = [1]
     for table in head:
-        start = [f * t % p for f in start for t in table]
-    return (f * t % p for f in start for t in last)
+        partial = [f * t % p for f in partial for t in table]
+    return (f * t % p for f in partial for t in last)
 
 
-def box_fingerprints(mm: ModMap, box: CandidateBox) -> Iterator[int]:
-    """Residue of every candidate under mm, in enumerate_candidates order:
-    the products from the two sign residues, then 0 if the box has it."""
-    p = mm.prime
-    products = _products(p, [1, p - 1], mm.gen_residues, box.ranges)
-    return chain(products, [0] * box.include_zero)
+def _collision(mm: ModMap, box: CandidateBox) -> tuple[int, ...] | None:
+    """None if mm gives every candidate of the box, and 0, its own residue.
+    Otherwise a relation that rules it out: a nonzero d, one entry per slot,
+    with |d_i| < w_i for the slot widths w_i and prod r_i^(2 d_i) = 1 mod p;
+    or () where no search is needed.
 
-
-def _separates(mm: ModMap, box: CandidateBox) -> bool:
-    """Whether mm gives every candidate of the box, and 0, its own residue.
-
-    For p > 2, iff the squares of the exponent vectors' residues are
-    distinct: sigma r(e) = sigma' r(e') forces r(e)^2 = r(e')^2; r(e)^2 =
-    r(e')^2 with e != e' gives r(e) = +-r(e'), a collision; and the two
-    signs of one vector would need 2 r(e) = 0.  No unit's residue is 0.
-    For odd p there are only (p - 1)/2 nonzero squares, so at p <= 2|B| the
-    |B| squares cannot all be distinct; at p = 2, 1 = -1.  Either way the
-    test fails without computing a square.
+    For p > 2, separation holds iff the squares of the exponent vectors'
+    residues are distinct: sigma r(e) = sigma' r(e') forces r(e)^2 =
+    r(e')^2; r(e)^2 = r(e')^2 with e != e' gives r(e) = +-r(e'), a
+    collision; and the two signs of one vector would need 2 r(e) = 0.  No
+    unit's residue is 0.  For odd p there are only (p - 1)/2 nonzero
+    squares, so at p <= 2|B| the |B| squares cannot all be distinct; at
+    p = 2, 1 = -1.  Either way the result is () without computing a square.
+    So is a zero residue on a slot whose range is not {0}: a positive power
+    gives two candidates the residue 0, and a negative power does not exist.
 
     With h_i = r_i^2, h^e = h^e' iff h^(e - e') = 1, and e - e' ranges over
-    exactly the difference box D = prod [-(w_i - 1), w_i - 1] of the slot
-    widths w_i.  So the squares are distinct iff no nonzero d in D has
-    h^d = 1, which is checked meet-in-the-middle: the slots of width >= 2
-    split, in order, into D_A x D_B at the prefix that minimises
-    |D_A| + |D_B|.  D_B is symmetric, so its products are closed under
-    inverses, and a nonzero relation (d_A, d_B) exists iff 1 occurs more
-    than once among the products over D_A, or more than once among those
-    over D_B, or some value other than 1 occurs in both.  Only D_A's values
-    other than 1 are held, in one set; D_B's are streamed against it.  On
-    H3 / H4 / H5 that is 94 / 910 / 4,250 products against |B| = 175 /
-    6,615 / 32,805.  A zero residue on a slot whose range is not {0}
-    separates nothing: a positive power gives two candidates the residue
-    0, and a negative power does not exist."""
+    exactly the difference box D = prod [-(w_i - 1), w_i - 1].  So the
+    squares are distinct iff no nonzero d in D has h^d = 1, which is
+    checked meet-in-the-middle: the slots split, in order, into D_A x D_B
+    at the prefix that minimises |D_A| + |D_B|.  D_B is symmetric, so its
+    products are closed under inverses, and a nonzero relation (d_A, d_B)
+    exists iff 1 occurs more than once among the products over D_A, or more
+    than once among those over D_B, or some value v other than 1 occurs in
+    both.  Only D_A's values other than 1 are held, in one set; D_B's are
+    streamed against it.  On H3 / H4 / H5 that is 94 / 910 / 4,250 products
+    against |B| = 175 / 6,615 / 32,805.  Only a hit is decoded, by streaming
+    a half again up to the first nonzero vector with the hit's value: a
+    second 1 gives (d_A, 0) or (0, d_B), and h^d_A = v = h^d_B gives
+    (d_A, -d_B)."""
     p = mm.prime
     if p <= 2 * _box_size(box):
-        return False
+        return ()
     squares, spans = [], []
     for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
         if r % p == 0 and (lo, hi) != (0, 0):
-            return False
-        if hi > lo:
-            squares.append(r * r % p)
-            spans.append((lo - hi, hi - lo))
-    if not spans:
-        return True
-    sizes = [hi - lo + 1 for lo, hi in spans]
-    k = min(
-        range(1, len(spans) + 1), key=lambda j: prod(sizes[:j]) + prod(sizes[j:])
-    )
+            return ()
+        squares.append(r * r % p)
+        spans.append((lo - hi, hi - lo))
+    n, sizes = len(spans), [hi - lo + 1 for lo, hi in spans]
+    k = min(range(1, n + 1), key=lambda j: prod(sizes[:j]) + prod(sizes[j:]))
+
+    def first(j0: int, j1: int, target: int) -> tuple[int, ...]:
+        """The first nonzero vector over spans[j0:j1] whose product is target."""
+        vectors = product(*(range(lo, hi + 1) for lo, hi in spans[j0:j1]))
+        values = _products(p, squares[j0:j1], spans[j0:j1])
+        return next(d for d, v in zip(vectors, values) if v == target and any(d))
+
     held, ones = set(), 0
-    for v in _products(p, [1], squares[:k], spans[:k]):
+    for v in _products(p, squares[:k], spans[:k]):
         if v == 1:
             ones += 1
         else:
             held.add(v)
     if ones > 1:
-        return False
-    if k == len(spans):
-        return True
+        return first(0, k, 1) + (0,) * (n - k)
+    if k == n:
+        return None
     ones = 0
-    for v in _products(p, [1], squares[k:], spans[k:]):
+    for v in _products(p, squares[k:], spans[k:]):
         if v == 1:
             ones += 1
             if ones > 1:
-                return False
+                return (0,) * k + first(k, n, 1)
         elif v in held:
-            return False
-    return True
+            return first(0, k, v) + tuple(-x for x in first(k, n, v))
+    return None
+
+
+def _is_one(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
+    """Whether fe is exactly 1.  Its numerator and denominator are first
+    evaluated from the generators' screen residues, with no inverse, as
+    ratfunc_eq screens; only if they agree is fe expanded and compared."""
+    num, den = fe.sign, 1
+    for gen, e in zip(spec.generators, fe.exps):
+        top, bottom = gen.screen_residues
+        if e < 0:
+            top, bottom, e = bottom, top, -e
+        num = num * pow(top, e, SCREEN_PRIME) % SCREEN_PRIME
+        den = den * pow(bottom, e, SCREEN_PRIME) % SCREEN_PRIME
+    if (num - den) % SCREEN_PRIME:
+        return False
+    return value_eq(expand_element(spec, fe), ratfunc_const(spec.arity, 1))
 
 
 def resolve_mod_map(
@@ -516,20 +513,18 @@ def resolve_mod_map(
     The primes are tried upward from the spec prime, at most
     MAX_PRIMES_TRIED of them.  At the spec prime a vanishing generator
     residue raises the ValueError naming the generator; a later prime where
-    one vanishes is skipped.  So is a prime p <= 2|B|: the |B| squared
-    residues that _separates compares cannot all be distinct there, so it
-    cannot separate the box, and its fingerprints are not walked.  At any
-    other prime, separation is proved meet-in-the-middle on the difference
-    box (see _separates).  Only when that fails are the fingerprints walked
-    in box_fingerprints order and the first colliding pair decoded by index
-    (see candidate_at).  The pair is checked exactly: two equal candidates
-    mean the generators are dependent, which no prime separates; otherwise
-    the search advances to the next prime.
+    one vanishes is skipped.  Every other prime is decided by one
+    _collision call, which also rules out p <= 2|B|.  A relation d it
+    returns names the quotient (sign, d), sign = r^d = +-1 mod p, which
+    _is_one checks exactly: if it is 1 the generators are dependent, which
+    no prime separates, and the FAIL names the two equal candidates (1, e)
+    and (sign, e + d) with e_i = lo_i + max(-d_i, 0), both in the box
+    ranges; otherwise the search advances to the next prime.
     """
     start = p = spec.mod_prime
     if len(box.ranges) != len(spec.generators):
         raise ValueError("exponent vector length mismatch")
-    count, size = candidate_count(box), _box_size(box)
+    count = candidate_count(box)
     for _ in range(MAX_PRIMES_TRIED):
         try:
             mm = spec.mod_map(p)
@@ -537,31 +532,25 @@ def resolve_mod_map(
             if p == start:
                 raise
             mm = None
-        if mm is None or p <= 2 * size:
-            p = next_prime(p)
-            continue
-        if _separates(mm, box):
-            points = box.points
-            if points is None:
-                points = product(*(range(lo, hi + 1) for lo, hi in box.ranges))
+        d = () if mm is None else _collision(mm, box)
+        if d is None:
             fps = {0: FactoredElement(0, (0,) * len(box.ranges))}
-            for point in points:
+            for point in box.points:
                 fp = mod_eval(mm, 1, point)
                 fps[fp] = FactoredElement(1, point)
                 fps[p - fp] = FactoredElement(-1, point)
             # A unit's residue is never 0, so 0 is new unless the box has it.
             return mm, fps, count + (not box.include_zero)
-        seen: dict = {}
-        for i, fp in enumerate(box_fingerprints(mm, box)):
-            j = seen.setdefault(fp, i)
-            if j != i:
-                break
-        first, second = candidate_at(box, j), candidate_at(box, i)
-        if value_eq(expand_element(spec, first), expand_element(spec, second)):
-            raise VerificationError(
-                f"{spec.name}: candidates {first} and {second} are exactly "
-                "equal, so their quotient is a relation among the generators"
-            )
+        if d:
+            sign = 1 if mod_eval(mm, 1, d) == 1 else -1
+            if _is_one(spec, FactoredElement(sign, d)):
+                e = tuple(lo + max(-x, 0) for (lo, _), x in zip(box.ranges, d))
+                first = FactoredElement(1, e)
+                second = FactoredElement(sign, tuple(a + x for a, x in zip(e, d)))
+                raise VerificationError(
+                    f"{spec.name}: candidates {first} and {second} are exactly "
+                    "equal, so their quotient is a relation among the generators"
+                )
         p = next_prime(p)
     raise VerificationError(
         f"{spec.name}: no fingerprint prime among {MAX_PRIMES_TRIED} from "

@@ -328,10 +328,20 @@ def _finish_group(
     )
 
 
+# Widest GF(5) map whose width! coordinate permutations are walked: about
+# 0.2 s at width 8 and 2 s at 9; the builtins use at most 6.
+MAX_GF5_WIDTH = 8
+
+
 def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     table = fundamental_table(spec)
-    # Repeated coordinates fail here, before the loop over their permutations.
+    # Repeated or too many coordinates fail here, before their permutations.
     _base_columns(spec)
+    if spec.gf5_width > MAX_GF5_WIDTH:
+        raise VerificationError(
+            f"{spec.name}: gf5map width {spec.gf5_width} is more than "
+            f"{MAX_GF5_WIDTH}, too many coordinate permutations to walk"
+        )
     candidates = _candidate_tuples(spec, table)
     proposed = set(candidates)
     entries = table.nonzero_one

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -307,7 +308,7 @@ def test_vanishing_generator_residue_names_field_and_generator(
 def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
     text = builtin_specs()["H3"].source_text
     assert old in text
-    proc = _funs_on_spec_text(tmp_path, text.replace(old, new))
+    proc = _cli_on_spec_text(tmp_path, text.replace(old, new))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -322,7 +323,7 @@ def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
 def test_non_unit_seed_fails_promptly_and_names_the_seed(tmp_path, seed) -> None:
     # Closing these seeds under associates once took minutes.
     text = builtin_specs()["H5"].source_text + f"seed {seed}\n"
-    proc = _funs_on_spec_text(tmp_path, text)
+    proc = _cli_on_spec_text(tmp_path, text)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == (
@@ -365,7 +366,7 @@ def _h3_with_only_h2hom_i_and_wide_bounds(bound: int = 300) -> str:
     ids=["infeasible", "unbounded", "non-unit-generator", "too-wide"],
 )
 def test_exponent_box_failure_names_the_field(tmp_path, text, fail) -> None:
-    proc = _funs_on_spec_text(tmp_path, text)
+    proc = _cli_on_spec_text(tmp_path, text)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == f"FAIL: {fail}\n"
@@ -375,7 +376,7 @@ def test_primes_too_small_to_separate_the_box_are_skipped_unwalked(tmp_path) -> 
     # 2,088,491 candidates: each of the 256 primes tried from the spec
     # prime 1,299,709 is at most 2|B| = 2,088,490, so none can separate the
     # box and none has its 2 M fingerprints walked.  The cut is at 10 s.
-    proc = _funs_on_spec_text(tmp_path, _h3_with_only_h2hom_i_and_wide_bounds(228))
+    proc = _cli_on_spec_text(tmp_path, _h3_with_only_h2hom_i_and_wide_bounds(228))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == (
@@ -384,19 +385,52 @@ def test_primes_too_small_to_separate_the_box_are_skipped_unwalked(tmp_path) -> 
     )
 
 
-def _funs_on_spec_text(tmp_path, text: str) -> subprocess.CompletedProcess:
-    """`pfverify funs --spec` on the text in a fresh process, cut at 10 s."""
+def _cli_on_spec_text(
+    tmp_path, text: str, command: str = "funs"
+) -> subprocess.CompletedProcess:
+    """`pfverify <command> --spec` on the text in a fresh process, cut at
+    10 s."""
     path = tmp_path / "hostile.pfs"
     path.write_text(text)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
     env["PYTHONPATH"] = src
     return subprocess.run(
-        [sys.executable, "-m", "pfverify.cli", "funs", "--spec", str(path)],
+        [sys.executable, "-m", "pfverify.cli", command, "--spec", str(path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=10,
+    )
+
+
+def _spec_with_gf5_width_27() -> str:
+    """Three indeterminates whose gf5map lists every point of {2, 3, 4}^3,
+    so 27 coordinates and 27! coordinate permutations."""
+    points = list(itertools.product((2, 3, 4), repeat=3))
+    values = ("i", "2", "1/2", "-1", "(1 - i)/2")
+    lines = ["field R", "k 5", "vars a b c"]
+    lines += [f"gen {g}" for g in ("-1", "a", "b", "c", "1 - a", "1 - b", "1 - c")]
+    lines += [f"seed {s}" for s in ("1", "a", "b", "c")]
+    lines += [
+        f"gf5map {v} " + " ".join(map(str, column))
+        for v, column in zip("abc", zip(*points))
+    ]
+    lines += ["prime 1299709", "modvar a 123457", "modvar b 7654321", "modvar c 98765"]
+    lines += [f"h2hom {x}, {y}, {z}" for x, y, z in itertools.product(values, repeat=3)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_gf5_map_too_wide_to_permute_fails_the_symmetry_search(tmp_path) -> None:
+    # The table builds; the symmetry search refuses to walk 27! permutations.
+    text = _spec_with_gf5_width_27()
+    assert _cli_on_spec_text(tmp_path, text).returncode == 0
+    proc = _cli_on_spec_text(tmp_path, text, "auts")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "FAIL: R: gf5map width 27 is more than 8, too many coordinate "
+        "permutations to walk"
     )
 
 

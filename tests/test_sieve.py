@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,8 +23,10 @@ from pfverify.pfield import (
     FactoredElement,
     VerificationError,
     builtin_specs,
+    expand_element,
     fundamental_table,
     parse_field_spec,
+    value_eq,
 )
 
 H = Fraction(1, 2)
@@ -375,6 +378,32 @@ def test_integer_points_equal_the_brute_force_filter(system) -> None:
 # Candidate enumeration
 
 
+def candidate_at(box, index: int) -> FactoredElement:
+    """The candidate at index in enumerate_candidates order, decoded from
+    its mixed-radix digits.  The index just past the signed candidates is
+    always the zero element, whether or not the box includes it."""
+    size = sieve._box_size(box)
+    if index == 2 * size:
+        return FactoredElement(0, (0,) * len(box.ranges))
+    sign_digit, rest = divmod(index, size)
+    exps = []
+    for lo, hi in reversed(box.ranges):
+        rest, digit = divmod(rest, hi - lo + 1)
+        exps.append(lo + digit)
+    return FactoredElement(-1 if sign_digit else 1, tuple(reversed(exps)))
+
+
+def box_fingerprints(mm, box) -> list[int]:
+    """Residue of every candidate under mm, in enumerate_candidates order:
+    the products from the two sign residues, then 0 if the box has it."""
+    p = mm.prime
+    fps = [1, p - 1]
+    for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
+        table = [pow(r, e, p) for e in range(lo, hi + 1)]
+        fps = [f * t % p for f in fps for t in table]
+    return fps + [0] * box.include_zero
+
+
 def test_candidate_counts(specs) -> None:
     counts = {"H3": 351, "H4": 13230, "H5": 65610}
     for name, expected in counts.items():
@@ -389,9 +418,7 @@ def test_candidate_at_decodes_the_enumeration_order(specs, name) -> None:
     for boxed in (box, box._replace(include_zero=not box.include_zero)):
         candidates = sieve.enumerate_candidates(boxed)
         assert sieve.candidate_count(boxed) == len(candidates)
-        assert [sieve.candidate_at(boxed, i) for i in range(len(candidates))] == (
-            candidates
-        )
+        assert [candidate_at(boxed, i) for i in range(len(candidates))] == candidates
 
 
 def test_candidate_enumeration_is_deterministic(specs) -> None:
@@ -471,7 +498,11 @@ def _at_prime(spec, prime: int):
 
 
 # An H3 box of 54 candidate units, too many for distinct residues mod 59.
-SMALL_BOX = sieve.CandidateBox(((0, 0), (-1, 1), (-1, 1), (-1, 1)), False)
+SMALL_BOX = sieve.CandidateBox(
+    ((0, 0), (-1, 1), (-1, 1), (-1, 1)),
+    False,
+    tuple((0, *v) for v in itertools.product((-1, 0, 1), repeat=3)),
+)
 
 
 def test_prime_advances_until_fingerprints_separate(specs) -> None:
@@ -519,7 +550,7 @@ def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
     candidates = sieve.enumerate_candidates(box)
     mm, index, distinct = sieve.resolve_mod_map(spec, box)
     assert mm.prime >= spec.mod_prime
-    fps = list(sieve.box_fingerprints(mm, box))
+    fps = box_fingerprints(mm, box)
     assert len(fps) == len(candidates)
     for fp, fe in zip(fps, candidates):
         assert fp == mod_eval(mm, fe.sign, fe.exps)
@@ -588,11 +619,7 @@ def _box_wide_sieve(spec, box):
         except ValueError:
             p = next_prime(p)
             continue
-        fps = [1, p - 1]
-        for r, (lo, hi) in zip(mm.gen_residues, box.ranges):
-            table = [pow(r, e, p) for e in range(lo, hi + 1)]
-            fps = [f * t % p for f in fps for t in table]
-        fps += [0] * box.include_zero
+        fps = box_fingerprints(mm, box)
         index: dict = {}
         for i, fp in enumerate(fps):
             if index.setdefault(fp, i) != i:
@@ -600,7 +627,7 @@ def _box_wide_sieve(spec, box):
         else:
             index.setdefault(0, len(fps) - box.include_zero)
             survivors = {
-                fp: sieve.candidate_at(box, index[fp])
+                fp: candidate_at(box, index[fp])
                 for fp in sorted(fp for fp in index if (1 - fp) % p in index)
             }
             return sieve.SieveResult(mm, survivors, len(index), len(fps))
@@ -630,14 +657,11 @@ def test_survivors_equal_the_box_wide_scan(specs, name, prime_start) -> None:
 
 
 def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> None:
-    def refuse(name):
-        def refused(*args):
-            raise AssertionError(f"{name} ran")
+    # At a separating prime no relation is decoded, so nothing is expanded.
+    def refused(*args):
+        raise AssertionError("expand_element ran")
 
-        return refused
-
-    monkeypatch.setattr(sieve, "candidate_at", refuse("candidate_at"))
-    monkeypatch.setattr(sieve, "box_fingerprints", refuse("box_fingerprints"))
+    monkeypatch.setattr(sieve, "expand_element", refused)
     for name in ("H3", "H4", "H5"):
         for spec in (specs[name], _at_prime(specs[name], 100000000003)):
             result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
@@ -645,7 +669,7 @@ def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> N
 
 
 def _separated_by_the_box_wide_set(mm, box) -> bool:
-    return len(set(sieve.box_fingerprints(mm, box))) == sieve.candidate_count(box)
+    return len(set(box_fingerprints(mm, box))) == sieve.candidate_count(box)
 
 
 def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> None:
@@ -659,7 +683,7 @@ def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> No
             mm = h3.mod_map(p)
         except ValueError:
             continue
-        got = sieve._separates(mm, box)
+        got = sieve._collision(mm, box) is None
         assert got == _separated_by_the_box_wide_set(mm, box)
         tried += 1
         separated += got
@@ -672,8 +696,9 @@ def test_squared_residues_separate_exactly_when_the_fingerprints_do(specs) -> No
         (100103, True), (100129, False),
     ):
         mm = h4.mod_map(p)
-        assert sieve._separates(mm, box) == _separated_by_the_box_wide_set(mm, box)
-        assert sieve._separates(mm, box) == want
+        got = sieve._collision(mm, box) is None
+        assert got == _separated_by_the_box_wide_set(mm, box)
+        assert got == want
 
 
 @pytest.mark.parametrize(
@@ -689,7 +714,7 @@ def test_the_split_separates_exactly_when_the_box_wide_set_does(
     for _ in range(count):
         p = next_prime(p)
         mm = spec.mod_map(p)
-        got = sieve._separates(mm, box)
+        got = sieve._collision(mm, box) is None
         assert got == _separated_by_the_box_wide_set(mm, box), p
         outcomes.add(got)
     assert outcomes == {False, True}
@@ -727,7 +752,19 @@ def test_the_split_equals_the_box_wide_set_on_small_boxes(map_and_box) -> None:
     except ValueError:
         # A zero residue has no negative powers: no such map separates.
         want = False
-    assert sieve._separates(mm, box) == want
+    got = sieve._collision(mm, box)
+    assert (got is None) == want
+    if got:
+        _assert_relation(mm, box, got)
+
+
+def _assert_relation(mm, box, d) -> None:
+    """d is a nonzero difference vector of the box, 0 on width-1 slots,
+    with prod r_i^(2 d_i) = 1 mod p."""
+    p = mm.prime
+    assert len(d) == len(box.ranges) and any(d)
+    assert all(abs(x) <= hi - lo for x, (lo, hi) in zip(d, box.ranges))
+    assert math.prod(pow(r, 2 * x, p) for r, x in zip(mm.gen_residues, d)) % p == 1
 
 
 @pytest.mark.parametrize("name, bound", [("H3", 94), ("H4", 910), ("H5", 4250)])
@@ -745,8 +782,32 @@ def test_one_separation_proof_takes_few_products(
     products = sieve._products
     monkeypatch.setattr(sieve, "_products", counting_products)
     spec = specs[name]
-    assert sieve._separates(spec.mod_map(spec.mod_prime), sieve.candidate_box(spec))
+    mm = spec.mod_map(spec.mod_prime)
+    assert sieve._collision(mm, sieve.candidate_box(spec)) is None
     assert 0 < len(made) <= bound
+
+
+def test_a_colliding_prime_is_decided_and_decoded_in_few_products(
+    specs, monkeypatch
+) -> None:
+    # The decision and the decoding of its hit, against 13,230 fingerprints
+    # for a walk of the box's candidates.
+    made = []
+
+    def counting_products(*args):
+        for value in products(*args):
+            made.append(value)
+            yield value
+
+    products = sieve._products
+    monkeypatch.setattr(sieve, "_products", counting_products)
+    spec = specs["H4"]
+    box = sieve.candidate_box(spec)
+    mm = spec.mod_map(100003)
+    d = sieve._collision(mm, box)
+    assert d
+    _assert_relation(mm, box, d)
+    assert 0 < len(made) <= 2 * 910
 
 
 def test_the_h5_sieve_holds_no_box_wide_set(specs) -> None:
@@ -785,8 +846,10 @@ def test_no_squares_are_computed_where_the_box_cannot_separate(
             mm = h3.mod_map(p)
         except ValueError:
             continue
-        sieve._separates(mm, box)
-        tried += p <= 350
+        got = sieve._collision(mm, box)
+        if p <= 350:
+            assert got == ()
+            tried += 1
     assert tried > 60
     assert passes and min(passes) > 350
 
@@ -804,7 +867,7 @@ def test_squared_residues_never_separate_at_two(ranges, at_three) -> None:
         (ModMap(2, (1,) * 4), False),
         (ModMap(3, (2, 1, 1, 1)), at_three),
     ):
-        assert sieve._separates(mm, box) == separates
+        assert (sieve._collision(mm, box) is None) == separates
         assert _separated_by_the_box_wide_set(mm, box) == separates
 
 
@@ -842,10 +905,27 @@ def _spec_with_repeated_generator() -> str:
     return text + "extrabound 1 -1 1\nextrabound 2 -1 1\n"
 
 
+_NAMED_ELEMENT = re.compile(r"FactoredElement\(sign=(-?\d+), exps=\(([-\d, ]*)\)\)")
+
+
 def test_equal_candidates_are_a_verification_error() -> None:
     spec = parse_field_spec(_spec_with_repeated_generator())
-    with pytest.raises(VerificationError, match="exactly equal"):
-        sieve.resolve_mod_map(spec, sieve.candidate_box(spec))
+    box = sieve.candidate_box(spec)
+    with pytest.raises(VerificationError, match="exactly equal") as failure:
+        sieve.resolve_mod_map(spec, box)
+    # Both named candidates carry an int sign and lie in the box, and they
+    # are distinct vectors with exactly equal values.
+    named = [
+        FactoredElement(int(sign), tuple(int(e) for e in exps.split(",")))
+        for sign, exps in _NAMED_ELEMENT.findall(str(failure.value))
+    ]
+    assert len(named) == 2
+    first, second = named
+    assert first.exps != second.exps
+    for fe in named:
+        assert fe.sign in (1, -1)
+        assert all(lo <= e <= hi for e, (lo, hi) in zip(fe.exps, box.ranges))
+    assert value_eq(expand_element(spec, first), expand_element(spec, second))
 
 
 def test_repeated_generator_spec_fails_without_hanging(tmp_path) -> None:
