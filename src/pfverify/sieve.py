@@ -502,6 +502,23 @@ def _is_one(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
     return value_eq(expand_element(spec, fe), ratfunc_const(spec.arity, 1))
 
 
+def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
+    """Whether fe is exactly 1 at the modvar point, in rational arithmetic.
+    Then it is 1 mod every prime where the generators are units, so no
+    prime separates.  Only called once a prime has given every generator a
+    unit residue, so no value there is 0 or has a vanishing denominator."""
+    point = spec.mod_var_residues
+
+    def at_point(poly) -> int:
+        return sum(c * prod(x**e for x, e in zip(point, m)) for m, c in poly.items())
+
+    value = Fraction(fe.sign)
+    for gen, e in zip(spec.generators, fe.exps):
+        if e:
+            value *= Fraction(at_point(gen.num), at_point(gen.den)) ** e
+    return value == 1
+
+
 def resolve_mod_map(
     spec: PartialFieldSpec, box: CandidateBox
 ) -> tuple[ModMap, dict, int]:
@@ -519,7 +536,9 @@ def resolve_mod_map(
     _is_one checks exactly: if it is 1 the generators are dependent, which
     no prime separates, and the FAIL names the two equal candidates (1, e)
     and (sign, e + d) with e_i = lo_i + max(-d_i, 0), both in the box
-    ranges; otherwise the search advances to the next prime.
+    ranges.  If it is 1 at the modvar point alone, the FAIL names the point
+    and the relation, which holds mod every prime; otherwise the search
+    advances to the next prime.
     """
     start = p = spec.mod_prime
     if len(box.ranges) != len(spec.generators):
@@ -543,13 +562,23 @@ def resolve_mod_map(
             return mm, fps, count + (not box.include_zero)
         if d:
             sign = 1 if mod_eval(mm, 1, d) == 1 else -1
-            if _is_one(spec, FactoredElement(sign, d)):
+            quotient = FactoredElement(sign, d)
+            if _is_one(spec, quotient):
                 e = tuple(lo + max(-x, 0) for (lo, _), x in zip(box.ranges, d))
                 first = FactoredElement(1, e)
                 second = FactoredElement(sign, tuple(a + x for a, x in zip(e, d)))
                 raise VerificationError(
                     f"{spec.name}: candidates {first} and {second} are exactly "
                     "equal, so their quotient is a relation among the generators"
+                )
+            if _is_one_at_modvar_point(spec, quotient):
+                at = ", ".join(
+                    f"{v} = {x}" for v, x in zip(spec.var_names, spec.mod_var_residues)
+                )
+                raise VerificationError(
+                    f"{spec.name}: the generator values at the modvar point {at} "
+                    f"satisfy {quotient} = 1, so no fingerprint prime separates "
+                    "the candidates"
                 )
         p = next_prime(p)
     raise VerificationError(

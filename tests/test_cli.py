@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from pfverify import cli
 from pfverify.pfield import builtin_specs
+from test_pfield import _h3_with_unused_indeterminates
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -431,6 +433,43 @@ def test_a_gf5_map_too_wide_to_permute_fails_the_symmetry_search(tmp_path) -> No
     assert proc.stdout.splitlines()[-1] == (
         "FAIL: R: gf5map width 27 is more than 8, too many coordinate "
         "permutations to walk"
+    )
+
+
+def test_many_indeterminates_fail_the_symmetry_search_before_their_points(
+    tmp_path,
+) -> None:
+    # 17 indeterminates would be 3^17 GF(5) points; the table still builds.
+    text = _h3_with_unused_indeterminates(list("bcdefghjkmnpqrst"))
+    assert _cli_on_spec_text(tmp_path, text).returncode == 0
+    started = time.perf_counter()
+    proc = _cli_on_spec_text(tmp_path, text, "auts")
+    assert time.perf_counter() - started < 5.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "FAIL: H3: 17 indeterminates are more than 8, too many GF(5) points "
+        "to walk"
+    )
+
+
+def test_dependent_generator_values_at_the_modvar_point_fail_naming_it(
+    capsys, tmp_path
+) -> None:
+    # At a = 5, b = 7, c = 11 the H5 generator values satisfy
+    # 5^-2 * (-4)^-2 * (-10)^2 * (-6)^4 * 18^-2 = 1, so every prime collides.
+    text = builtin_specs()["H5"].source_text
+    for old, new in (("a 17", "a 5"), ("b 47", "b 7"), ("c 53", "c 11")):
+        assert f"modvar {old}\n" in text
+        text = text.replace(f"modvar {old}\n", f"modvar {new}\n")
+    path = tmp_path / "dependent.pfs"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "funs", "--spec", str(path))
+    assert code == 1
+    assert out == (
+        "FAIL: H5: the generator values at the modvar point a = 5, b = 7, "
+        "c = 11 satisfy FactoredElement(sign=1, exps=(0, -2, 0, 0, -2, 0, 2, "
+        "4, 0, -2)) = 1, so no fingerprint prime separates the candidates\n"
     )
 
 

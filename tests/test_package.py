@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -54,6 +55,18 @@ def test_only_the_sieve_calls_the_fingerprint_rule() -> None:
             if name in FINGERPRINT_RULE:
                 callers.add((path.name, name))
     assert callers and {caller for caller, _ in callers} == {"sieve.py"}, callers
+
+
+def test_every_name_in_a_module_all_is_defined_there() -> None:
+    # A stale __all__ entry names a deleted function, and `import *` fails.
+    exported = 0
+    for path in SOURCES:
+        name = "pfverify" if path.stem == "__init__" else f"pfverify.{path.stem}"
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), (path.name, attr)
+            exported += 1
+    assert exported
 
 
 # What the symmetry search must not read: it proposes candidates by GF(5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from itertools import permutations
@@ -9,15 +10,23 @@ from itertools import permutations
 import pytest
 
 from pfverify import symmetry
-from pfverify.exact import ratfunc_eq, ratfunc_eval_mod, ratfunc_from_text
+from pfverify.exact import (
+    gauss_conj,
+    ratfunc_eq,
+    ratfunc_eval_mod,
+    ratfunc_from_text,
+    ratfunc_var,
+)
 from pfverify.pfield import (
     VerificationError,
     associates,
     builtin_specs,
+    canonical_element,
     factor_over_generators,
     fundamental_table,
     parse_field_spec,
 )
+from test_pfield import _h3_with_unused_indeterminates
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +43,83 @@ def entry_for(name: str, text: str):
     table = fundamental_table(spec)
     fe = factor_over_generators(spec, ratfunc_from_text(text, spec.var_names))
     return table.by_element[fe]
+
+
+# ---------------------------------------------------------------------------
+# Reference: every element's exact generator images, by exponent arithmetic
+
+
+def identity_images(spec) -> tuple:
+    """The identity's generator images: unit vector j for generator j."""
+    n = len(spec.generators)
+    return tuple(
+        symmetry.FactoredElement(1, tuple(int(i == j) for j in range(n)))
+        for i in range(n)
+    )
+
+
+def compose(spec, outer: tuple, inner: tuple) -> tuple:
+    """Generator images of outer . inner (apply inner first), by exponent
+    arithmetic.  The sign generator's image stays the unit vector; the
+    Gaussian generators are dependent, so the others are recanonicalized."""
+    return (inner[0],) + tuple(
+        canonical_element(spec, symmetry._map_element(outer, fe)) for fe in inner[1:]
+    )
+
+
+def _element_of(spec, table, images: tuple) -> symmetry.Automorphism:
+    """The symmetry with these generator images: where they send the
+    indeterminates, and their induced coordinate permutation."""
+    var_images = tuple(
+        table.by_element[
+            symmetry._map_element(
+                images, factor_over_generators(spec, ratfunc_var(spec.arity, v))
+            )
+        ]
+        for v in range(spec.arity)
+    )
+    return symmetry.Automorphism(var_images, symmetry._induced_perm(spec, images))
+
+
+@functools.cache
+def reference(name: str) -> dict:
+    """Each symmetry of the field, as the element its exact generator images
+    make, mapped to those images.
+
+    Built from generators as the group is: the group's elements are walked
+    in order, and each that the reference lacks is confirmed exactly by
+    confirm_candidate (the Gaussian conjugation by the same check on the
+    conjugated generators).  Every other element's images are composed
+    from the confirmed ones by exponent arithmetic, and none is taken from
+    the group."""
+    spec = builtin_specs()[name]
+    table = fundamental_table(spec)
+    identity = identity_images(spec)
+    images = {_element_of(spec, table, identity): identity}
+    gens: list[tuple] = []
+    for aut in group(name).elements:
+        if aut in images:
+            continue
+        if spec.is_gauss:
+            conj = map(gauss_conj, spec.generators[1:])
+            gen = symmetry._confirmed_images(spec, table, conj)
+        else:
+            gen = symmetry.confirm_candidate(spec, table, aut.var_images)
+        gens.append(gen)
+        queue = list(images.values())
+        for inner in queue:
+            for outer in gens:
+                product = compose(spec, outer, inner)
+                element = _element_of(spec, table, product)
+                if element not in images:
+                    images[element] = product
+                    queue.append(product)
+    return images
+
+
+def test_the_reference_reaches_exactly_the_group() -> None:
+    for name in ("H2", "H3", "H4", "H5"):
+        assert set(reference(name)) == set(group(name).elements)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +161,9 @@ def test_identity_is_in_every_group(specs) -> None:
     for name in ("H2", "H3", "H4", "H5"):
         g = group(name)
         spec = specs[name]
-        n = len(spec.generators)
-        identity = tuple(
-            symmetry.FactoredElement(1, tuple(int(i == j) for j in range(n)))
-            for i in range(n)
-        )
-        assert any(aut.gen_images == identity for aut in g.elements)
+        identity = _element_of(spec, g.table, identity_images(spec))
+        assert identity.coord_perm == tuple(range(spec.gf5_width))
+        assert identity in g.elements
 
 
 def test_reciprocal_complement_map_is_an_automorphism(specs) -> None:
@@ -143,12 +226,12 @@ def test_search_matches_brute_force_over_all_tuples(specs, name) -> None:
         if name == "H3" or _may_be_symmetry(spec, images)
     ]
     assert len(tuples) == {"H3": 24, "H4": 102}[name]
-    brute = set()
-    for images in tuples:
-        aut = symmetry.confirm_candidate(spec, table, images)
-        if aut is not None:
-            brute.add(aut.gen_images)
-    assert brute == set(group(name).by_gen_images)
+    brute = {
+        images
+        for images in tuples
+        if symmetry.confirm_candidate(spec, table, images) is not None
+    }
+    assert brute == {aut.var_images for aut in group(name).elements}
 
 
 def test_search_leaves_are_exactly_the_symmetries(specs) -> None:
@@ -158,6 +241,7 @@ def test_search_leaves_are_exactly_the_symmetries(specs) -> None:
         spec = specs[name]
         leaves = symmetry._candidate_tuples(spec, fundamental_table(spec))
         assert len(leaves) == len(group(name).elements) == order
+        assert set(leaves) == set(permutations(range(spec.gf5_width)))
 
 
 @pytest.mark.parametrize("name, width", [("H3", 3), ("H4", 4), ("H5", 6)])
@@ -173,6 +257,29 @@ def _without_last_coordinate(text: str) -> str:
         line.rsplit(" ", 1)[0] + "\n" if line.startswith("gf5map ") else line
         for line in text.splitlines(keepends=True)
     )
+
+
+def test_the_homomorphism_walk_stops_at_the_first_point_that_is_no_coordinate(
+    monkeypatch,
+) -> None:
+    # Seven indeterminates in no generator, each at 1 in every coordinate:
+    # the first point, all 2, is a homomorphism and no coordinate.
+    spec = parse_field_spec(_h3_with_unused_indeterminates(list("bcdefgh")))
+    assert spec.arity == symmetry.MAX_GF5_ARITY
+    calls = []
+    evaluate = symmetry.ratfunc_eval_mod
+
+    def counted(x, point, p):
+        calls.append(point)
+        return evaluate(x, point, p)
+
+    monkeypatch.setattr(symmetry, "ratfunc_eval_mod", counted)
+    at = ", ".join(f"{v} = 2" for v in spec.var_names)
+    fail = f"H3: the GF(5) homomorphism at {at} is no gf5map coordinate"
+    with pytest.raises(VerificationError) as exc:
+        symmetry._gf5_homomorphisms(spec)
+    assert str(exc.value) == fail
+    assert calls == [(2,) * spec.arity] * len(spec.generators)
 
 
 @pytest.mark.parametrize("name", ["H3", "H4", "H5"])
@@ -198,42 +305,34 @@ def test_a_homomorphism_missing_from_the_coordinates_fails(specs, name) -> None:
 # Generators and composition
 
 
-def _group_data(g):
-    return (
-        [aut.var_images for aut in g.elements],
-        [aut.gen_images for aut in g.elements],
-        [aut.coord_perm for aut in g.elements],
-        g.identity_index,
-    )
-
-
-def _per_candidate_search(spec):
-    """The reference search: the exact check on every candidate tuple."""
+def _per_candidate_search(spec) -> tuple:
+    """The reference search: the exact check on every candidate tuple, in
+    tuple order, each confirmed one with its induced permutation."""
     table = fundamental_table(spec)
     entries = table.nonzero_one
     found = []
-    for t in symmetry._candidate_tuples(spec, table):
-        aut = symmetry.confirm_candidate(spec, table, tuple(entries[i] for i in t))
-        if aut is not None:
-            found.append(aut)
-    return symmetry._finish_group(spec, table, found)
+    for t in sorted(symmetry._candidate_tuples(spec, table).values()):
+        var_images = tuple(entries[i] for i in t)
+        images = symmetry.confirm_candidate(spec, table, var_images)
+        if images is not None:
+            perm = symmetry._induced_perm(spec, images)
+            found.append(symmetry.Automorphism(var_images, perm))
+    return tuple(found)
 
 
 @pytest.mark.parametrize("name", ["H3", "H4"])
 def test_composed_group_equals_the_per_candidate_search(specs, name) -> None:
-    assert _group_data(group(name)) == _group_data(_per_candidate_search(specs[name]))
+    assert group(name).elements == _per_candidate_search(specs[name])
 
 
 def test_sampled_h5_candidates_confirm_to_the_composed_elements(specs) -> None:
     spec = specs["H5"]
     g = group("H5")
+    ref = reference("H5")
     for aut in random.Random("H5-symmetries").sample(g.elements, 30):
         confirmed = symmetry.confirm_candidate(spec, g.table, aut.var_images)
-        assert confirmed is not None
-        assert (confirmed.gen_images, confirmed.coord_perm) == (
-            aut.gen_images,
-            aut.coord_perm,
-        )
+        assert confirmed == ref[aut]
+        assert symmetry._induced_perm(spec, confirmed) == aut.coord_perm
 
 
 def _counting_confirmations(monkeypatch) -> list:
@@ -255,39 +354,66 @@ def test_only_generators_are_confirmed(specs, monkeypatch) -> None:
     for name, confirmed in (("H3", 2), ("H4", 3), ("H5", 4)):
         # The undecorated search, so that the memo plays no part.
         found = symmetry.find_automorphisms.__wrapped__(specs[name])
-        assert _group_data(found) == _group_data(group(name))
+        assert found.elements == group(name).elements
         order = len(found.elements)
         assert calls.count(name) == confirmed <= order.bit_length() - 1
 
 
 def test_non_symmetry_candidates_leave_the_group_unchanged(specs, monkeypatch) -> None:
     # The builtin candidates are every symmetry, so any other tuple is none.
+    # Each is proposed under a key that is no permutation, which no product
+    # reaches, as by a coordinate permutation that no symmetry induces.
     spec = specs["H4"]
     table = fundamental_table(spec)
-    tuples = symmetry._candidate_tuples(spec, table)
+    proposals = symmetry._candidate_tuples(spec, table)
     rng = random.Random("H4-non-symmetries")
     extra = set()
     while len(extra) < 40:
         t = tuple(rng.sample(range(len(table.nonzero_one)), spec.arity))
-        if t not in tuples:
+        if t not in proposals.values():
             extra.add(t)
-    mixed = sorted([*tuples, *extra])
+    mixed = {**proposals, **{("extra", n): t for n, t in enumerate(sorted(extra))}}
     monkeypatch.setattr(symmetry, "_candidate_tuples", lambda spec, table: mixed)
     calls = _counting_confirmations(monkeypatch)
     found = symmetry.find_automorphisms.__wrapped__(spec)
-    assert _group_data(found) == _group_data(group("H4"))
+    assert found.elements == group("H4").elements
     # The group never holds a non-symmetry, so each one is checked.
     assert len(calls) == 3 + len(extra)
+
+
+NO_CANDIDATE = (
+    r"^H4: the symmetry sending the indeterminates to \[.*\] is no candidate$"
+)
+
+
+def _perms_in_tuple_order(spec) -> tuple[dict, list]:
+    proposals = symmetry._candidate_tuples(spec, fundamental_table(spec))
+    return proposals, sorted(proposals, key=proposals.get)
 
 
 @pytest.mark.parametrize("dropped", [0, 11, 23])
 def test_a_product_that_no_candidate_proposes_fails(specs, monkeypatch, dropped) -> None:
     spec = specs["H4"]
-    tuples = symmetry._candidate_tuples(spec, fundamental_table(spec))
-    kept = tuples[:dropped] + tuples[dropped + 1 :]
+    proposals, perms = _perms_in_tuple_order(spec)
+    kept = {pi: t for pi, t in proposals.items() if pi != perms[dropped]}
     monkeypatch.setattr(symmetry, "_candidate_tuples", lambda spec, table: kept)
-    fail = r"^H4: the symmetry sending the indeterminates to \[.*\] is no candidate$"
-    with pytest.raises(VerificationError, match=fail):
+    with pytest.raises(VerificationError, match=NO_CANDIDATE):
+        symmetry.find_automorphisms.__wrapped__(spec)
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (5, 17), (22, 23)])
+def test_a_product_proposed_under_another_permutation_fails(
+    specs, monkeypatch, first, second
+) -> None:
+    # Two permutations swap their candidates: the same tuples are proposed,
+    # so every product is some candidate, but not its own permutation's.
+    spec = specs["H4"]
+    proposals, perms = _perms_in_tuple_order(spec)
+    a, b = perms[first], perms[second]
+    swapped = {**proposals, a: proposals[b], b: proposals[a]}
+    assert set(swapped.values()) == set(proposals.values())
+    monkeypatch.setattr(symmetry, "_candidate_tuples", lambda spec, table: swapped)
+    with pytest.raises(VerificationError, match=NO_CANDIDATE):
         symmetry.find_automorphisms.__wrapped__(spec)
 
 
@@ -322,47 +448,50 @@ def test_induced_permutations_realize_every_coordinate_permutation(specs) -> Non
 
 @pytest.mark.parametrize("name", ["H3", "H4", "H5"])
 def test_composed_coordinate_permutations_are_the_induced_ones(specs, name) -> None:
+    by_var_images = {aut.var_images: images for aut, images in reference(name).items()}
     for aut in group(name).elements:
-        assert aut.coord_perm == symmetry._induced_perm(specs[name], aut.gen_images)
+        images = by_var_images[aut.var_images]
+        assert aut.coord_perm == symmetry._induced_perm(specs[name], images)
 
 
 # ---------------------------------------------------------------------------
 # Group structure
 
 
+def closes(name: str, pairs) -> bool:
+    """Whether every composite of the pairs' exact generator images is the
+    images of a group element."""
+    spec = builtin_specs()[name]
+    ref = reference(name)
+    images = set(ref.values())
+    return all(compose(spec, ref[x], ref[y]) in images for x, y in pairs)
+
+
 def test_composition_closes_exhaustively_on_small_groups() -> None:
     for name in ("H2", "H3", "H4"):
-        g = group(name)
-        for x in g.elements:
-            for y in g.elements:
-                composite = symmetry.compose_gen_images(g, x, y)
-                assert composite in g.by_gen_images
+        elements = group(name).elements
+        assert closes(name, [(x, y) for x in elements for y in elements])
 
 
 def test_composition_closes_on_random_large_group_pairs() -> None:
     g = group("H5")
     rng = random.Random(20260817)
-    for _ in range(200):
-        x = rng.choice(g.elements)
-        y = rng.choice(g.elements)
-        composite = symmetry.compose_gen_images(g, x, y)
-        assert composite in g.by_gen_images
+    pairs = [(rng.choice(g.elements), rng.choice(g.elements)) for _ in range(200)]
+    assert closes("H5", pairs)
 
 
 def test_every_small_group_element_has_an_inverse() -> None:
     for name in ("H3", "H4"):
-        g = group(name)
-        identity = g.elements[g.identity_index].gen_images
-        for x in g.elements:
-            assert any(
-                symmetry.compose_gen_images(g, x, y) == identity
-                for y in g.elements
-            )
+        spec = builtin_specs()[name]
+        identity = identity_images(spec)
+        ref = reference(name)
+        for x in ref.values():
+            assert any(compose(spec, x, y) == identity for y in ref.values())
 
 
 def test_automorphisms_permute_the_fundamental_table() -> None:
     g = group("H3")
     table = g.table
-    for aut in g.elements:
-        images = {symmetry.apply_automorphism(aut, e.element) for e in table.entries}
-        assert images == set(table.by_element)
+    for images in reference("H3").values():
+        mapped = {symmetry._map_element(images, e.element) for e in table.entries}
+        assert mapped == set(table.by_element)
