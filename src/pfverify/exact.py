@@ -24,7 +24,6 @@ All values are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -93,6 +92,16 @@ def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
     if kind == "mul":
         if not a or not b:
             return {}
+        # A constant operand scales the other one, in the other one's key
+        # order, as the loop below would.  No stored term is zero, so a
+        # constant 1 copies the other operand.
+        for const, other in ((a, b), (b, a)):
+            if len(const) == 1:
+                ((mono, c),) = const.items()
+                if not any(mono):
+                    if c == 1:
+                        return dict(other)
+                    return {m: v for m, coeff in other.items() if (v := c * coeff)}
         out = {}
         for mono_a, coeff_a in a.items():
             for mono_b, coeff_b in b.items():
@@ -446,18 +455,13 @@ def gauss_is_unit(a: GaussDyadic) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-def gauss_lognorm(a: GaussDyadic) -> Fraction:
-    """log2 of |a| for a unit; an exact half-integer.  Raises for non-units."""
+def gauss_log2_norm(a: GaussDyadic) -> int:
+    """log2 of the norm |a|^2 = (re^2 + im^2) / 4^two_exp of a unit, an
+    integer.  Raises for non-units."""
     n = a.re_num * a.re_num + a.im_num * a.im_num
     if n <= 0 or n & (n - 1):
         raise ValueError(f"not a unit of Z[1/2, i]: {gauss_to_str(a)}")
-    return Fraction(n.bit_length() - 1, 2) - a.two_exp
-
-
-def gauss_re_im(a: GaussDyadic) -> tuple[Fraction, Fraction]:
-    """Return (real part, imaginary part) as exact Fractions."""
-    scale = 1 << a.two_exp
-    return Fraction(a.re_num, scale), Fraction(a.im_num, scale)
+    return n.bit_length() - 1 - 2 * a.two_exp
 
 
 def gauss_to_str(a: GaussDyadic) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import operator
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 from functools import partial, wraps
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ from .exact import (
     gauss_from_text,
     gauss_is_unit,
     gauss_is_zero,
-    gauss_lognorm,
+    gauss_log2_norm,
     gauss_mul,
     gauss_neg,
     gauss_pow,
@@ -490,15 +489,17 @@ _S3 = (
 )
 
 
-def _value_ops(p: Fraction | GaussDyadic | RatFunc) -> tuple:
-    """zero, one, subtraction, division and equality for p's kind of value."""
+def _value_ops(p) -> tuple:
+    """zero, one, subtraction, division and equality for p's kind of value:
+    a GaussDyadic, a RatFunc or a Fraction."""
     if isinstance(p, GaussDyadic):
         return GAUSS_ZERO, GAUSS_ONE, gauss_sub, gauss_div, gauss_eq
     if isinstance(p, RatFunc):
         zero, one = (ratfunc_const(poly_arity(p.den) or 0, c) for c in (0, 1))
         sub, div = (partial(ratfunc_arith, kind=kind) for kind in ("sub", "div"))
         return zero, one, sub, div, ratfunc_eq
-    return Fraction(0), Fraction(1), operator.sub, operator.truediv, operator.eq
+    rational = type(p)
+    return rational(0), rational(1), operator.sub, operator.truediv, operator.eq
 
 
 def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
@@ -512,14 +513,18 @@ def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
     return forms, tuple(classes)
 
 
-def associates(p: Fraction | int | GaussDyadic | RatFunc):
+def associates(p):
     """The associate set of p: {p, 1-p, 1/(1-p), p/(p-1), (p-1)/p, 1/p}.
 
-    0 and 1 are each other's only associates.  Coincident members are
-    deduplicated by exact equality, preserving first appearance.  Each kind
-    of value brings its own zero, one, subtraction, division and equality.
+    p is a GaussDyadic, a RatFunc, or a rational number (an int or a
+    Fraction).  0 and 1 are each other's only associates.  Coincident
+    members are deduplicated by exact equality, preserving first
+    appearance.  Each kind of value brings its own zero, one, subtraction,
+    division and equality.
     """
     if not isinstance(p, (GaussDyadic, RatFunc)):
+        from fractions import Fraction
+
         p = Fraction(p)
     forms, classes = _orbit(p, *_value_ops(p))
     return [f for k, f in enumerate(forms) if classes is None or classes[k] == k]
@@ -579,9 +584,10 @@ def _factor_gauss(spec: PartialFieldSpec, x: GaussDyadic) -> FactoredElement:
         return FactoredElement(0, (0,) * n)
     if not gauss_is_unit(x):
         raise ValueError(f"not expressible as a unit: {x}")
-    lognorm = gauss_lognorm(x)
-    v = 1 if lognorm.denominator == 2 else 0
-    y = int(lognorm - Fraction(v, 2))
+    # log2 N(x) = 2y + v, as N(2) = 4 and N(1 - i) = 2.
+    log2_norm = gauss_log2_norm(x)
+    v = log2_norm % 2
+    y = (log2_norm - v) // 2
     base = GAUSS_ONE
     for gen, e in zip(spec.generators[1:], (y, 0, v)):
         base = gauss_mul(base, gauss_pow(gen, e))

@@ -2,13 +2,13 @@
 
 Every unit of a field is sign * prod(generators ** exps).  Mapping the
 indeterminates to Gaussian dyadic units turns each generator into a unit
-whose log2-norm is an exact half-integer, so every such map yields one
-linear row r with |r . exps| <= 1.  Doubling the rows makes them integer
-rows.  Each exponent is bounded in the real relaxation of those rows by one
-simplex in exact integer arithmetic, a phase 1 first if the origin
-violates a row.  One pruned enumeration inside those outer ranges then
-lists the integer points of the rows: every exponent vector that can be
-fundamental.  The box is their bounding box.
+whose norm is a power of two, so every such map yields one integer row r
+of log2-norms with |r . exps| <= 2.  Each exponent is bounded in the real
+relaxation of those rows by one simplex in exact integer arithmetic, a
+phase 1 first if the origin violates a row; rows closed under negation
+need only the upper ends.  One pruned enumeration inside those outer
+ranges then lists the integer points of the rows: every exponent vector
+that can be fundamental.  The box is their bounding box.
 
 Each candidate gets a fingerprint (its residue under the spec's modular
 map, or its exact value for the Gaussian field).  No other module chooses
@@ -31,7 +31,6 @@ them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
 from typing import NamedTuple
@@ -44,8 +43,7 @@ from .exact import (
     RatFunc,
     gauss_is_unit,
     gauss_is_zero,
-    gauss_lognorm,
-    gauss_re_im,
+    gauss_log2_norm,
     gauss_sub,
     mod_eval,
     next_prime,
@@ -89,15 +87,16 @@ class SieveResult(NamedTuple):
 # Unit-norm rows
 
 
-def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
-    """One log2-norm row per Gaussian-unit map of the indeterminates; a
-    generator that is no unit at a map is a VerificationError naming both."""
+def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
+    """One integer log2-norm row per Gaussian-unit map of the indeterminates;
+    a generator that is no unit at a map is a VerificationError naming
+    both."""
     rows = []
     for i, images in enumerate(spec.h2_hom_images):
         row = []
         for expr, gen in zip(spec.generator_exprs, spec.generators):
             try:
-                row.append(gauss_lognorm(ratfunc_eval_gauss(gen, images)))
+                row.append(gauss_log2_norm(ratfunc_eval_gauss(gen, images)))
             except ValueError:
                 raise VerificationError(
                     f"generator {expr!r} is not a unit at h2hom row {i + 1} "
@@ -108,7 +107,7 @@ def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact LP bounds on doubled integer rows.
+# Exact LP bounds on integer rows.
 #
 # A row (coeffs, rhs) stands for coeffs . exps <= rhs with integer coeffs
 # and rhs whose common gcd is 1, so the right-hand side stays exact.
@@ -214,7 +213,12 @@ def _lp_ranges(int_rows, width: int) -> list[tuple[int, int]]:
     first adds a column t >= 0 that relaxes the violated rows, starts at
     t = the largest violation and maximises -t; t > 0 at the optimum means
     no point satisfies the rows.  Otherwise the row t <= 0 joins, read off
-    the tableau with slack 0, and the bounds are taken from that vertex."""
+    the tableau with slack 0, and the bounds are taken from that vertex.
+
+    Rows closed under negation bound a polytope P = -P, so each lower end
+    is minus the upper end and only the upper ends are maximised.  Such
+    rows either admit the origin or no real point, so this changes neither
+    phase 1 nor which slot is named unbounded."""
     rows = [(c[1:], r) for c, r in int_rows]
     n = width - 1
     violation = -min([0] + [r for _, r in rows])
@@ -229,10 +233,11 @@ def _lp_ranges(int_rows, width: int) -> list[tuple[int, int]]:
         if simplex.inverse[n][-1]:
             raise VerificationError("exponent constraints are infeasible")
         simplex.rows.append(simplex.inverse[n][:])
+    symmetric = set(rows) == {(tuple(-c for c in cs), r) for cs, r in rows}
     ends, unbounded = {}, []
-    # All upper ends, then all lower ends: on the builtin fields this order
+    # All upper ends, then all lower ends: where both are needed this order
     # takes fewer pivots than alternating the two ends of a slot.
-    for sign in (1, -1):
+    for sign in (1,) if symmetric else (1, -1):
         for j in range(n):
             if simplex.maximise(j, sign):
                 # floor(sign * x_j) at the optimal vertex, which is the dual
@@ -242,6 +247,8 @@ def _lp_ranges(int_rows, width: int) -> list[tuple[int, int]]:
                 unbounded.append(j + 1)
     if unbounded:
         raise VerificationError(f"exponent slot {min(unbounded)} is unbounded")
+    if symmetric:
+        return [(-ends[j, 1], ends[j, 1]) for j in range(n)]
     return [(-ends[j, -1], ends[j, 1]) for j in range(n)]
 
 
@@ -293,18 +300,13 @@ def _integer_points(int_rows, ranges) -> list[tuple[int, ...]]:
     return [point for _, point in partial]
 
 
-def _doubled_rows(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...], int]]:
-    """Integer inequalities: each half-integer norm row r gives
-    +-2r . exps <= 2, and each extra bound lo <= exps[slot] <= hi gives
-    two unit rows."""
+def _inequalities(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...], int]]:
+    """Integer inequalities: each log2-norm row r gives +-r . exps <= 2, and
+    each extra bound lo <= exps[slot] <= hi gives two unit rows."""
     int_rows = []
-    for i, row in enumerate(rows):
-        doubled = [2 * Fraction(c) for c in row]
-        if any(c.denominator != 1 for c in doubled):
-            raise VerificationError(f"norm row {i} is not a half-integer row")
-        coeffs = tuple(int(c) for c in doubled)
-        int_rows.append((coeffs, 2))
-        int_rows.append((tuple(-c for c in coeffs), 2))
+    for row in rows:
+        int_rows.append((tuple(row), 2))
+        int_rows.append((tuple(-c for c in row), 2))
     for slot, lo_extra, hi_extra in extra_bounds:
         unit = [0] * width
         unit[slot] = 1
@@ -319,11 +321,11 @@ MAX_BOX_VECTORS = 1 << 20
 
 
 def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
-    """Integer exponent box from norm rows.
+    """Integer exponent box from integer log2-norm rows.
 
-    The half-integer norm rows are doubled into integer rows, deduplicated,
-    and each slot is bounded in their real relaxation by an exact integer
-    simplex (see _lp_ranges).  Only the validity of these outer bounds
+    The rows and their negations are deduplicated, and each slot is
+    bounded in their real relaxation by an exact integer simplex (see
+    _lp_ranges).  Only the validity of these outer bounds
     matters: one enumeration inside them lists the integer points of the
     rows, and the box is their bounding box, carrying the points.  That
     loses no fundamental element: every fundamental element satisfies every
@@ -334,7 +336,7 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     if not rows:
         raise VerificationError("no norm rows, so no exponent slot is bounded")
     width = len(rows[0])
-    int_rows = _dedup(_doubled_rows(rows, extra_bounds, width))
+    int_rows = _dedup(_inequalities(rows, extra_bounds, width))
     ranges = [(0, 0)] + _lp_ranges(int_rows, width)
     size = prod(max(hi - lo + 1, 0) for lo, hi in ranges)
     if size > MAX_BOX_VECTORS:
@@ -352,7 +354,7 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
 def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
     """Exponent box containing every fundamental element of the field."""
     if spec.is_gauss:
-        # Units with |log2 norm| <= 1: 2-exponent in [-1, 1], i-exponent a
+        # Units of norm 1/4 to 4: 2-exponent in [-1, 1], i-exponent a
         # phase in [0, 3], and (1 - i)-exponent in [0, 1].
         return CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
     try:
@@ -503,20 +505,25 @@ def _is_one(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
 
 
 def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
-    """Whether fe is exactly 1 at the modvar point, in rational arithmetic.
-    Then it is 1 mod every prime where the generators are units, so no
-    prime separates.  Only called once a prime has given every generator a
-    unit residue, so no value there is 0 or has a vanishing denominator."""
+    """Whether fe is exactly 1 at the modvar point, comparing its integer
+    numerator and denominator there.  Then it is 1 mod every prime where
+    the generators are units, so no prime separates.  Only called once a
+    prime has given every generator a unit residue, so no value there is 0
+    or has a vanishing denominator."""
     point = spec.mod_var_residues
 
     def at_point(poly) -> int:
         return sum(c * prod(x**e for x, e in zip(point, m)) for m, c in poly.items())
 
-    value = Fraction(fe.sign)
+    num, den = fe.sign, 1
     for gen, e in zip(spec.generators, fe.exps):
         if e:
-            value *= Fraction(at_point(gen.num), at_point(gen.den)) ** e
-    return value == 1
+            top, bottom = at_point(gen.num), at_point(gen.den)
+            if e < 0:
+                top, bottom, e = bottom, top, -e
+            num *= top**e
+            den *= bottom**e
+    return num == den
 
 
 def resolve_mod_map(
@@ -595,11 +602,15 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
     for v in values:
         if gauss_is_zero(v):
             window.append(v)
-        elif gauss_is_unit(v) and abs(gauss_lognorm(v)) <= 1:
+        elif gauss_is_unit(v) and abs(gauss_log2_norm(v)) <= 2:
             window.append(v)
     in_window = set(window)
     survivors = [v for v in window if gauss_sub(GAUSS_ONE, v) in in_window]
-    survivors.sort(key=gauss_re_im)
+    # By real part, then imaginary part, both over the largest denominator.
+    scale = max((v.two_exp for v in survivors), default=0)
+    survivors.sort(
+        key=lambda v: (v.re_num << (scale - v.two_exp), v.im_num << (scale - v.two_exp))
+    )
     fingerprints = {v: factor_over_generators(spec, v) for v in survivors}
     return SieveResult(None, fingerprints, len(window), len(candidates))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from pfverify.exact import (
     GAUSS_I,
     gauss_from_text,
     gauss_is_unit,
-    gauss_lognorm,
+    gauss_log2_norm,
     gauss_make,
     gauss_mul,
     is_prime,
@@ -75,6 +74,38 @@ def test_poly_arith_never_stores_zero_coefficients() -> None:
     a = rf("a^2 + a").num
     b = rf("a^2 - a").num
     assert poly_arith(a, b, "sub") == {(1,): 2}
+
+
+def _reference_product(a, b):
+    """a*b by the double loop over both operands' terms."""
+    out = {}
+    for mono_a, coeff_a in a.items():
+        for mono_b, coeff_b in b.items():
+            mono = tuple(x + y for x, y in zip(mono_a, mono_b))
+            out[mono] = out.get(mono, 0) + coeff_a * coeff_b
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+@st.composite
+def _sparse_polys(draw):
+    """(arity, poly) with up to six terms of degree at most 3 per variable."""
+    arity = draw(st.integers(0, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * arity)
+    coeffs = st.integers(-5, 5).filter(bool)
+    return arity, draw(st.dictionaries(monos, coeffs, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_polys(), st.sampled_from([1, -1, 3]), st.booleans())
+def test_product_with_a_constant_equals_the_general_loop(poly, value, left) -> None:
+    arity, other = poly
+    const = {(0,) * arity: value}
+    a, b = (const, other) if left else (other, const)
+    got = poly_arith(a, b, "mul")
+    want = _reference_product(a, b)
+    assert got == want
+    assert list(got.items()) == list(want.items())
+    assert got is not other
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +271,16 @@ def test_gauss_unit_recognition() -> None:
 
 
 def test_gauss_lognorm_values() -> None:
-    assert gauss_lognorm(gauss_from_text("2")) == Fraction(1)
-    assert gauss_lognorm(gauss_from_text("(1 - i)/2")) == Fraction(-1, 2)
-    assert gauss_lognorm(gauss_from_text("1 + i")) == Fraction(1, 2)
-    assert gauss_lognorm(gauss_from_text("-1")) == Fraction(0)
+    # log2 of the norm re^2 + im^2, an integer for every unit.
+    assert gauss_log2_norm(gauss_from_text("2")) == 2
+    assert gauss_log2_norm(gauss_from_text("(1 - i)/2")) == -1
+    assert gauss_log2_norm(gauss_from_text("1 + i")) == 1
+    assert gauss_log2_norm(gauss_from_text("-1")) == 0
 
 
 def test_gauss_lognorm_rejects_non_units() -> None:
     with pytest.raises(ValueError):
-        gauss_lognorm(gauss_make(3, 0, 0))
+        gauss_log2_norm(gauss_make(3, 0, 0))
 
 
 def test_gauss_lognorm_is_additive_on_random_unit_products() -> None:
@@ -260,7 +292,8 @@ def test_gauss_lognorm_is_additive_on_random_unit_products() -> None:
     for _ in range(300):
         x = rng.choice(units)
         y = rng.choice(units)
-        assert gauss_lognorm(gauss_mul(x, y)) == gauss_lognorm(x) + gauss_lognorm(y)
+        product = gauss_log2_norm(gauss_mul(x, y))
+        assert product == gauss_log2_norm(x) + gauss_log2_norm(y)
 
 
 # ---------------------------------------------------------------------------

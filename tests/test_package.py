@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pfverify").glob("*.py"))
 
 
@@ -110,3 +112,61 @@ def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
     added = set(json.loads(proc.stdout))
     assert not added & UNUSED_STDLIB, added & UNUSED_STDLIB
     assert {m for m in added if m.startswith("pfverify.")} == PACKAGE_MODULES
+
+
+# Modules that rational arithmetic brings in; the table path needs none.
+RATIONAL_STDLIB = {"fractions", "decimal", "_decimal"}
+
+
+def _imports_run_on_import(tree: ast.Module):
+    """Import statements that run when the module is imported: every one
+    outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_fractions_at_module_level() -> None:
+    found = []
+    for path in SOURCES:
+        for node in _imports_run_on_import(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append((path.name, node.lineno))
+    assert SOURCES and not found, found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["funs", "all"], ["genesis"], ["report", "H3", "--prime-start", "523456789011"]],
+    ids=["funs-all", "genesis", "report-H3"],
+)
+def test_a_cold_command_loads_no_rational_arithmetic(argv) -> None:
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from pfverify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not set(loaded) & RATIONAL_STDLIB, set(loaded) & RATIONAL_STDLIB

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfverify import sieve
-from pfverify.exact import ModMap, gauss_from_text, gauss_re_im, mod_eval, next_prime
+from pfverify.exact import ModMap, gauss_from_text, mod_eval, next_prime
 from pfverify.pfield import (
     H3_SPEC_TEXT,
     FactoredElement,
@@ -28,8 +28,6 @@ from pfverify.pfield import (
     parse_field_spec,
     value_eq,
 )
-
-H = Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +47,19 @@ def h3_result(specs):
 
 def test_single_variable_norm_rows(specs) -> None:
     assert sieve.lognorm_rows(specs["H3"]) == [
-        (0, 0, H, 0),
-        (0, H, 0, 0),
-        (0, -H, -H, -1),
+        (0, 0, 1, 0),
+        (0, 1, 0, 0),
+        (0, -1, -1, -2),
     ]
 
 
 def test_two_variable_norm_rows(specs) -> None:
-    r0 = (0, 0, 0, H, H, 1, Fraction(3, 2))
-    r1 = (0, 0, -H, H, -H, -H, -H)
-    r2 = (0, -H, 0, -H, H, -H, -H)
-    r4 = (0, H, H, 0, 0, 0, 1)
-    r5 = (0, H, -1, 0, -1, -H, -1)
-    r10 = (0, -1, H, -1, 0, -H, -1)
+    r0 = (0, 0, 0, 1, 1, 2, 3)
+    r1 = (0, 0, -1, 1, -1, -1, -1)
+    r2 = (0, -1, 0, -1, 1, -1, -1)
+    r4 = (0, 1, 1, 0, 0, 0, 2)
+    r5 = (0, 1, -2, 0, -2, -1, -2)
+    r10 = (0, -2, 1, -2, 0, -1, -2)
     assert sieve.lognorm_rows(specs["H4"]) == [
         r0, r1, r2, r2, r4, r5, r4, r5, r1, r0, r10, r10,
     ]
@@ -70,8 +68,8 @@ def test_two_variable_norm_rows(specs) -> None:
 def test_three_variable_norm_rows_first_and_last(specs) -> None:
     rows = sieve.lognorm_rows(specs["H5"])
     assert len(rows) == 30
-    assert rows[0] == (0, 0, H, 0, 1, 0, H, H, 0, H)
-    assert rows[-1] == (0, 1, H, H, 0, 0, 0, H, H, 0)
+    assert rows[0] == (0, 0, 1, 0, 2, 0, 1, 1, 0, 1)
+    assert rows[-1] == (0, 2, 1, 1, 0, 0, 0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +104,15 @@ def test_gaussian_box(specs) -> None:
 
 
 def test_pinned_coordinate_in_a_trivial_system() -> None:
-    # A single row (0, 1) forces the second exponent to [-1, 1] and leaves
+    # A single row (0, 2) forces the second exponent to [-1, 1] and leaves
     # nothing to bound the first, which must be reported.
-    box = sieve.bound_exponents([(0, Fraction(1))], (), False)
+    box = sieve.bound_exponents([(0, 2)], (), False)
     assert box.ranges[1] == (-1, 1)
 
 
 def test_unbounded_exponent_is_an_error() -> None:
     with pytest.raises(VerificationError):
-        sieve.bound_exponents([(0, Fraction(1), 0)], (), False)
+        sieve.bound_exponents([(0, 2, 0)], (), False)
 
 
 def test_no_norm_rows_is_an_error() -> None:
@@ -122,18 +120,13 @@ def test_no_norm_rows_is_an_error() -> None:
         sieve.bound_exponents([], (), False)
 
 
-def test_non_half_integer_row_is_an_error() -> None:
-    with pytest.raises(VerificationError):
-        sieve.bound_exponents([(0, Fraction(1, 3))], (), False)
-
-
 @pytest.mark.parametrize(
     "rows, extra",
     [
-        ([(0, Fraction(1))], [(1, 2, 2)]),
-        ([(0, Fraction(1), Fraction(1))], [(1, 2, 2), (2, 2, 2)]),
+        ([(0, 2)], [(1, 2, 2)]),
+        ([(0, 2, 2)], [(1, 2, 2), (2, 2, 2)]),
         (
-            [(0, Fraction(3, 2), 3, 3), (0, 0, 1, 0), (0, 0, 0, 1)],
+            [(0, 3, 6, 6), (0, 0, 2, 0), (0, 0, 0, 2)],
             [(1, 1, 1)],
         ),
     ],
@@ -147,7 +140,7 @@ def test_empty_slot_range_is_infeasible(rows, extra) -> None:
     # which no integers meet.  The LP's phase 1 finds that the first two
     # have no real point; the enumeration finds the last one empty.
     width = len(rows[0])
-    int_rows = sieve._doubled_rows(rows, extra, width)
+    int_rows = sieve._inequalities(rows, extra, width)
     assert not _points_by_brute_force(int_rows, _fm_outer(int_rows, width))
     with pytest.raises(
         VerificationError, match="^exponent constraints are infeasible$"
@@ -162,8 +155,8 @@ FROZEN_RANGES = {
 }
 
 
-# Deduplicated doubled norm rows, and their integer points; the boxes
-# hold 175 / 6,615 / 32,805 exponent vectors.
+# Deduplicated norm rows and their negations, and their integer points;
+# the boxes hold 175 / 6,615 / 32,805 exponent vectors.
 ROWS_AND_POINTS = {"H3": (6, 63), "H4": (18, 243), "H5": (30, 433)}
 
 
@@ -187,10 +180,32 @@ def test_one_enumeration_lists_the_integer_points(specs, monkeypatch) -> None:
         assert len(box.points) == points
 
 
+def test_rows_closed_under_negation_take_one_lp_pass(specs, monkeypatch) -> None:
+    # Every builtin system is closed under negation, so each lower end is
+    # minus the upper end and the simplex maximises upper ends only.
+    signs = []
+    real_maximise = sieve._IntegerSimplex.maximise
+
+    def recorded(self, j, sign):
+        signs.append(sign)
+        return real_maximise(self, j, sign)
+
+    monkeypatch.setattr(sieve._IntegerSimplex, "maximise", recorded)
+    for name, (_, points) in ROWS_AND_POINTS.items():
+        spec = specs[name]
+        signs.clear()
+        box = sieve.bound_exponents(
+            sieve.lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
+        )
+        assert signs == [1] * (len(FROZEN_RANGES[name]) - 1)
+        assert box.ranges == FROZEN_RANGES[name]
+        assert len(box.points) == points
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination: the reference for the exact LP ranges.
 #
-# A row (coeffs, rhs, hist) is a doubled integer row, as in the sieve, with
+# A row (coeffs, rhs, hist) is an integer row, as in the sieve, with
 # hist the bitmask of the original rows it was combined from.
 
 
@@ -268,21 +283,22 @@ def _fm_outer(int_rows, width: int) -> list[tuple[int, int]]:
 @st.composite
 def _norm_systems(draw):
     """Integer rows made the way bound_exponents makes them, as (int_rows,
-    width): half-integer norm rows with slot 0's coefficient 0, each giving
+    width): integer log2-norm rows with slot 0's coefficient 0, each giving
     a +- pair with right side 2, and extra-bound pairs whose range may
-    exclude 0 or be empty.  Nothing makes the rows span every slot."""
+    exclude 0 or be empty, so the rows may or may not be closed under
+    negation.  Nothing makes the rows span every slot."""
     width = draw(st.integers(2, 5))
-    halves = st.integers(-6, 6).map(lambda c: Fraction(c, 2))
+    coeffs = st.integers(-6, 6)
     rows = [
         (0, *row)
-        for row in draw(st.lists(st.tuples(*[halves] * (width - 1)), max_size=6))
+        for row in draw(st.lists(st.tuples(*[coeffs] * (width - 1)), max_size=6))
     ]
     bounds = st.tuples(st.integers(1, width - 1), st.integers(-4, 4), st.integers(-1, 4))
     extra = [
         (slot, lo, lo + span)
         for slot, lo, span in draw(st.lists(bounds, max_size=4))
     ]
-    return sieve._doubled_rows(rows, extra, width), width
+    return sieve._inequalities(rows, extra, width), width
 
 
 def _lp_outer(int_rows, width: int) -> list[tuple[int, int]]:
@@ -339,7 +355,7 @@ def test_box_is_the_bounding_box_of_the_integer_points(
     spec = parse_field_spec(specs[name].source_text + extra) if extra else specs[name]
     rows = sieve.lognorm_rows(spec)
     width = len(rows[0])
-    int_rows = sieve._doubled_rows(rows, spec.extra_bounds, width)
+    int_rows = sieve._inequalities(rows, spec.extra_bounds, width)
     points = _points_by_brute_force(int_rows, _fm_outer(int_rows, width))
     box = sieve.candidate_box(spec)
     assert box.ranges == tuple((min(column), max(column)) for column in zip(*points))
@@ -580,7 +596,11 @@ def test_table_entries_carry_the_survivor_fingerprints(specs, name, prime) -> No
                 table.mod_map, e.element.sign, e.element.exps
             )
     if spec.is_gauss:
-        fps = [gauss_re_im(fp) for fp in fps]
+        # By real part, then imaginary part.
+        fps = [
+            (Fraction(fp.re_num, 1 << fp.two_exp), Fraction(fp.im_num, 1 << fp.two_exp))
+            for fp in fps
+        ]
     assert all(a < b for a, b in zip(fps, fps[1:]))
 
 
