@@ -9,24 +9,17 @@ the output carries the first counterexample, 2 means a usage error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import genesis, sieve
 from .exact import (
     PRIME_LIMIT,
     gauss_to_str,
     next_prime,
     ratfunc_is_zero,
     ratfunc_to_str,
-)
-from .lift import (
-    domain_key,
-    enumerate_u25,
-    gf5_u25_tuples,
-    local_lift_check,
-    theorem1_report,
 )
 from .pfield import (
     BUILTIN_TEXTS,
@@ -37,7 +30,30 @@ from .pfield import (
     parse_field_spec,
     value_text,
 )
-from .symmetry import find_automorphisms
+
+
+def _lazy(name: str):
+    """pfverify.<name>, registered in sys.modules and on the package now and
+    executed on its first attribute access, so a command runs the body of
+    only the modules it uses.  perfbench/spans.py wraps the stage functions
+    of every pfverify module in sys.modules after `import pfverify.cli`, and
+    reading them executes the module; an import inside each command would
+    leave the module out of sys.modules and its spans unrecorded.  Once the
+    stages record their own counters (ROADMAP item 3), plain imports inside
+    the commands can replace this."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+genesis, lift, sieve, symmetry = map(_lazy, ("genesis", "lift", "sieve", "symmetry"))
 
 FIELD_NAMES = ("H2", "H3", "H4", "H5")
 COMMANDS = (
@@ -233,7 +249,7 @@ def _funs_text(payload: dict) -> list[str]:
 
 def _auts_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: searching for symmetries")
-    group = find_automorphisms(spec)
+    group = symmetry.find_automorphisms(spec)
     perms = sorted(aut.coord_perm for aut in group.elements)
     return {
         "command": "auts",
@@ -255,9 +271,11 @@ def _auts_text(payload: dict) -> list[str]:
 
 def _u25_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: enumerating rank-2 representation pairs")
-    pairs = enumerate_u25(spec)
-    tuples = gf5_u25_tuples(spec.report_index)
-    field_keys = {(domain_key(spec, p), domain_key(spec, q)) for p, q in pairs}
+    pairs = lift.enumerate_u25(spec)
+    tuples = lift.gf5_u25_tuples(spec.report_index)
+    field_keys = {
+        (lift.domain_key(spec, p), lift.domain_key(spec, q)) for p, q in pairs
+    }
     bijection = len(pairs) == len(tuples) and field_keys == set(tuples)
     return {
         "command": "u25",
@@ -280,8 +298,8 @@ def _u25_text(payload: dict) -> list[str]:
 
 def _lift_check_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: lifting every tuple pair")
-    tuples = gf5_u25_tuples(spec.report_index)
-    violations = local_lift_check(spec, tuples)
+    tuples = lift.gf5_u25_tuples(spec.report_index)
+    violations = lift.local_lift_check(spec, tuples)
     return {
         "command": "lift-check",
         "field": spec.name,
@@ -333,7 +351,7 @@ def _bounds_text(payload: dict) -> list[str]:
 
 def _report_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: running all verification stages")
-    payload = theorem1_report(spec.report_index, spec=spec)
+    payload = lift.theorem1_report(spec.report_index, spec=spec)
     payload["command"] = "report"
     payload["spec_fingerprint"] = spec.source_hash
     return payload
@@ -418,7 +436,7 @@ def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     for name in FIELD_NAMES:
         spec = _builtin_spec(name, start)
         _status(f"{spec.name}: running all verification stages")
-        payload = theorem1_report(spec.report_index, spec=spec)
+        payload = lift.theorem1_report(spec.report_index, spec=spec)
         payload["spec_fingerprint"] = spec.source_hash
         reports.append(payload)
     genesis_payload = _genesis_payload()

@@ -38,7 +38,6 @@ __all__ = [
     "relation_residuals",
     "solved_values",
     "triple_products",
-    "verify_solution",
 ]
 
 GFTuple = tuple[int, ...]
@@ -146,8 +145,3 @@ def solved_values() -> dict[str, RatFunc]:
     """The solved symbol values, with the ambiguous line resolved to the
     unique reading that satisfies the relations and the GF(5) images."""
     return _candidate_values(ratfunc_from_text(_resolved_s223_text(), ("a",)))
-
-
-def verify_solution() -> bool:
-    """True when the solved values satisfy every relation identically."""
-    return all(ratfunc_is_zero(r) for r in relation_residuals(solved_values()))

@@ -502,14 +502,43 @@ def _value_ops(p) -> tuple:
     return rational(0), rational(1), operator.sub, operator.truediv, operator.eq
 
 
+# Subtraction and division of screen residue pairs (num, den) as unreduced
+# fractions mod SCREEN_PRIME.
+def _screen_sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] * y[1] - y[0] * x[1]) % SCREEN_PRIME, x[1] * y[1] % SCREEN_PRIME
+
+
+def _screen_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[1] % SCREEN_PRIME, x[1] * y[0] % SCREEN_PRIME
+
+
 def _orbit(p, zero, one, sub, div, eq) -> tuple[list, tuple[int, ...] | None]:
-    """e_0(p)..e_5(p) and each one's first equal e_j(p); ([zero, one], None) at 0, 1."""
+    """e_0(p)..e_5(p) and each one's first equal e_j(p); ([zero, one], None)
+    at 0, 1.  Of a rational function only p and 1 - p are always built: the
+    others are built, and compared by eq, only where their screens agree.
+    A screen is e_k run on p's screen residues as an unreduced fraction (a
+    polynomial identity), so two screens with nonzero denominators whose
+    cross-multiplication differs are two different values.  The other
+    entries of the list are None until built."""
     if eq(p, zero) or eq(p, one):
         return [zero, one], None
-    # The _ASSOCIATE_OPS sequences, with 1 - p and p - 1 made once each.
-    q, r = sub(one, p), sub(p, one)
-    forms = [p, q, div(one, q), div(p, r), div(r, p), div(one, p)]
-    classes = [next(j for j in range(6) if eq(f, forms[j])) for f in forms]
+    forms = [p, sub(one, p), None, None, None, None]
+    if isinstance(p, RatFunc):
+        pair = p.screen_residues
+        screens = [op(pair, (1, 1), _screen_sub, _screen_div) for op in _ASSOCIATE_OPS]
+    else:  # Gaussian and rational values are compared exactly.
+        screens = [(0, 0)] * 6
+
+    def equal(k: int, j: int) -> bool:
+        (a, b), (c, d) = screens[k], screens[j]
+        if b and d and (a * d - c * b) % SCREEN_PRIME:
+            return False
+        for i in (k, j):
+            if forms[i] is None:
+                forms[i] = _ASSOCIATE_OPS[i](p, one, sub, div)
+        return eq(forms[k], forms[j])
+
+    classes = [next((j for j in range(k) if equal(k, j)), k) for k in range(6)]
     return forms, tuple(classes)
 
 
@@ -526,8 +555,15 @@ def associates(p):
         from fractions import Fraction
 
         p = Fraction(p)
-    forms, classes = _orbit(p, *_value_ops(p))
-    return [f for k, f in enumerate(forms) if classes is None or classes[k] == k]
+    zero, one, sub, div, eq = _value_ops(p)
+    forms, classes = _orbit(p, zero, one, sub, div, eq)
+    if classes is None:
+        return forms
+    return [
+        _ASSOCIATE_OPS[k](p, one, sub, div) if forms[k] is None else forms[k]
+        for k in range(6)
+        if classes[k] == k
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +753,9 @@ def _closure_of_seeds(
     x settles gets a form, built from its parent's, and is kept, pushing its
     associates(), unless value_eq finds it among the kept values sharing its
     screen key.  Soundness: for x not in {0, 1}, e_i(e_j(x)) = e_{_S3[i][j]}(x),
-    so e_g(x) = e_h(x) iff g and h share a class of _orbit(x), which value_eq
-    computes once per root.  Across roots, and in the orbit {0, 1} of a seed
-    0 or 1, value_eq decides.
+    so e_g(x) = e_h(x) iff g and h share a class of _orbit(x), which the
+    screens and value_eq compute once per root.  Across roots, and in the
+    orbit {0, 1} of a seed 0 or 1, value_eq decides.
 
     Returns the values, each value's label (x, g), where in the orbit
     {0, 1} g is the value itself, and 1 - x for each root x outside {0, 1},

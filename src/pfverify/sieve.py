@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain, product
 from math import gcd, prod
+from operator import getitem
 from typing import NamedTuple
 
 from .exact import (
@@ -560,9 +561,15 @@ def resolve_mod_map(
             mm = None
         d = () if mm is None else _collision(mm, box)
         if d is None:
+            # One table of powers per slot; a point's residue is the product
+            # of its slots' entries.
+            powers = [
+                {e: pow(r, e, p) for e in range(lo, hi + 1)}
+                for r, (lo, hi) in zip(mm.gen_residues, box.ranges)
+            ]
             fps = {0: FactoredElement(0, (0,) * len(box.ranges))}
             for point in box.points:
-                fp = mod_eval(mm, 1, point)
+                fp = prod(map(getitem, powers, point)) % p
                 fps[fp] = FactoredElement(1, point)
                 fps[p - fp] = FactoredElement(-1, point)
             # A unit's residue is never 0, so 0 is new unless the box has it.

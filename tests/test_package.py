@@ -96,7 +96,9 @@ PACKAGE_MODULES = {
 
 def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
     # perfbench/spans.py wraps the stage functions of every module found in
-    # sys.modules after `import pfverify.cli`, so that import must load all.
+    # sys.modules after `import pfverify.cli`, so that import must register
+    # all of them; genesis, lift, sieve and symmetry are registered lazily
+    # and run on first use (see the tests below).
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -112,6 +114,98 @@ def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
     added = set(json.loads(proc.stdout))
     assert not added & UNUSED_STDLIB, added & UNUSED_STDLIB
     assert {m for m in added if m.startswith("pfverify.")} == PACKAGE_MODULES
+
+
+def _run_cold(code: str, *argv: str, timeout: int = 120) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Records the package modules whose bodies have run: the import system runs
+# a module's code object through exec, which raises the "exec" audit event.
+EXECUTED_HOOK = (
+    "import contextlib, io, json, os, sys\n"
+    "executed = set()\n"
+    "def hook(event, args):\n"
+    "    code = args[0] if event == 'exec' and args else None\n"
+    "    path = getattr(code, 'co_filename', '')\n"
+    "    if os.path.basename(os.path.dirname(path)) == 'pfverify':\n"
+    "        executed.add(os.path.basename(path)[:-3])\n"
+    "sys.addaudithook(hook)\n"
+)
+# The modules every process runs: the package, the CLI, and what parses a spec.
+SPEC_MODULES = {"__init__", "cli", "exact", "pfield"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["funs", "all"], {"sieve"}),
+        (["bounds", "H4"], {"sieve"}),
+        (["genesis"], {"sieve", "genesis"}),
+        (["auts", "H3"], {"sieve", "symmetry"}),
+        (["report", "H3"], {"sieve", "lift", "symmetry"}),
+        (["verify-all"], {"sieve", "genesis", "lift", "symmetry"}),
+    ],
+    ids=["funs-all", "bounds-H4", "genesis", "auts-H3", "report-H3", "verify-all"],
+)
+def test_a_cold_command_executes_only_the_modules_it_runs(argv, extra) -> None:
+    code = EXECUTED_HOOK + (
+        "from pfverify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(executed)]))\n"
+    )
+    status, executed = json.loads(_run_cold(code, *argv))
+    assert status == 0
+    assert set(executed) == SPEC_MODULES | extra
+
+
+def test_importing_the_cli_and_reading_the_specs_executes_no_stage_module() -> None:
+    code = EXECUTED_HOOK + (
+        "import pfverify.cli\n"
+        "pfverify.cli.builtin_specs()\n"
+        "registered = [m for m in sys.modules if m.startswith('pfverify.')]\n"
+        "print(json.dumps([sorted(executed), sorted(registered)]))\n"
+    )
+    executed, registered = json.loads(_run_cold(code))
+    assert set(executed) == SPEC_MODULES
+    assert set(registered) == PACKAGE_MODULES
+
+
+# Stage functions that perfbench/spans.py wraps, one per module at least.
+STAGE_FUNCTIONS = {
+    "pfield": "build_fundamental_table",
+    "sieve": "resolve_mod_map",
+    "symmetry": "find_automorphisms",
+    "lift": "theorem1_report",
+    "genesis": "solved_values",
+}
+
+
+def test_vars_of_each_registered_module_lists_its_stage_functions() -> None:
+    # spans.py finds the functions to wrap through vars() of each pfverify
+    # module in sys.modules; reading a lazily registered module runs it.
+    code = (
+        "import json, sys\n"
+        "import pfverify.cli\n"
+        "print(json.dumps({name: sorted(k for k, v in vars(sys.modules[name]).items()"
+        " if callable(v)) for name in sys.argv[1:]}))\n"
+    )
+    names = [f"pfverify.{module}" for module in STAGE_FUNCTIONS]
+    found = json.loads(_run_cold(code, *names))
+    for module, function in STAGE_FUNCTIONS.items():
+        assert function in found[f"pfverify.{module}"], (module, function)
+    assert "find_automorphisms" in found["pfverify.lift"]
 
 
 # Modules that rational arithmetic brings in; the table path needs none.

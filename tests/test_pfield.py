@@ -208,6 +208,72 @@ def test_associates_lists_the_maps_in_table_order() -> None:
         assert associates(x) == [m(x) for m in MOBIUS]
 
 
+def form_classes(p) -> tuple[int, ...]:
+    """Each associate's first equal associate, read off all six built forms
+    by value_eq: the classes _orbit reads from screen residues."""
+    _, one, sub, div, _ = pfield._value_ops(p)
+    forms = [op(p, one, sub, div) for op in pfield._ASSOCIATE_OPS]
+    return tuple(next(j for j in range(6) if value_eq(f, forms[j])) for f in forms)
+
+
+def screen_classes(p) -> tuple[tuple[int, ...] | None, int]:
+    """_orbit's classes of p and the number of forms it divided to build."""
+    zero, one, sub, div, eq = pfield._value_ops(p)
+    divisions = 0
+
+    def counting_div(x, y):
+        nonlocal divisions
+        divisions += 1
+        return div(x, y)
+
+    return pfield._orbit(p, zero, one, sub, counting_div, eq)[1], divisions
+
+
+def test_screen_classes_are_the_form_classes_on_every_builtin_seed() -> None:
+    for s in builtin_specs().values():
+        for seed in s.seeds:
+            classes, divisions = screen_classes(seed)
+            if classes is None:  # the seed 1
+                continue
+            assert classes == form_classes(seed)
+            if not s.is_gauss:
+                # Six different screens: no form but 1 - seed is built.
+                assert classes == tuple(range(6)) and divisions == 0
+
+
+# Only constants have a stabilizer larger than the identity.  A screen
+# denominator that is 0 at the screen point leaves the pair to value_eq.
+POLE = screen_point(1)[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2", "-1", "1/2", "3", f"2*(a - {POLE})/(a - {POLE})", f"a*(a-{POLE})/(a-{POLE})"],
+    ids=["2", "-1", "1/2", "3", "2-with-pole", "a-with-pole"],
+)
+def test_screen_classes_are_the_form_classes_on_constants_and_poles(text) -> None:
+    classes, _ = screen_classes(rf(text))
+    assert classes == form_classes(rf(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any),
+)
+def test_screen_classes_are_the_form_classes_on_rational_functions(num, den) -> None:
+    p = rf(
+        f"({num[0]} + ({num[1]})*a + ({num[2]})*b)/({den[0]} + ({den[1]})*a*b)",
+        ("a", "b"),
+    )
+    classes, _ = screen_classes(p)
+    zero, one, _, _, _ = pfield._value_ops(p)
+    if classes is None:
+        assert value_eq(p, zero) or value_eq(p, one)
+    else:
+        assert classes == form_classes(p)
+
+
 def test_associates_closure_is_idempotent_on_a_sample() -> None:
     first = associates(rf("a"))
     for member in first:

@@ -28,6 +28,7 @@ from pfverify.pfield import (
     parse_field_spec,
     value_eq,
 )
+from test_cli import _h3_with_only_h2hom_i_and_wide_bounds
 
 
 @pytest.fixture(scope="module")
@@ -916,6 +917,27 @@ def test_prime_search_is_capped(specs, monkeypatch) -> None:
     monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 3)
     with pytest.raises(VerificationError, match="no fingerprint prime"):
         sieve.resolve_mod_map(_at_prime(specs["H3"], 59), box)
+
+
+@pytest.mark.parametrize(
+    "name, wide",
+    [("H3", False), ("H4", False), ("H5", False), ("H3", True)],
+    ids=["H3", "H4", "H5", "H3-wide"],
+)
+def test_the_fingerprint_index_is_the_mod_eval_index(specs, name, wide) -> None:
+    # The index multiplies per-slot power tables; mod_eval, one point at a
+    # time, is the reference, down to the order of the entries.
+    spec = specs[name]
+    if wide:  # 8,405 points
+        spec = parse_field_spec(_h3_with_only_h2hom_i_and_wide_bounds(20))
+    box = sieve.candidate_box(spec)
+    mm, fps, _ = sieve.resolve_mod_map(spec, box)
+    want = {0: FactoredElement(0, (0,) * len(box.ranges))}
+    for point in box.points:
+        fp = mod_eval(mm, 1, point)
+        want[fp] = FactoredElement(1, point)
+        want[mm.prime - fp] = FactoredElement(-1, point)
+    assert list(fps.items()) == list(want.items())
 
 
 def _spec_with_repeated_generator() -> str:
