@@ -468,7 +468,23 @@ def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     return 0 if ok else 1
 
 
+def _reject_unused_options(args: argparse.Namespace) -> None:
+    """An option choosing what genesis or verify-all runs is a usage error."""
+    given = {
+        "--spec": args.spec,
+        "--field": args.field_flag,
+        "field argument": args.field,
+    }
+    if args.command == "genesis":
+        given["--prime-start"] = args.prime_start
+    for option, value in given.items():
+        if value is not None:
+            raise _UsageError(f"{args.command} takes no {option}")
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command in ("genesis", "verify-all"):
+        _reject_unused_options(args)
     fmt = _resolve_format(args)
     if args.command == "genesis":
         return _emit([_genesis_payload()], lambda p: _genesis_text(p), fmt)

@@ -25,8 +25,8 @@ from .exact import (
 from .pfield import (
     VerificationError,
     builtin_specs,
+    complement,
     factor_over_generators,
-    fundamental_table,
     hom_gf5,
 )
 
@@ -115,14 +115,15 @@ def _candidate_values(s223: RatFunc) -> dict[str, RatFunc]:
 def _candidate_ok(values: dict[str, RatFunc]) -> bool:
     if not all(ratfunc_is_zero(r) for r in relation_residuals(values)):
         return False
+    # Each symbol is fundamental in H3, by definition, with the given image.
     spec = builtin_specs()["H3"]
-    table = fundamental_table(spec)
     for name, target in zip(SYMBOLS, CROSS_RATIO_GENERATORS):
         try:
             fe = factor_over_generators(spec, values[name])
+            factor_over_generators(spec, complement(values[name]))
         except ValueError:
             return False
-        if fe not in table.by_element or hom_gf5(spec, fe) != target:
+        if hom_gf5(spec, fe) != target:
             return False
     return True
 

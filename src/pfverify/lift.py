@@ -109,8 +109,9 @@ def build_domain(m: int) -> frozenset[GFTuple]:
 
 
 def domain_key(spec: PartialFieldSpec, entry: TableEntry) -> GFTuple:
-    """Domain tuple an entry lifts from; the five-variable field lifts
-    through the hom with the last coordinate dropped."""
+    """Domain tuple an entry lifts from: the first k coordinates of its
+    GF(5) image.  H5 (three indeterminates, k = 5) lifts through its
+    width-6 image with the sixth coordinate dropped."""
     return entry.gf5_image[: spec.report_index]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from collections.abc import Iterator, Mapping
-from functools import partial, wraps
+from functools import cache, partial
 from typing import NamedTuple
 
 from .exact import (
@@ -443,31 +443,6 @@ def builtin_specs() -> Mapping[str, PartialFieldSpec]:
     return _BUILTIN_SPECS
 
 
-# One memo for every computation made from a whole spec, keyed by the
-# computation and the hash of the spec text, so a spec parsed again from the
-# same text reuses the results.
-_memo: dict[tuple, object] = {}
-
-
-def memo_by_spec(compute):
-    """Decorator: compute(spec) runs once per spec text.  The wrapper's
-    cache_clear() forgets that computation's results for every spec."""
-
-    @wraps(compute)
-    def memoised(spec: PartialFieldSpec):
-        key = (compute, spec.source_hash)
-        if key not in _memo:
-            _memo[key] = compute(spec)
-        return _memo[key]
-
-    def cache_clear() -> None:
-        for key in [key for key in _memo if key[0] is compute]:
-            del _memo[key]
-
-    memoised.cache_clear = cache_clear
-    return memoised
-
-
 # ---------------------------------------------------------------------------
 # Associates
 
@@ -500,6 +475,12 @@ def _value_ops(p) -> tuple:
         return zero, one, sub, div, ratfunc_eq
     rational = type(p)
     return rational(0), rational(1), operator.sub, operator.truediv, operator.eq
+
+
+def complement(value):
+    """1 - value, exactly, for any kind of value _value_ops knows."""
+    _, one, sub, _, _ = _value_ops(value)
+    return sub(one, value)
 
 
 # Subtraction and division of screen residue pairs (num, den) as unreduced
@@ -921,15 +902,20 @@ def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     )
 
 
-@memo_by_spec
+@cache
 def fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
-    """Cached fundamental table for a spec."""
+    """The fundamental table of a spec, built once per spec object."""
     return build_fundamental_table(spec)
 
 
 def is_fundamental_exact(
     spec: PartialFieldSpec, x: RatFunc | GaussDyadic
 ) -> bool:
-    """Exact membership test against the fundamental table: value_eq with
-    some entry (whose screen residues reject nearly every other entry)."""
-    return any(value_eq(x, e.value) for e in fundamental_table(spec).entries)
+    """Exact membership by definition: x and 1 - x both factor over the
+    generators (zero factors, with sign 0).  Reads no table."""
+    try:
+        factor_over_generators(spec, x)
+        factor_over_generators(spec, complement(x))
+    except ValueError:
+        return False
+    return True

@@ -31,6 +31,7 @@ them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from itertools import chain, product
 from math import gcd, prod
 from operator import getitem
@@ -48,7 +49,6 @@ from .exact import (
     gauss_sub,
     mod_eval,
     next_prime,
-    ratfunc_arith,
     ratfunc_const,
     ratfunc_eval_gauss,
 )
@@ -56,9 +56,9 @@ from .pfield import (
     FactoredElement,
     PartialFieldSpec,
     VerificationError,
+    complement,
     expand_element,
     factor_over_generators,
-    memo_by_spec,
     value_eq,
 )
 
@@ -351,7 +351,7 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
     return CandidateBox(ranges, include_zero, tuple(points))
 
 
-@memo_by_spec
+@cache
 def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
     """Exponent box containing every fundamental element of the field."""
     if spec.is_gauss:
@@ -638,12 +638,6 @@ def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
 # Exact verification of the survivors
 
 
-def _exact_complement(spec: PartialFieldSpec, value):
-    if isinstance(value, GaussDyadic):
-        return gauss_sub(GAUSS_ONE, value)
-    return ratfunc_arith(ratfunc_const(spec.arity, 1), value, "sub")
-
-
 def verify_survivors(
     spec: PartialFieldSpec,
     result: SieveResult,
@@ -676,8 +670,8 @@ def verify_survivors(
         if fp in checked:
             continue
         checked.add(partner_fp)
-        complement = _exact_complement(spec, expand_element(spec, fe))
-        if not value_eq(complement, expand_element(spec, partner)):
+        one_minus_s = complement(expand_element(spec, fe))
+        if not value_eq(one_minus_s, expand_element(spec, partner)):
             raise VerificationError(
                 f"{spec.name}: 1 - s is not exactly the paired survivor "
                 f"for {fe}{at}"

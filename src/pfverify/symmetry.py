@@ -33,6 +33,7 @@ then pass the same exact check.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
 from typing import NamedTuple
@@ -55,7 +56,6 @@ from .pfield import (
     factor_over_generators,
     fundamental_table,
     hom_gf5,
-    memo_by_spec,
 )
 
 __all__ = [
@@ -132,7 +132,6 @@ def confirm_candidate(
 # Symmetry arithmetic
 
 
-@memo_by_spec
 def _base_columns(spec: PartialFieldSpec) -> dict[tuple[int, ...], int]:
     """Each GF(5) coordinate's column of generator images, mapped to the
     coordinate; a repeated column is a VerificationError."""
@@ -341,9 +340,9 @@ def _search_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     return AutGroup(spec, table, elements)
 
 
-@memo_by_spec
+@cache
 def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
-    """All symmetries of the field, cached per spec text.
+    """All symmetries of the field, cached per spec object.
 
     Over indeterminates, one image tuple per GF(5) coordinate permutation
     is proposed.  Walking them in order, the exact check decides each tuple

@@ -42,6 +42,43 @@ def test_unknown_command_is_a_usage_error(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["verify-all", "--spec", "/nonexistent.pfs"], "--spec"),
+        (["verify-all", "--field", "H3"], "--field"),
+        (["verify-all", "H3"], "field argument"),
+        (["genesis", "--spec", "/nonexistent.pfs"], "--spec"),
+        (["genesis", "--field", "H4"], "--field"),
+        (["genesis", "H4"], "field argument"),
+        (["genesis", "--prime-start", "59"], "--prime-start"),
+    ],
+    ids=[
+        "verify-all-spec", "verify-all-field-flag", "verify-all-field",
+        "genesis-spec", "genesis-field-flag", "genesis-field", "genesis-prime-start",
+    ],
+)
+def test_an_option_the_command_does_not_use_is_a_usage_error(
+    capsys, args, option
+) -> None:
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {args[0]} takes no {option}\n"
+
+
+def test_verify_all_keeps_prime_start_and_both_ignore_the_environment(
+    capsys, monkeypatch
+) -> None:
+    # Environment variables stay defaults, which these two commands ignore.
+    for name, value in (("SPEC", "/nonexistent.pfs"), ("FIELD", "H4")):
+        monkeypatch.setenv(f"PFVERIFY_{name}", value)
+    code, out, _ = run_cli(capsys, "genesis")
+    assert code == 0 and "PASS" in out
+    monkeypatch.setattr(cli, "_run_verify_all", lambda args, fmt: args.prime_start)
+    assert cli.main(["verify-all", "--prime-start", "59"]) == 59
+
+
 # ---------------------------------------------------------------------------
 # Table commands
 

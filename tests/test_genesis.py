@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pfverify import genesis
+from pfverify import cli, genesis, pfield
 from pfverify.exact import ratfunc_eq, ratfunc_from_text, ratfunc_is_zero
 from pfverify.pfield import (
     builtin_specs,
@@ -61,3 +61,16 @@ def test_solved_values_are_fundamental_with_matching_images() -> None:
         fe = factor_over_generators(spec, values[name])
         assert fe in table.by_element
         assert hom_gf5(spec, fe) == target
+
+
+def test_genesis_passes_without_building_a_table(monkeypatch) -> None:
+    # Fundamentality is checked by definition, so no H3 table is built.
+    def no_table(spec):
+        raise AssertionError("genesis built a fundamental table")
+
+    # genesis's own binding too, so that no import by name escapes the patch.
+    for module in (pfield, genesis):
+        monkeypatch.setattr(module, "fundamental_table", no_table, raising=False)
+    # Uncached, both readings of the ambiguous line are checked again.
+    genesis._resolved_s223_text.cache_clear()
+    assert cli._genesis_payload()["verdict"] == "PASS"

@@ -385,10 +385,14 @@ def test_hom_is_multiplicative_on_random_unit_pairs() -> None:
 # Fundamental tables (dual route)
 
 
-def test_tables_are_shared_by_specs_parsed_from_the_same_text() -> None:
-    again = pfield.parse_field_spec(spec("H3").source_text)
-    assert again is not spec("H3")
-    assert fundamental_table(again) is fundamental_table(spec("H3"))
+def test_a_replaced_spec_gets_its_own_table() -> None:
+    # Tables are cached per spec object, so a spec changed by _replace,
+    # which keeps the original's source_hash, is not handed its table.
+    copy = spec("H3")._replace(mod_var_residues=(7,))
+    table = fundamental_table(copy)
+    assert table.spec is copy
+    assert table.mod_map.gen_residues == copy.mod_map().gen_residues
+    assert table.mod_map != fundamental_table(spec("H3")).mod_map
 
 
 def test_gaussian_field_table_has_eleven_known_values() -> None:
@@ -715,6 +719,42 @@ def test_membership_accepts_unnormalized_forms(x) -> None:
 
 def test_membership_rejects_non_fundamentals() -> None:
     assert not is_fundamental_exact(spec("H3"), rf("a + 1"))
+
+
+_NON_UNITS = {"H2": "3", "H3": "a + 2", "H4": "a + b", "H5": "a + b + c"}
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5"])
+def test_membership_is_decided_by_definition(monkeypatch, name) -> None:
+    # x is fundamental exactly when x and 1 - x factor over the generators;
+    # deciding it reads neither the table nor the modular map.
+    s = spec(name)
+    table = fundamental_table(s)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("membership read the table or the modular map")
+
+    monkeypatch.setattr(pfield, "fundamental_table", unread)
+    monkeypatch.setattr(pfield.PartialFieldSpec, "mod_map", unread)
+    for entry in table.entries:
+        assert is_fundamental_exact(s, entry.value)
+    rng = random.Random(24)
+    outside = 0
+    for _ in range(40):
+        p, q = (rng.choice(table.nonzero_one).element for _ in range(2))
+        product = pfield.canonical_element(
+            s,
+            FactoredElement(
+                p.sign * q.sign, tuple(x + y for x, y in zip(p.exps, q.exps))
+            ),
+        )
+        if product not in table.by_element:
+            outside += 1
+            assert not is_fundamental_exact(s, expand_element(s, product))
+    assert outside >= 20
+    text = _NON_UNITS[name]
+    non_unit = gauss_from_text(text) if s.is_gauss else rf(text, s.var_names)
+    assert not is_fundamental_exact(s, non_unit)
 
 
 def test_membership_accepts_zero() -> None:

@@ -895,12 +895,12 @@ def test_squared_residues_never_separate_at_two(ranges, at_three) -> None:
 def test_survivor_pairs_are_checked_exactly_once(specs, monkeypatch) -> None:
     checks = []
 
-    def counting_complement(spec, value):
+    def counting_complement(value):
         checks.append(value)
-        return complement(spec, value)
+        return complement(value)
 
-    complement = sieve._exact_complement
-    monkeypatch.setattr(sieve, "_exact_complement", counting_complement)
+    complement = sieve.complement
+    monkeypatch.setattr(sieve, "complement", counting_complement)
     for name, pairs in (("H2", 6), ("H3", 13), ("H4", 28), ("H5", 46)):
         spec = specs[name]
         table = fundamental_table(spec)
