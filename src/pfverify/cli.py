@@ -210,6 +210,14 @@ def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
 # Command payloads (dicts that double as the JSON output)
 
 
+def _spec_fingerprint(spec: PartialFieldSpec) -> str:
+    """SHA-256 of the spec text; hashlib is imported here, so a process that
+    prints no fingerprint never loads OpenSSL."""
+    import hashlib
+
+    return hashlib.sha256(spec.source_text.encode()).hexdigest()
+
+
 def _funs_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: building the fundamental table by both routes")
     table = fundamental_table(spec)
@@ -226,9 +234,8 @@ def _funs_payload(spec: PartialFieldSpec) -> dict:
             }
         )
     return {
-        "command": "funs",
         "field": spec.name,
-        "spec_fingerprint": spec.source_hash,
+        "spec_fingerprint": _spec_fingerprint(spec),
         "prime": None if spec.is_gauss else table.mod_map.prime,
         "count": len(table.entries),
         "entries": entries,
@@ -252,9 +259,8 @@ def _auts_payload(spec: PartialFieldSpec) -> dict:
     group = symmetry.find_automorphisms(spec)
     perms = sorted(aut.coord_perm for aut in group.elements)
     return {
-        "command": "auts",
         "field": spec.name,
-        "spec_fingerprint": spec.source_hash,
+        "spec_fingerprint": _spec_fingerprint(spec),
         "order": len(group.elements),
         "coord_perms": [list(p) for p in perms],
         "verdict": "PASS",
@@ -278,9 +284,8 @@ def _u25_payload(spec: PartialFieldSpec) -> dict:
     }
     bijection = len(pairs) == len(tuples) and field_keys == set(tuples)
     return {
-        "command": "u25",
         "field": spec.name,
-        "spec_fingerprint": spec.source_hash,
+        "spec_fingerprint": _spec_fingerprint(spec),
         "field_side": len(pairs),
         "tuple_side": len(tuples),
         "bijection": bijection,
@@ -301,9 +306,8 @@ def _lift_check_payload(spec: PartialFieldSpec) -> dict:
     tuples = lift.gf5_u25_tuples(spec.report_index)
     violations = lift.local_lift_check(spec, tuples)
     return {
-        "command": "lift-check",
         "field": spec.name,
-        "spec_fingerprint": spec.source_hash,
+        "spec_fingerprint": _spec_fingerprint(spec),
         "pairs": len(tuples),
         "violations": [
             {"pair": idx, "p": list(p), "q": list(q)} for idx, p, q in violations
@@ -329,9 +333,8 @@ def _bounds_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: bounding the exponent box")
     box = sieve.candidate_box(spec)
     return {
-        "command": "bounds",
         "field": spec.name,
-        "spec_fingerprint": spec.source_hash,
+        "spec_fingerprint": _spec_fingerprint(spec),
         "ranges": [list(r) for r in box.ranges],
         "include_zero": box.include_zero,
         "candidates": sieve.candidate_count(box),
@@ -351,9 +354,8 @@ def _bounds_text(payload: dict) -> list[str]:
 
 def _report_payload(spec: PartialFieldSpec) -> dict:
     _status(f"{spec.name}: running all verification stages")
-    payload = lift.theorem1_report(spec.report_index, spec=spec)
-    payload["command"] = "report"
-    payload["spec_fingerprint"] = spec.source_hash
+    payload = lift.theorem1_report(spec)
+    payload["spec_fingerprint"] = _spec_fingerprint(spec)
     return payload
 
 
@@ -432,13 +434,7 @@ def _emit(payloads: list[dict], renderer, fmt: str) -> int:
 
 def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     start = _resolve_prime_start(args)
-    reports = []
-    for name in FIELD_NAMES:
-        spec = _builtin_spec(name, start)
-        _status(f"{spec.name}: running all verification stages")
-        payload = lift.theorem1_report(spec.report_index, spec=spec)
-        payload["spec_fingerprint"] = spec.source_hash
-        reports.append(payload)
+    reports = [_report_payload(_builtin_spec(name, start)) for name in FIELD_NAMES]
     genesis_payload = _genesis_payload()
     ok = (
         all(r["verdict"] == "PASS" for r in reports)
@@ -487,12 +483,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         _reject_unused_options(args)
     fmt = _resolve_format(args)
     if args.command == "genesis":
-        return _emit([_genesis_payload()], lambda p: _genesis_text(p), fmt)
+        return _emit([_genesis_payload()], _genesis_text, fmt)
     if args.command == "verify-all":
         return _run_verify_all(args, fmt)
     build, render = _PER_FIELD[args.command]
     specs = _load_specs(args)
-    payloads = [build(spec) for spec in specs]
+    payloads = [{"command": args.command, **build(spec)} for spec in specs]
     return _emit(payloads, render, fmt)
 
 

@@ -583,10 +583,14 @@ def next_prime(n: int) -> int:
 # Caps on one expression.  Nesting counts parentheses and unary minus, the
 # only recursion in the parser.  Degree bounds the numerator and denominator
 # of every value the parser builds; each operation's bound is checked before
-# the operation is carried out.  The builtin fields reach nesting 2 and
-# degree 3.
+# the operation is carried out.  The term cap bounds the product of the
+# operands' term counts in every polynomial product the parser forms, each
+# step of a power included, again before the product is formed.  The
+# builtin fields reach nesting 2, degree 3 and 6 terms; (a + b + c + 1)^8,
+# 165 terms, reaches a bound of 480.
 MAX_NESTING = 32
 MAX_DEGREE = 8
+MAX_TERMS = 1024
 
 
 def _tokenize(text: str) -> list[str]:
@@ -620,6 +624,20 @@ def _capped(num: int, den: int) -> tuple[int, int]:
     if max(num, den) > MAX_DEGREE:
         raise ValueError(f"expression degree exceeds {MAX_DEGREE}")
     return num, den
+
+
+def _capped_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
+    """ratfunc_arith(a, b, op), refused before it runs if one of the
+    polynomial products it forms could exceed MAX_TERMS terms."""
+    if op == "mul":
+        products = ((a.num, b.num), (a.den, b.den))
+    elif op == "div":
+        products = ((a.num, b.den), (a.den, b.num))
+    else:
+        products = ((a.num, b.den), (b.num, a.den), (a.den, b.den))
+    if any(len(x) * len(y) > MAX_TERMS for x, y in products):
+        raise ValueError(f"expression term bound exceeds {MAX_TERMS}")
+    return ratfunc_arith(a, b, op)
 
 
 class _Parser:
@@ -672,7 +690,7 @@ class _Parser:
                 num, den = _capped(num + d, den + n)
             else:
                 num, den = _capped(max(num + d, n + den), den + d)
-            acc = ratfunc_arith(acc, value, op)
+            acc = _capped_arith(acc, value, op)
         return acc, (num, den)
 
     def parse_sum(self) -> tuple[RatFunc, tuple[int, int]]:
@@ -698,7 +716,10 @@ class _Parser:
             raise ValueError(f"expected integer exponent, got {exponent!r}")
         k = int(exponent)
         degrees = _capped(k * max(num, 1), k * den)
-        return RatFunc(poly_pow(base.num, k), poly_pow(base.den, k)), degrees
+        value = ratfunc_const(len(self.var_names), 1)
+        for _ in range(k):
+            value = _capped_arith(value, base, "mul")
+        return value, degrees
 
     def parse_atom(self) -> tuple[RatFunc, tuple[int, int]]:
         tok = self.take()

@@ -4,30 +4,27 @@ A rank-2 representation of the five-point uniform matroid U_{2,5} is
 normalized to a pair (p, q) of distinct nonzero-one fundamentals whose
 ratio is again fundamental.  Over GF(5)^m the same data is a pair of
 width-m tuples assembled from the six single-coordinate representations.
-A lifting function inverts the coordinate homomorphism on the
-fundamentals; the local-lift check confirms that every tuple pair lifts
-to a field pair whose ratio is fundamental.  The field report bundles
+The lifting table, a dict from domain tuple to table entry, inverts the
+coordinate homomorphism on the fundamentals; the local-lift check confirms
+that every tuple pair lifts to a field pair whose ratio is fundamental.  The field report bundles
 every check for one field into a machine-readable verdict.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import NamedTuple
 
 from .pfield import (
     FactoredElement,
     PartialFieldSpec,
     TableEntry,
     VerificationError,
-    builtin_specs,
     canonical_element,
     fundamental_table,
 )
 from .symmetry import find_automorphisms
 
 __all__ = [
-    "LiftingFn",
     "build_domain",
     "build_lifting_fn",
     "check_inequivalence",
@@ -115,49 +112,28 @@ def domain_key(spec: PartialFieldSpec, entry: TableEntry) -> GFTuple:
     return entry.gf5_image[: spec.report_index]
 
 
-class LiftingFn(NamedTuple):
-    """Bijection from the cross-ratio domain onto the fundamental table."""
-
-    spec: PartialFieldSpec
-    width: int
-    table: dict
-
-    def entry_for(self, key: GFTuple) -> TableEntry:
-        entry = self.table.get(tuple(key))
-        if entry is None:
-            raise VerificationError(
-                f"{self.spec.name}: {tuple(key)} is outside the lifting domain"
-            )
-        return entry
-
-    def lift(self, key: GFTuple):
-        return self.entry_for(key).value
-
-
-def build_lifting_fn(spec: PartialFieldSpec) -> LiftingFn:
+def build_lifting_fn(spec: PartialFieldSpec) -> dict[GFTuple, TableEntry]:
     """Invert the coordinate hom on the fundamentals, verifying that it
     maps them bijectively onto the cross-ratio domain."""
-    table = fundamental_table(spec)
-    width = spec.report_index
-    mapping: dict = {}
-    for entry in table.entries:
+    mapping: dict[GFTuple, TableEntry] = {}
+    for entry in fundamental_table(spec).entries:
         key = domain_key(spec, entry)
         if key in mapping:
             raise VerificationError(
                 f"{spec.name}: two fundamentals share the domain tuple {key}"
             )
         mapping[key] = entry
-    if set(mapping) != build_domain(width):
+    if set(mapping) != build_domain(spec.report_index):
         raise VerificationError(
             f"{spec.name}: fundamental images differ from the cross-ratio domain"
         )
-    return LiftingFn(spec=spec, width=width, table=mapping)
+    return mapping
 
 
 def local_lift_check(
     spec: PartialFieldSpec,
     tuple_pairs: list[tuple[GFTuple, GFTuple]],
-    fn: LiftingFn | None = None,
+    fn: dict[GFTuple, TableEntry] | None = None,
 ) -> list[tuple[int, GFTuple, GFTuple]]:
     """Lift every tuple pair and report those whose ratio fails to be
     fundamental.  A tuple outside the domain is a usage error, not a lift
@@ -165,16 +141,14 @@ def local_lift_check(
     if fn is None:
         fn = build_lifting_fn(spec)
     table = fundamental_table(spec)
-    domain = build_domain(fn.width)
     violations = []
     for idx, (p, q) in enumerate(tuple_pairs):
         p, q = tuple(p), tuple(q)
-        if p not in domain or q not in domain:
+        if not (p in fn and q in fn):
             raise VerificationError(
                 f"{spec.name}: pair {idx} leaves the cross-ratio domain"
             )
-        ratio = _ratio_element(spec, fn.entry_for(p), fn.entry_for(q))
-        if ratio not in table.by_element:
+        if _ratio_element(spec, fn[p], fn[q]) not in table.by_element:
             violations.append((idx, p, q))
     return violations
 
@@ -202,7 +176,8 @@ def _require(ok: bool, stage: str, detail: str) -> None:
         raise _StageFailure(stage, detail)
 
 
-def _run_stages(spec: PartialFieldSpec, k: int, counts: dict) -> None:
+def _run_stages(spec: PartialFieldSpec, counts: dict) -> None:
+    k = spec.report_index
     expect_funs, expect_auts, expect_pairs, expect_domain = EXPECTED_COUNTS[k]
 
     try:
@@ -266,22 +241,8 @@ def _run_stages(spec: PartialFieldSpec, k: int, counts: dict) -> None:
         fn = build_lifting_fn(spec)
     except VerificationError as exc:
         raise _StageFailure("lifting", str(exc)) from exc
-    for entry in table.entries:
-        _require(
-            fn.entry_for(domain_key(spec, entry)) is entry,
-            "lifting",
-            f"round trip fails at {domain_key(spec, entry)}",
-        )
-    lifted = {
-        (fn.entry_for(p).element, fn.entry_for(q).element) for p, q in tuples
-    }
-    direct = {(p.element, q.element) for p, q in pairs}
-    _require(
-        lifted == direct,
-        "lifting",
-        "lifted tuple pairs do not biject with the field-side pairs",
-    )
 
+    # Equal counts + bijective fn + fundamental ratios: the lifts are the field pairs.
     try:
         bad_lifts = local_lift_check(spec, tuples, fn)
     except VerificationError as exc:
@@ -293,20 +254,19 @@ def _run_stages(spec: PartialFieldSpec, k: int, counts: dict) -> None:
     )
 
 
-def theorem1_report(k: int, spec: PartialFieldSpec | None = None) -> dict:
+def theorem1_report(spec: PartialFieldSpec) -> dict:
     """Run every verification stage for one field in this process and
     bundle the counts and the first failing stage into one verdict.
 
-    Defined for k in 2..5; the k=1 and k=6 cases need no computation and
-    are out of scope."""
+    Defined for k = spec.report_index in 2..5; the k=1 and k=6 cases need
+    no computation and are out of scope."""
+    k = spec.report_index
     if k not in EXPECTED_COUNTS:
         raise ValueError(f"report is defined for k in 2..5, not k={k}")
-    if spec is None:
-        spec = builtin_specs()[f"H{k}"]
     counts = {"fundamentals": 0, "automorphisms": 0, "u25_pairs": 0, "domain": 0}
     violations: list[dict] = []
     try:
-        _run_stages(spec, k, counts)
+        _run_stages(spec, counts)
     except _StageFailure as failure:
         violations.append({"stage": failure.stage, "detail": failure.detail})
     return {

@@ -11,7 +11,6 @@ its factored form, exact value, fingerprint, and GF(5)^m image.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from collections.abc import Iterator, Mapping
 from functools import cache, partial
@@ -67,8 +66,7 @@ class FactoredElement(NamedTuple):
 
 
 class PartialFieldSpec(NamedTuple):
-    """Parsed description of one partial field; source_hash is the SHA-256
-    of source_text."""
+    """Parsed description of one partial field."""
 
     name: str
     report_index: int
@@ -87,7 +85,6 @@ class PartialFieldSpec(NamedTuple):
     extra_bounds: tuple[tuple[int, int, int], ...]
     include_zero_candidate: bool
     source_text: str
-    source_hash: str
 
     @property
     def arity(self) -> int:
@@ -253,7 +250,6 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         extra_bounds=tuple(extra_bounds),
         include_zero_candidate=include_zero,
         source_text=text,
-        source_hash=hashlib.sha256(text.encode()).hexdigest(),
     )
 
 

@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 from .exact import (
     GAUSS_ONE,
-    SCREEN_PRIME,
     GaussDyadic,
     ModMap,
     RatFunc,
@@ -489,22 +488,6 @@ def _collision(mm: ModMap, box: CandidateBox) -> tuple[int, ...] | None:
     return None
 
 
-def _is_one(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
-    """Whether fe is exactly 1.  Its numerator and denominator are first
-    evaluated from the generators' screen residues, with no inverse, as
-    ratfunc_eq screens; only if they agree is fe expanded and compared."""
-    num, den = fe.sign, 1
-    for gen, e in zip(spec.generators, fe.exps):
-        top, bottom = gen.screen_residues
-        if e < 0:
-            top, bottom, e = bottom, top, -e
-        num = num * pow(top, e, SCREEN_PRIME) % SCREEN_PRIME
-        den = den * pow(bottom, e, SCREEN_PRIME) % SCREEN_PRIME
-    if (num - den) % SCREEN_PRIME:
-        return False
-    return value_eq(expand_element(spec, fe), ratfunc_const(spec.arity, 1))
-
-
 def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
     """Whether fe is exactly 1 at the modvar point, comparing its integer
     numerator and denominator there.  Then it is 1 mod every prime where
@@ -540,13 +523,14 @@ def resolve_mod_map(
     residue raises the ValueError naming the generator; a later prime where
     one vanishes is skipped.  Every other prime is decided by one
     _collision call, which also rules out p <= 2|B|.  A relation d it
-    returns names the quotient (sign, d), sign = r^d = +-1 mod p, which
-    _is_one checks exactly: if it is 1 the generators are dependent, which
-    no prime separates, and the FAIL names the two equal candidates (1, e)
-    and (sign, e + d) with e_i = lo_i + max(-d_i, 0), both in the box
-    ranges.  If it is 1 at the modvar point alone, the FAIL names the point
-    and the relation, which holds mod every prime; otherwise the search
-    advances to the next prime.
+    returns names the quotient (sign, d), sign = r^d = +-1 mod p, which is
+    first evaluated exactly at the modvar point.  If it is not 1 there it
+    is not identically 1 either, and the search advances to the next prime.
+    If it is, the quotient is expanded and compared with 1 once.  Exactly 1
+    means the generators are dependent, which no prime separates, and the
+    FAIL names the two equal candidates (1, e) and (sign, e + d) with
+    e_i = lo_i + max(-d_i, 0), both in the box ranges.  Otherwise the FAIL
+    names the modvar point and the relation, which holds mod every prime.
     """
     start = p = spec.mod_prime
     if len(box.ranges) != len(spec.generators):
@@ -577,15 +561,16 @@ def resolve_mod_map(
         if d:
             sign = 1 if mod_eval(mm, 1, d) == 1 else -1
             quotient = FactoredElement(sign, d)
-            if _is_one(spec, quotient):
-                e = tuple(lo + max(-x, 0) for (lo, _), x in zip(box.ranges, d))
-                first = FactoredElement(1, e)
-                second = FactoredElement(sign, tuple(a + x for a, x in zip(e, d)))
-                raise VerificationError(
-                    f"{spec.name}: candidates {first} and {second} are exactly "
-                    "equal, so their quotient is a relation among the generators"
-                )
             if _is_one_at_modvar_point(spec, quotient):
+                one = ratfunc_const(spec.arity, 1)
+                if value_eq(expand_element(spec, quotient), one):
+                    e = tuple(lo + max(-x, 0) for (lo, _), x in zip(box.ranges, d))
+                    first = FactoredElement(1, e)
+                    second = FactoredElement(sign, tuple(a + x for a, x in zip(e, d)))
+                    raise VerificationError(
+                        f"{spec.name}: candidates {first} and {second} are exactly "
+                        "equal, so their quotient is a relation among the generators"
+                    )
                 at = ", ".join(
                     f"{v} = {x}" for v, x in zip(spec.var_names, spec.mod_var_residues)
                 )

@@ -141,9 +141,7 @@ def test_criterion_06_representation_pair_counts(specs) -> None:
         assert len(pairs) == PAIR_COUNTS[name]
         assert len(tuples) == PAIR_COUNTS[name]
         fn = lift.build_lifting_fn(spec)
-        lifted = {
-            (fn.entry_for(p).element, fn.entry_for(q).element) for p, q in tuples
-        }
+        lifted = {(fn[p].element, fn[q].element) for p, q in tuples}
         direct = {(p.element, q.element) for p, q in pairs}
         assert lifted == direct
     _pass(6, "representation pair counts 30/120/360/720 with bijection")
@@ -173,18 +171,18 @@ def test_criterion_08_local_lift(specs) -> None:
 
 def test_criterion_09_lifting_spot_values(specs) -> None:
     fn2 = lift.build_lifting_fn(specs["H2"])
-    assert gauss_eq(fn2.lift((2, 4)), gauss_from_text("(1 - i)/2"))
+    assert gauss_eq(fn2[(2, 4)].value, gauss_from_text("(1 - i)/2"))
     fn3 = lift.build_lifting_fn(specs["H3"])
     assert ratfunc_eq(
-        fn3.lift((2, 4, 4)), ratfunc_from_text("(-1 + a - a^2)/(-1 + a)", ("a",))
+        fn3[(2, 4, 4)].value, ratfunc_from_text("(-1 + a - a^2)/(-1 + a)", ("a",))
     )
     fn4 = lift.build_lifting_fn(specs["H4"])
     assert ratfunc_eq(
-        fn4.lift((2, 4, 3, 4)), ratfunc_from_text("b/(b - 1)", ("a", "b"))
+        fn4[(2, 4, 3, 4)].value, ratfunc_from_text("b/(b - 1)", ("a", "b"))
     )
     fn5 = lift.build_lifting_fn(specs["H5"])
     assert ratfunc_eq(
-        fn5.lift((2, 4, 3, 3, 4)), ratfunc_from_text("c/a", ("a", "b", "c"))
+        fn5[(2, 4, 3, 3, 4)].value, ratfunc_from_text("c/a", ("a", "b", "c"))
     )
     _pass(9, "lifting spot values")
 
@@ -261,9 +259,9 @@ def test_criterion_11_property_suites(specs) -> None:
         spec = specs[name]
         fn = lift.build_lifting_fn(spec)
         domain = lift.build_domain(spec.report_index)
-        assert set(fn.table) == domain
+        assert set(fn) == domain
         for key in domain:
-            assert lift.domain_key(spec, fn.entry_for(key)) == key
+            assert lift.domain_key(spec, fn[key]) == key
 
     # Brute force over all width-m tuples reproduces the domain sizes.
     domain_sizes = {2: 11, 3: 26, 4: 56, 5: 92}
@@ -297,7 +295,7 @@ def _corrupted_spec(source_text: str, old_line: str, new_line: str):
 def test_criterion_12_negative_controls(specs) -> None:
     # Dropping a generator breaks the factorization of the closure.
     broken = _corrupted_spec(specs["H3"].source_text, "gen a^2 - a + 1", "")
-    report = lift.theorem1_report(3, spec=broken)
+    report = lift.theorem1_report(broken)
     assert report["verdict"] == "FAIL"
     assert report["violations"][0]["stage"] == "fundamentals"
     assert report["violations"][0]["detail"]
@@ -306,7 +304,7 @@ def test_criterion_12_negative_controls(specs) -> None:
     broken = _corrupted_spec(
         specs["H3"].source_text, "gf5map a 2 3 4", "gf5map a 2 3 2"
     )
-    report = lift.theorem1_report(3, spec=broken)
+    report = lift.theorem1_report(broken)
     assert report["verdict"] == "FAIL"
     assert report["violations"][0]["stage"] == "fundamentals"
     assert "distinct" in report["violations"][0]["detail"]

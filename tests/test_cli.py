@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pfverify import cli
+from pfverify import cli, exact
 from pfverify.pfield import builtin_specs
 from test_pfield import _h3_with_unused_indeterminates
 
@@ -26,6 +26,10 @@ def run_cli(capsys, *args: str) -> tuple[int, str, str]:
 
 def canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ def test_funs_json_output(capsys) -> None:
     assert data["count"] == 26
     assert len(data["entries"]) == 26
     assert data["prime"] == 1299709
-    assert data["spec_fingerprint"] == builtin_specs()["H3"].source_hash
+    assert data["spec_fingerprint"] == sha256(builtin_specs()["H3"].source_text)
 
 
 def test_funs_with_prime_override(capsys) -> None:
@@ -195,7 +199,7 @@ def test_report_json_round_trips(capsys) -> None:
     data = json.loads(out)
     assert canonical(data) == out.strip()
     assert data["verdict"] == "PASS"
-    assert data["spec_fingerprint"] == builtin_specs()["H3"].source_hash
+    assert data["spec_fingerprint"] == sha256(builtin_specs()["H3"].source_text)
 
 
 def test_report_text_has_stage_lines(capsys) -> None:
@@ -352,6 +356,24 @@ def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage error: cannot parse spec file: ")
+
+
+def test_a_power_of_a_sixteen_term_sum_is_a_prompt_usage_error(tmp_path) -> None:
+    # Expanding it builds 490,314 terms; parsing it once took about 10 s.
+    names = [f"v{i}" for i in range(16)]
+    text = "\n".join(
+        ["field X", "k 3", "vars " + " ".join(names), "gen -1",
+         "gen (" + " + ".join(names) + ")^8", "seed 1", ""]
+    )
+    start = time.perf_counter()
+    proc = _cli_on_spec_text(tmp_path, text, "bounds")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "usage error: cannot parse spec file: expression term bound exceeds "
+        f"{exact.MAX_TERMS}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -532,7 +554,8 @@ def test_prime_start_keeps_the_gaussian_spec_and_its_fingerprint(capsys) -> None
         capsys, "report", "H2", "--prime-start", "100000000003", "--format", "json"
     )
     assert code == 0
-    assert json.loads(out)["spec_fingerprint"] == builtin_specs()["H2"].source_hash
+    fingerprint = json.loads(out)["spec_fingerprint"]
+    assert fingerprint == sha256(builtin_specs()["H2"].source_text)
 
 
 # Runs the CLI in a fresh process, where no spec has been parsed yet, and
@@ -604,9 +627,9 @@ def test_all_field_selector_runs_every_table(capsys) -> None:
     assert [r["count"] for r in data["results"]] == [11, 26, 56, 92]
 
 
-# SHA-256 of the JSON stdout of table and report commands, pinned so that a
-# change in the library's internals cannot silently change what the tool
-# prints.
+# SHA-256 of the stdout of table, report and verify-all commands, in JSON and
+# in text, pinned so that a change in the library's internals cannot silently
+# change what the tool prints.
 STDOUT_DIGESTS = {
     ("funs", "all"): "b6a5b519c709f6581e68a332201e8a80c6ab1056772a2eea61a657fc9292fc23",
     ("auts", "all"): "51c5913dac344cf145b58ff45749024b21b4ac9384ac84e8911da5cdbfb6dc9b",
@@ -622,6 +645,12 @@ STDOUT_DIGESTS = {
     ("report", "H2", "--prime-start", "100000000003"): (
         "4fea6cb6a7e74f1c340ad6ed3e7cbd8854b32c9a36e0044daaf6c11959035151"
     ),
+    ("verify-all",): "7bceecca0a37c9f14c603fcab219645d628670cacc4448f60877f208de02e150",
+}
+TEXT_STDOUT_DIGESTS = {
+    ("verify-all",): "0a3ce06285d5f8fb65c4fb8ddd716b22bd70b5c6f707e7442478a6e0e12cc00b",
+    ("report", "H3"): "06c18d81bb977615432c9b100984ed498de459d532e9f583ef95d25f405bb157",
+    ("funs", "all"): "18c45d7c54a147724ae4586cb660c70326e2123c182bcc1fa9931a37e66a322a",
 }
 
 
@@ -629,4 +658,21 @@ def test_json_stdout_is_byte_identical_to_the_pinned_digests(capsys) -> None:
     for args, digest in STDOUT_DIGESTS.items():
         code, out, _ = run_cli(capsys, *args, "--format", "json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+        assert sha256(out) == digest, args
+
+
+def test_text_stdout_is_byte_identical_to_the_pinned_digests(capsys) -> None:
+    for args, digest in TEXT_STDOUT_DIGESTS.items():
+        code, out, _ = run_cli(capsys, *args, "--format", "text")
+        assert code == 0
+        assert sha256(out) == digest, args
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5", "H4-reprimed"])
+def test_spec_fingerprint_is_the_sha256_of_the_source_text(name) -> None:
+    if name == "H4-reprimed":
+        s = cli._builtin_spec("H4", 523456789011)
+        assert s.mod_prime != builtin_specs()["H4"].mod_prime
+    else:
+        s = builtin_specs()[name]
+    assert cli._spec_fingerprint(s) == sha256(s.source_text)

@@ -491,3 +491,43 @@ def test_parser_carries_out_no_operation_over_the_degree_cap(monkeypatch, text) 
     with pytest.raises(ValueError, match="degree exceeds"):
         ratfunc_from_text(text, ("a",))
     assert degrees and max(degrees) <= exact.MAX_DEGREE
+
+
+NAMES = tuple(f"v{i}" for i in range(33))
+SUM16 = "(" + " + ".join(NAMES[:16]) + ")"
+SUM33 = "(" + " + ".join(NAMES) + ")"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The expansion has 490,314 terms; parsing it once took about 10 s.
+        f"{SUM16}^8",
+        f"{SUM33}*{SUM33}",
+        f"1/{SUM33}/{SUM33}",
+        f"1/{SUM33} + 1/{SUM33}",
+    ],
+    ids=["power", "product", "quotient", "sum"],
+)
+def test_parser_rejects_terms_beyond_the_cap(monkeypatch, text) -> None:
+    # Each product's term bound is checked before the product is formed, so
+    # no polynomial product over the cap is ever expanded.
+    bounds = []
+    poly_arith = exact.poly_arith
+
+    def recording_arith(a, b, kind):
+        if kind == "mul":
+            bounds.append(len(a) * len(b))
+        return poly_arith(a, b, kind)
+
+    monkeypatch.setattr(exact, "poly_arith", recording_arith)
+    with pytest.raises(ValueError, match=f"term bound exceeds {exact.MAX_TERMS}"):
+        ratfunc_from_text(text, NAMES)
+    assert max(bounds, default=0) <= exact.MAX_TERMS
+
+
+def test_parser_accepts_a_dense_power_under_the_term_cap() -> None:
+    value = rf("(a + b + c + 1)^8", ("a", "b", "c"))
+    assert len(value.num) == 165
+    assert sum(value.num.values()) == 4**8
+    assert value.den == {(0, 0, 0): 1}

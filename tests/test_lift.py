@@ -180,25 +180,25 @@ def test_width_two_domain_is_the_gaussian_image_set(specs) -> None:
 
 def test_lifting_spot_values(specs) -> None:
     up2 = lift.build_lifting_fn(specs["H2"])
-    assert gauss_eq(up2.lift((2, 4)), gauss_from_text("(1 - i)/2"))
+    assert gauss_eq(up2[(2, 4)].value, gauss_from_text("(1 - i)/2"))
 
     up3 = lift.build_lifting_fn(specs["H3"])
     expected3 = ratfunc_from_text("(-1 + a - a^2)/(-1 + a)", ("a",))
-    assert ratfunc_eq(up3.lift((2, 4, 4)), expected3)
+    assert ratfunc_eq(up3[(2, 4, 4)].value, expected3)
 
     up4 = lift.build_lifting_fn(specs["H4"])
     expected4 = ratfunc_from_text("b/(-1 + b)", ("a", "b"))
-    assert ratfunc_eq(up4.lift((2, 4, 3, 4)), expected4)
+    assert ratfunc_eq(up4[(2, 4, 3, 4)].value, expected4)
 
     up5 = lift.build_lifting_fn(specs["H5"])
     expected5 = ratfunc_from_text("c/a", ("a", "b", "c"))
-    assert ratfunc_eq(up5.lift((2, 4, 3, 3, 4)), expected5)
+    assert ratfunc_eq(up5[(2, 4, 3, 3, 4)].value, expected5)
 
 
 def test_lifting_all_ones_gives_one(specs) -> None:
     fn = lift.build_lifting_fn(specs["H3"])
     one = ratfunc_from_text("1", ("a",))
-    assert ratfunc_eq(fn.lift((1, 1, 1)), one)
+    assert ratfunc_eq(fn[(1, 1, 1)].value, one)
 
 
 def test_lifting_round_trip(specs) -> None:
@@ -207,20 +207,19 @@ def test_lifting_round_trip(specs) -> None:
         table = fundamental_table(spec)
         fn = lift.build_lifting_fn(spec)
         for entry in table.entries:
-            assert fn.entry_for(lift.domain_key(spec, entry)) is entry
+            assert fn[lift.domain_key(spec, entry)] is entry
 
 
 def test_lifting_is_total_on_the_domain(specs) -> None:
     for name in ("H2", "H3", "H4", "H5"):
         spec = specs[name]
         fn = lift.build_lifting_fn(spec)
-        assert set(fn.table) == lift.build_domain(spec.report_index)
+        assert set(fn) == lift.build_domain(spec.report_index)
 
 
 def test_unknown_key_is_rejected(specs) -> None:
     fn = lift.build_lifting_fn(specs["H3"])
-    with pytest.raises(VerificationError):
-        fn.lift((2, 2, 2))
+    assert (2, 2, 2) not in fn
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def test_lifted_tuples_biject_with_the_field_pairs(specs) -> None:
         spec = specs[name]
         fn = lift.build_lifting_fn(spec)
         lifted = {
-            (fn.entry_for(p).element, fn.entry_for(q).element)
+            (fn[p].element, fn[q].element)
             for p, q in lift.gf5_u25_tuples(width)
         }
         direct = {
@@ -268,31 +267,31 @@ def report_counts(report) -> tuple[int, int, int, int]:
     return (c["fundamentals"], c["automorphisms"], c["u25_pairs"], c["domain"])
 
 
-def test_report_passes_for_k3() -> None:
-    report = lift.theorem1_report(3)
+def test_report_passes_for_k3(specs) -> None:
+    report = lift.theorem1_report(specs["H3"])
     assert report["verdict"] == "PASS"
     assert report["violations"] == []
     assert report_counts(report) == EXPECTED_COUNTS[3]
     assert report["field"] == "H3"
 
 
-def test_report_passes_for_k5() -> None:
-    report = lift.theorem1_report(5)
+def test_report_passes_for_k5(specs) -> None:
+    report = lift.theorem1_report(specs["H5"])
     assert report["verdict"] == "PASS"
     assert report_counts(report) == EXPECTED_COUNTS[5]
 
 
-def test_report_passes_for_k2_and_k4() -> None:
+def test_report_passes_for_k2_and_k4(specs) -> None:
     for k in (2, 4):
-        report = lift.theorem1_report(k)
+        report = lift.theorem1_report(specs[f"H{k}"])
         assert report["verdict"] == "PASS"
         assert report_counts(report) == EXPECTED_COUNTS[k]
 
 
-def test_report_states_the_hom_widths() -> None:
-    report = lift.theorem1_report(5)
+def test_report_states_the_hom_widths(specs) -> None:
+    report = lift.theorem1_report(specs["H5"])
     assert report["homs"] == {"inequivalence": "width-6", "lifting": "width-5"}
-    report = lift.theorem1_report(3)
+    report = lift.theorem1_report(specs["H3"])
     assert report["homs"] == {"inequivalence": "width-3", "lifting": "width-3"}
 
 
@@ -304,12 +303,12 @@ def test_report_fails_for_a_corrupted_spec(specs) -> None:
     ]
     corrupted = parse_field_spec("\n".join(lines))
     assert corrupted.source_text != specs["H3"].source_text
-    report = lift.theorem1_report(3, spec=corrupted)
+    report = lift.theorem1_report(corrupted)
     assert report["verdict"] == "FAIL"
     assert report["violations"][0]["stage"] == "fundamentals"
 
 
-def test_report_rejects_out_of_scope_k() -> None:
+def test_report_rejects_out_of_scope_k(specs) -> None:
     for k in (1, 6):
         with pytest.raises(ValueError):
-            lift.theorem1_report(k)
+            lift.theorem1_report(specs["H3"]._replace(report_index=k))

@@ -280,3 +280,25 @@ def test_a_cold_command_loads_no_rational_arithmetic(argv) -> None:
     code, loaded = json.loads(proc.stdout)
     assert code == 0
     assert not set(loaded) & RATIONAL_STDLIB, set(loaded) & RATIONAL_STDLIB
+
+
+# hashlib loads OpenSSL; only a command that prints a spec_fingerprint needs it.
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from pfverify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['genesis']) == 0\n",
+        "import pfverify.cli\npfverify.cli.builtin_specs()\n",
+    ],
+    ids=["genesis", "import-and-read-specs"],
+)
+def test_genesis_and_reading_the_specs_load_no_hashlib(code) -> None:
+    loaded = json.loads(
+        _run_cold(
+            "import contextlib, io, json, sys\n"
+            + code
+            + "print(json.dumps(sorted(sys.modules)))\n"
+        )
+    )
+    assert not {"hashlib", "_hashlib"} & set(loaded)

@@ -3,7 +3,6 @@ dual-route fundamental tables."""
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from fractions import Fraction
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import cli, pfield
+from pfverify import pfield
 from pfverify.exact import (
     PRIME_LIMIT,
     SCREEN_PRIME,
@@ -80,23 +79,6 @@ def test_spec_prime_must_be_a_prime_below_the_proven_limit(prime) -> None:
     text = spec("H3").source_text.replace("prime 1299709", f"prime {prime}")
     with pytest.raises(ValueError, match="is not a prime"):
         pfield.parse_field_spec(text)
-
-
-def test_source_hash_is_computed_once_per_spec() -> None:
-    s = pfield.parse_field_spec(spec("H3").source_text)
-    first = s.source_hash
-    assert first == hashlib.sha256(s.source_text.encode()).hexdigest()
-    assert s.source_hash is first
-
-
-@pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5", "H4-reprimed"])
-def test_source_hash_is_the_sha256_of_the_source_text(name) -> None:
-    if name == "H4-reprimed":
-        s = cli._builtin_spec("H4", 523456789011)
-        assert s.mod_prime != spec("H4").mod_prime
-    else:
-        s = spec(name)
-    assert s.source_hash == hashlib.sha256(s.source_text.encode()).hexdigest()
 
 
 def test_each_distinct_h2hom_text_is_parsed_once(monkeypatch) -> None:
@@ -386,8 +368,8 @@ def test_hom_is_multiplicative_on_random_unit_pairs() -> None:
 
 
 def test_a_replaced_spec_gets_its_own_table() -> None:
-    # Tables are cached per spec object, so a spec changed by _replace,
-    # which keeps the original's source_hash, is not handed its table.
+    # Tables are cached per spec object, so a spec changed by _replace is
+    # not handed the original's table.
     copy = spec("H3")._replace(mod_var_residues=(7,))
     table = fundamental_table(copy)
     assert table.spec is copy
