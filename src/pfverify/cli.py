@@ -8,7 +8,6 @@ the output carries the first counterexample, 2 means a usage error.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import os
@@ -82,75 +81,104 @@ def _dumps(payload) -> str:
 
 _PRIME_START_RANGE = "must be at least 2 and below 3.3e24, where primality is proven"
 
+USAGE = f"""\
+usage: pfverify [-h] COMMAND [FIELD] [--field FIELD] [--format text|json]
+                [--prime-start N] [--spec PATH]
 
-def _prime_start_arg(text: str) -> int:
-    value = int(text)
+  COMMAND          {", ".join(COMMANDS)}
+  FIELD, --field   {", ".join(FIELD_NAMES)} or all
+  --prime-start N  declare the first prime at or after N the fingerprint prime
+  --spec PATH      verify a field description file instead of a builtin
+
+Options go anywhere, as --opt VALUE or --opt=VALUE; the last one given wins."""
+
+_OPTIONS = {
+    "--field": "field_flag",
+    "--format": "format",
+    "--prime-start": "prime_start",
+    "--spec": "spec",
+}
+_CHOICES = {
+    "command": COMMANDS,
+    "field": FIELD_NAMES + ("all",),
+    "field_flag": FIELD_NAMES + ("all",),
+    "format": ("text", "json"),
+}
+
+
+class _Args:
+    """Parsed argv; an option or argument not given stays None."""
+
+    command = field = field_flag = format = prime_start = spec = None
+
+
+def _prime_start(raw: str, source: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _UsageError(f"{source} is not an integer: {raw!r}")
     if not 2 <= value < PRIME_LIMIT:
-        raise argparse.ArgumentTypeError(_PRIME_START_RANGE)
+        raise _UsageError(f"{source} {_PRIME_START_RANGE}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pfverify",
-        description="Verify the fundamental-element computations of the "
-        "Hydra partial fields H2..H5.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument(
-        "field", nargs="?", choices=FIELD_NAMES + ("all",), default=None
-    )
-    parser.add_argument(
-        "--field",
-        dest="field_flag",
-        choices=FIELD_NAMES + ("all",),
-        default=None,
-        help="field to operate on (alternative to the positional argument)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default=None, help="output format"
-    )
-    parser.add_argument(
-        "--prime-start",
-        type=_prime_start_arg,
-        default=None,
-        help="declare the first prime at or after this value the "
-        "fingerprint prime; the run fails if a generator vanishes there or "
-        "if the resolved prime leaves the sieve inexact",
-    )
-    parser.add_argument(
-        "--spec", default=None, help="path to a field description file"
-    )
-    return parser
+def _parse_args(argv: list[str]) -> _Args | None:
+    """The command, the field and the options in argv, or None after
+    printing the usage for -h or --help.  Anything else malformed is a
+    _UsageError; an option must be spelt in full."""
+    args, positional, tokens = _Args(), [], iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(USAGE)
+            return None
+        if token == "--":
+            positional.extend(tokens)
+        elif token.startswith("-"):
+            name, eq, value = token.partition("=")
+            if name not in _OPTIONS:
+                raise _UsageError(f"unrecognized option {token!r}")
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise _UsageError(f"{name} expects a value")
+            setattr(args, _OPTIONS[name], value)
+        else:
+            positional.append(token)
+    if not positional:
+        raise _UsageError(f"missing command; choose from {', '.join(COMMANDS)}")
+    if len(positional) > 2:
+        raise _UsageError(f"unexpected argument {positional[2]!r}")
+    args.command, args.field = (positional + [None])[:2]
+    for dest, choices in _CHOICES.items():
+        value = getattr(args, dest)
+        if value is not None and value not in choices:
+            raise _UsageError(
+                f"invalid {dest.replace('_flag', '')} {value!r}; "
+                f"choose from {', '.join(choices)}"
+            )
+    if args.prime_start is not None:
+        args.prime_start = _prime_start(args.prime_start, "--prime-start")
+    return args
 
 
 # ---------------------------------------------------------------------------
 # Option resolution (flags win over PFVERIFY_* environment variables)
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
+def _resolve_format(args: _Args) -> str:
     fmt = args.format or os.environ.get("PFVERIFY_FORMAT") or "text"
     if fmt not in ("text", "json"):
         raise _UsageError(f"unknown format {fmt!r}")
     return fmt
 
 
-def _resolve_prime_start(args: argparse.Namespace) -> int | None:
+def _resolve_prime_start(args: _Args) -> int | None:
     if args.prime_start is not None:
         return args.prime_start
     raw = os.environ.get("PFVERIFY_PRIME_START")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"PFVERIFY_PRIME_START is not an integer: {raw!r}")
-    if not 2 <= value < PRIME_LIMIT:
-        raise _UsageError(f"PFVERIFY_PRIME_START {_PRIME_START_RANGE}")
-    return value
+    return None if raw is None else _prime_start(raw, "PFVERIFY_PRIME_START")
 
 
-def _resolve_field(args: argparse.Namespace) -> str:
+def _resolve_field(args: _Args) -> str:
     name = args.field_flag or args.field or os.environ.get("PFVERIFY_FIELD") or "all"
     if name not in FIELD_NAMES + ("all",):
         raise _UsageError(f"unknown field {name!r}")
@@ -183,7 +211,7 @@ def _builtin_spec(name: str, start: int | None) -> PartialFieldSpec:
     return builtin_specs()[name] if text is None else parse_field_spec(text)
 
 
-def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
+def _load_specs(args: _Args) -> list[PartialFieldSpec]:
     """Specs named by --spec, the field selection, or the environment."""
     start = _resolve_prime_start(args)
     spec_path = args.spec or os.environ.get("PFVERIFY_SPEC")
@@ -211,11 +239,14 @@ def _load_specs(args: argparse.Namespace) -> list[PartialFieldSpec]:
 
 
 def _spec_fingerprint(spec: PartialFieldSpec) -> str:
-    """SHA-256 of the spec text; hashlib is imported here, so a process that
-    prints no fingerprint never loads OpenSSL."""
-    import hashlib
-
-    return hashlib.sha256(spec.source_text.encode()).hexdigest()
+    """SHA-256 of the spec text.  CPython's builtin _sha256 module computes
+    it without loading OpenSSL; hashlib, which loads it, is the fallback
+    where that module is absent (Python 3.12 renamed it _sha2)."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(spec.source_text.encode()).hexdigest()
 
 
 def _funs_payload(spec: PartialFieldSpec) -> dict:
@@ -432,7 +463,7 @@ def _emit(payloads: list[dict], renderer, fmt: str) -> int:
     return 0 if ok else 1
 
 
-def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
+def _run_verify_all(args: _Args, fmt: str) -> int:
     start = _resolve_prime_start(args)
     reports = [_report_payload(_builtin_spec(name, start)) for name in FIELD_NAMES]
     genesis_payload = _genesis_payload()
@@ -464,7 +495,7 @@ def _run_verify_all(args: argparse.Namespace, fmt: str) -> int:
     return 0 if ok else 1
 
 
-def _reject_unused_options(args: argparse.Namespace) -> None:
+def _reject_unused_options(args: _Args) -> None:
     """An option choosing what genesis or verify-all runs is a usage error."""
     given = {
         "--spec": args.spec,
@@ -478,7 +509,7 @@ def _reject_unused_options(args: argparse.Namespace) -> None:
             raise _UsageError(f"{args.command} takes no {option}")
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: _Args) -> int:
     if args.command in ("genesis", "verify-all"):
         _reject_unused_options(args)
     fmt = _resolve_format(args)
@@ -493,13 +524,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _dispatch(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,9 @@ All values are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from operator import add
-from typing import NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -342,12 +343,11 @@ def ratfunc_to_str(a: RatFunc, var_names: Sequence[str]) -> str:
 # Gaussian dyadic numbers: (re_num + im_num*i) / 2^two_exp
 
 
-class GaussDyadic(NamedTuple):
-    """An element of Z[1/2, i]; always construct through gauss_make."""
+class GaussDyadic(namedtuple("GaussDyadic", "re_num im_num two_exp")):
+    """An element of Z[1/2, i]; always construct through gauss_make.
+    Fields (int each): re_num, im_num, two_exp."""
 
-    re_num: int
-    im_num: int
-    two_exp: int
+    __slots__ = ()
 
 
 def gauss_make(re_num: int, im_num: int, two_exp: int = 0) -> GaussDyadic:

@@ -13,6 +13,7 @@ every check for one field into a machine-readable verdict.
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import sub
 
 from .pfield import (
     FactoredElement,
@@ -51,16 +52,21 @@ def _ratio_element(
 
 def enumerate_u25(spec: PartialFieldSpec) -> list[tuple[TableEntry, TableEntry]]:
     """Ordered pairs of distinct nonzero-one fundamentals with fundamental
-    ratio."""
+    ratio.  The ratio is looked up as a plain (sign, exps) tuple, which
+    hashes and compares like the FactoredElement it equals; the Gaussian
+    field's generators are dependent, so there it is canonicalised first."""
     table = fundamental_table(spec)
-    pairs = []
-    for p in table.nonzero_one:
-        for q in table.nonzero_one:
-            if p is q:
-                continue
-            if _ratio_element(spec, p, q) in table.by_element:
-                pairs.append((p, q))
-    return pairs
+    gauss = spec.is_gauss
+    rows = [(entry, *entry.element) for entry in table.nonzero_one]
+    return [
+        (p, q)
+        for p, p_sign, p_exps in rows
+        for q, q_sign, q_exps in rows
+        if p is not q
+        for ratio in [(p_sign * q_sign, tuple(map(sub, p_exps, q_exps)))]
+        if (canonical_element(spec, FactoredElement(*ratio)) if gauss else ratio)
+        in table.by_element
+    ]
 
 
 def gf5_u25_tuples(width: int) -> list[tuple[GFTuple, GFTuple]]:

@@ -12,9 +12,9 @@ its factored form, exact value, fingerprint, and GF(5)^m image.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from functools import cache, partial
-from typing import NamedTuple
 
 from .exact import (
     PRIME_LIMIT,
@@ -55,36 +55,39 @@ class VerificationError(Exception):
     """A cross-check between two independent computation routes failed."""
 
 
-class FactoredElement(NamedTuple):
+class FactoredElement(namedtuple("FactoredElement", "sign exps")):
     """A field element written as sign * prod(generators[i] ** exps[i]).
 
-    sign 0 encodes the zero element; its exponent vector is all zeros.
+    sign: int; 0 encodes the zero element, whose exps are all zeros.
+    exps: tuple[int, ...].
     """
 
-    sign: int
-    exps: tuple[int, ...]
+    __slots__ = ()
 
 
-class PartialFieldSpec(NamedTuple):
-    """Parsed description of one partial field."""
+class PartialFieldSpec(
+    namedtuple(
+        "PartialFieldSpec",
+        "name report_index var_names generator_exprs generators seed_exprs "
+        "seeds gf5_width gf5_var_images gf5_gen_images h2_hom_exprs "
+        "h2_hom_images mod_prime mod_var_residues extra_bounds "
+        "include_zero_candidate source_text",
+    )
+):
+    """Parsed description of one partial field.
 
-    name: str
-    report_index: int
-    var_names: tuple[str, ...]
-    generator_exprs: tuple[str, ...]
-    generators: tuple[RatFunc | GaussDyadic, ...]
-    seed_exprs: tuple[str, ...]
-    seeds: tuple[RatFunc | GaussDyadic, ...]
-    gf5_width: int
-    gf5_var_images: tuple[tuple[int, ...], ...]
-    gf5_gen_images: tuple[tuple[int, ...], ...]
-    h2_hom_exprs: tuple[tuple[str, ...], ...]
-    h2_hom_images: tuple[tuple[GaussDyadic, ...], ...]
-    mod_prime: int | None
-    mod_var_residues: tuple[int, ...]
-    extra_bounds: tuple[tuple[int, int, int], ...]
-    include_zero_candidate: bool
-    source_text: str
+    name, source_text: str.  report_index, gf5_width: int.
+    var_names, generator_exprs, seed_exprs: tuple[str, ...].
+    generators, seeds: tuple[RatFunc | GaussDyadic, ...].
+    gf5_var_images, gf5_gen_images: tuple[tuple[int, ...], ...].
+    h2_hom_exprs: tuple[tuple[str, ...], ...].
+    h2_hom_images: tuple[tuple[GaussDyadic, ...], ...].
+    mod_prime: int | None.  mod_var_residues: tuple[int, ...].
+    extra_bounds: tuple[tuple[int, int, int], ...].
+    include_zero_candidate: bool.
+    """
+
+    __slots__ = ()
 
     @property
     def arity(self) -> int:
@@ -694,23 +697,27 @@ def hom_gf5(spec: PartialFieldSpec, fe: FactoredElement) -> tuple[int, ...]:
 # Fundamental tables
 
 
-class TableEntry(NamedTuple):
-    """One fundamental element with all its derived forms."""
+class TableEntry(namedtuple("TableEntry", "element value fingerprint gf5_image")):
+    """One fundamental element with all its derived forms.
 
-    element: FactoredElement
-    value: RatFunc | GaussDyadic
-    fingerprint: int | GaussDyadic
-    gf5_image: tuple[int, ...]
+    element: FactoredElement.  value: RatFunc | GaussDyadic.
+    fingerprint: int | GaussDyadic.  gf5_image: tuple[int, ...].
+    """
+
+    __slots__ = ()
 
 
-class FundamentalTable(NamedTuple):
-    """All fundamental elements of one field, ascending by fingerprint."""
+class FundamentalTable(
+    namedtuple("FundamentalTable", "spec mod_map entries by_element nonzero_one")
+):
+    """All fundamental elements of one field, ascending by fingerprint.
 
-    spec: PartialFieldSpec
-    mod_map: ModMap | None
-    entries: tuple[TableEntry, ...]
-    by_element: dict
-    nonzero_one: tuple[TableEntry, ...]
+    spec: PartialFieldSpec.  mod_map: ModMap | None.
+    entries, nonzero_one: tuple[TableEntry, ...].
+    by_element: dict from FactoredElement to TableEntry.
+    """
+
+    __slots__ = ()
 
 
 def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:

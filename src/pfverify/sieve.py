@@ -30,12 +30,12 @@ them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache
 from itertools import chain, product
 from math import gcd, prod
 from operator import getitem
-from typing import NamedTuple
 
 from .exact import (
     GAUSS_ONE,
@@ -62,25 +62,32 @@ from .pfield import (
 )
 
 
-class CandidateBox(NamedTuple):
+class CandidateBox(
+    namedtuple("CandidateBox", "ranges include_zero points", defaults=(None,))
+):
     """Integer exponent ranges per generator slot; slot 0 is pinned to 0.
     points are the exponent vectors the sieve fingerprints; the Gaussian
-    box, whose candidates are expanded exactly, has none."""
+    box, whose candidates are expanded exactly, has none.
 
-    ranges: tuple[tuple[int, int], ...]
-    include_zero: bool
-    points: tuple[tuple[int, ...], ...] | None = None
+    ranges: tuple[tuple[int, int], ...].  include_zero: bool.
+    points: tuple[tuple[int, ...], ...] | None, default None.
+    """
+
+    __slots__ = ()
 
 
-class SieveResult(NamedTuple):
+class SieveResult(
+    namedtuple("SieveResult", "mod_map fingerprints distinct_count candidate_count")
+):
     """Sieve output: surviving fingerprints mapped to factored elements.
     candidate_count and distinct_count (0 included) count the whole box,
-    not only the fingerprinted points."""
+    not only the fingerprinted points.
 
-    mod_map: ModMap | None
-    fingerprints: dict
-    distinct_count: int
-    candidate_count: int
+    mod_map: ModMap | None.  fingerprints: dict.
+    distinct_count, candidate_count: int.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ then pass the same exact check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
-from typing import NamedTuple
 
 from .exact import (
     GaussDyadic,
@@ -67,21 +67,25 @@ __all__ = [
 ]
 
 
-class Automorphism(NamedTuple):
+class Automorphism(namedtuple("Automorphism", "var_images coord_perm")):
     """One symmetry: where the indeterminates go, and the induced GF(5)
-    coordinate permutation, which determines it."""
+    coordinate permutation, which determines it.
 
-    var_images: tuple[TableEntry, ...]
-    coord_perm: tuple[int, ...]
+    var_images: tuple[TableEntry, ...].  coord_perm: tuple[int, ...].
+    """
+
+    __slots__ = ()
 
 
-class AutGroup(NamedTuple):
+class AutGroup(namedtuple("AutGroup", "spec table elements")):
     """All symmetries of one field, in the order of their indeterminate
-    images' candidate tuples."""
+    images' candidate tuples.
 
-    spec: PartialFieldSpec
-    table: FundamentalTable
-    elements: tuple[Automorphism, ...]
+    spec: PartialFieldSpec.  table: FundamentalTable.
+    elements: tuple[Automorphism, ...].
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

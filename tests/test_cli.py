@@ -83,6 +83,77 @@ def test_verify_all_keeps_prime_start_and_both_ignore_the_environment(
     assert cli.main(["verify-all", "--prime-start", "59"]) == 59
 
 
+PARSED = ("command", "field", "field_flag", "format", "prime_start", "spec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format=json", "report", "--prime-start=59", "H4"],
+        ["report", "--format", "json", "H4", "--prime-start", "59"],
+        ["--prime-start", "7", "--format=text", "report", "H4",
+         "--prime-start=59", "--format", "json"],
+        ["report", "--format=json", "--prime-start=0059", "--", "H4"],
+    ],
+    ids=["equals-first", "spaced-between", "repeated-last-wins", "double-dash"],
+)
+def test_options_go_anywhere_in_either_spelling_and_the_last_wins(argv) -> None:
+    args = cli._parse_args(argv)
+    parsed = tuple(getattr(args, name) for name in PARSED)
+    assert parsed == ("report", "H4", None, "json", 59, None)
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["report", "H9", "--help"], ["--format=xml", "-h"]]
+)
+def test_help_prints_the_usage_to_stdout_and_exits_0(capsys, argv) -> None:
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, cli.USAGE + "\n", "")
+    assert all(command in out for command in cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["funs", "H3", "--prime", "59"], "unrecognized option '--prime'"),
+        (["funs", "--form=json"], "unrecognized option '--form=json'"),
+        (["funs", "--fi", "H3"], "unrecognized option '--fi'"),
+        (["funs", "--prime-start", "x"], "--prime-start is not an integer: 'x'"),
+        (["funs", "--prime-start=1"], f"--prime-start {cli._PRIME_START_RANGE}"),
+        (["funs", "--format"], "--format expects a value"),
+        (["funs", "H3", "H4"], "unexpected argument 'H4'"),
+        (["--format", "json"], "missing command; choose from " + ", ".join(cli.COMMANDS)),
+        (["funs", "--format=xml"], "invalid format 'xml'; choose from text, json"),
+        (["funs", "--field", "H6"], "invalid field 'H6'; choose from H2, H3, H4, H5, all"),
+    ],
+    ids=[
+        "abbreviated", "abbreviated-equals", "abbreviated-field", "prime-not-int",
+        "prime-below-2", "missing-value", "extra-argument", "missing-command",
+        "bad-format", "bad-field-flag",
+    ],
+)
+def test_a_malformed_argv_is_one_usage_error_line(capsys, argv, message) -> None:
+    # Abbreviated options are refused: an option is spelt in full.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_the_module_without_arguments_is_a_usage_error() -> None:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfverify.cli"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: missing command")
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Table commands
 
@@ -676,3 +747,27 @@ def test_spec_fingerprint_is_the_sha256_of_the_source_text(name) -> None:
     else:
         s = builtin_specs()[name]
     assert cli._spec_fingerprint(s) == sha256(s.source_text)
+
+
+def test_the_hashlib_fallback_gives_the_same_fingerprints() -> None:
+    # Where the builtin _sha256 module is absent, hashlib computes the digest.
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from pfverify import cli\n"
+        "specs = cli.builtin_specs()\n"
+        "print(json.dumps([{n: cli._spec_fingerprint(specs[n]) for n in specs},"
+        " 'hashlib' in sys.modules]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    fingerprints, loaded_hashlib = json.loads(proc.stdout)
+    assert loaded_hashlib
+    assert fingerprints == {
+        name: sha256(spec.source_text) for name, spec in builtin_specs().items()
+    }
+    assert sorted(fingerprints) == ["H2", "H3", "H4", "H5"]

@@ -87,6 +87,22 @@ def test_pair_enumeration_is_swap_symmetric(specs) -> None:
         assert {(q, p) for p, q in keys} == keys
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_pair_enumeration_is_the_pairwise_ratio_filter(specs, name) -> None:
+    # enumerate_u25 looks ratios up as plain (sign, exps) tuples; its
+    # definition factors each ratio, canonical on H2's dependent generators.
+    spec = specs[name]
+    table = fundamental_table(spec)
+    by_definition = [
+        (p, q)
+        for p in table.nonzero_one
+        for q in table.nonzero_one
+        if p is not q and lift._ratio_element(spec, p, q) in table.by_element
+    ]
+    assert lift.enumerate_u25(spec) == by_definition
+    assert len(by_definition) == PAIR_COUNTS[name]
+
+
 def test_pair_members_are_nonzero_one_and_distinct(specs) -> None:
     table = fundamental_table(specs["H3"])
     allowed = set(e.element for e in table.nonzero_one)

@@ -226,6 +226,9 @@ def test_vars_of_each_registered_module_lists_its_stage_functions() -> None:
 
 # Modules that rational arithmetic brings in; the table path needs none.
 RATIONAL_STDLIB = {"fractions", "decimal", "_decimal"}
+# argparse brings in gettext and locale, and hashlib loads OpenSSL; the CLI
+# parses its own argv and hashes spec texts with the builtin _sha256 module.
+PARSING_AND_HASHING_STDLIB = {"argparse", "gettext", "locale", "hashlib", "_hashlib"}
 
 
 def _imports_run_on_import(tree: ast.Module):
@@ -241,17 +244,45 @@ def _imports_run_on_import(tree: ast.Module):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _imported_packages(node: ast.AST) -> set[str]:
+    """Top-level packages an import statement names; empty for any other node."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0]}
+    return set()
+
+
 def test_no_module_imports_fractions_at_module_level() -> None:
     found = []
     for path in SOURCES:
         for node in _imports_run_on_import(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                names = [node.module or ""]
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if "fractions" in _imported_packages(node):
                 found.append((path.name, node.lineno))
     assert SOURCES and not found, found
+
+
+def test_no_module_imports_argparse_and_only_a_fallback_imports_hashlib() -> None:
+    # The CLI parses its own argv, and the fingerprint comes from the builtin
+    # _sha256 module; hashlib only stands in where that module is absent.
+    found, fallbacks = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        fallback = {
+            id(stmt)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Try)
+            and any("_sha256" in _imported_packages(stmt) for stmt in node.body)
+            for handler in node.handlers
+            for stmt in handler.body
+        }
+        for node in ast.walk(tree):
+            names = _imported_packages(node)
+            in_fallback = "hashlib" in names and id(node) in fallback
+            if "argparse" in names or ("hashlib" in names and not in_fallback):
+                found.append((path.name, node.lineno))
+            fallbacks += in_fallback
+    assert SOURCES and not found and fallbacks == 1, (found, fallbacks)
 
 
 @pytest.mark.parametrize(
@@ -280,9 +311,9 @@ def test_a_cold_command_loads_no_rational_arithmetic(argv) -> None:
     code, loaded = json.loads(proc.stdout)
     assert code == 0
     assert not set(loaded) & RATIONAL_STDLIB, set(loaded) & RATIONAL_STDLIB
+    assert not set(loaded) & PARSING_AND_HASHING_STDLIB
 
 
-# hashlib loads OpenSSL; only a command that prints a spec_fingerprint needs it.
 @pytest.mark.parametrize(
     "code",
     [
@@ -301,4 +332,31 @@ def test_genesis_and_reading_the_specs_load_no_hashlib(code) -> None:
             + "print(json.dumps(sorted(sys.modules)))\n"
         )
     )
-    assert not {"hashlib", "_hashlib"} & set(loaded)
+    assert not PARSING_AND_HASHING_STDLIB & set(loaded)
+
+
+def test_records_are_slotted_named_tuples() -> None:
+    # Each record is a collections.namedtuple subclass without a __dict__;
+    # it prints, compares and hashes as its fields do.
+    from pfverify.exact import GaussDyadic
+    from pfverify.pfield import (
+        FactoredElement,
+        FundamentalTable,
+        PartialFieldSpec,
+        TableEntry,
+    )
+    from pfverify.sieve import CandidateBox, SieveResult
+    from pfverify.symmetry import AutGroup, Automorphism
+
+    records = (
+        GaussDyadic, FactoredElement, PartialFieldSpec, TableEntry, FundamentalTable,
+        CandidateBox, SieveResult, Automorphism, AutGroup,
+    )
+    for record in records:
+        value = record(*range(len(record._fields)))
+        assert record.__slots__ == () and not hasattr(value, "__dict__"), record
+        assert value == tuple(range(len(record._fields)))
+        assert hash(value) == hash(tuple(value))
+    element = FactoredElement(-1, (2, 0))
+    assert repr(element) == "FactoredElement(sign=-1, exps=(2, 0))"
+    assert CandidateBox((), False).points is None
