@@ -16,17 +16,16 @@ import sys
 from .exact import (
     PRIME_LIMIT,
     gauss_to_str,
-    next_prime,
     ratfunc_is_zero,
     ratfunc_to_str,
 )
 from .pfield import (
-    BUILTIN_TEXTS,
     PartialFieldSpec,
     VerificationError,
     builtin_specs,
     fundamental_table,
     parse_field_spec,
+    reprime,
     value_text,
 )
 
@@ -185,53 +184,28 @@ def _resolve_field(args: _Args) -> str:
     return name
 
 
-def _is_prime_line(line: str) -> bool:
-    return line.split()[:1] == ["prime"]
-
-
-def _reprimed(text: str, start: int | None) -> str | None:
-    """text with its prime line declaring the first prime at or after start
-    as the fingerprint prime, or None without a start or a prime line (the
-    Gaussian field keeps its spec).  The sieve holds that prime to the rule
-    for any declared prime (a generator residue that vanishes there fails
-    the run) and still advances past collisions from it.  The lines are
-    joined without a trailing newline, as the fingerprints always were."""
-    if start is None:
-        return None
-    lines = text.splitlines()
-    if not any(map(_is_prime_line, lines)):
-        return None
-    prime_line = f"prime {next_prime(start - 1)}"
-    return "\n".join(prime_line if _is_prime_line(line) else line for line in lines)
-
-
-def _builtin_spec(name: str, start: int | None) -> PartialFieldSpec:
-    """A builtin field, re-primed at start if given; one parse either way."""
-    text = _reprimed(BUILTIN_TEXTS[name], start)
-    return builtin_specs()[name] if text is None else parse_field_spec(text)
-
-
 def _load_specs(args: _Args) -> list[PartialFieldSpec]:
-    """Specs named by --spec, the field selection, or the environment."""
+    """Specs named by --spec, the field selection, or the environment,
+    re-primed at the resolved prime start."""
     start = _resolve_prime_start(args)
     spec_path = args.spec or os.environ.get("PFVERIFY_SPEC")
-    if spec_path is not None:
+    if spec_path is None:
+        name = _resolve_field(args)
+        names = FIELD_NAMES if name == "all" else (name,)
+        specs = [builtin_specs()[n] for n in names]
+    else:
         try:
             with open(spec_path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read spec file: {exc}")
         # The file as written must parse, so a bad prime line is a usage
         # error even when --prime-start replaces it.
         try:
-            spec = parse_field_spec(text)
+            specs = [parse_field_spec(text)]
         except ValueError as exc:
             raise _UsageError(f"cannot parse spec file: {exc}")
-        reprimed = _reprimed(text, start)
-        return [spec if reprimed is None else parse_field_spec(reprimed)]
-    name = _resolve_field(args)
-    names = FIELD_NAMES if name == "all" else (name,)
-    return [_builtin_spec(n, start) for n in names]
+    return [reprime(spec, start) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +437,13 @@ def _emit(payloads: list[dict], renderer, fmt: str) -> int:
     return 0 if ok else 1
 
 
-def _run_verify_all(args: _Args, fmt: str) -> int:
-    start = _resolve_prime_start(args)
-    reports = [_report_payload(_builtin_spec(name, start)) for name in FIELD_NAMES]
+def _verify_all_payload(start: int | None) -> dict:
+    reports = [
+        _report_payload(reprime(builtin_specs()[name], start)) for name in FIELD_NAMES
+    ]
     genesis_payload = _genesis_payload()
-    ok = (
-        all(r["verdict"] == "PASS" for r in reports)
-        and genesis_payload["verdict"] == "PASS"
-    )
-    combined = {
+    ok = all(p["verdict"] == "PASS" for p in (*reports, genesis_payload))
+    return {
         "command": "verify-all",
         "reports": reports,
         "genesis": genesis_payload,
@@ -481,18 +453,19 @@ def _run_verify_all(args: _Args, fmt: str) -> int:
         ],
         "verdict": "PASS" if ok else "FAIL",
     }
-    if fmt == "json":
-        print(_dumps(combined))
-    else:
-        for report in reports:
-            for line in _report_text(report):
-                print(line)
-        for line in _genesis_text(genesis_payload):
-            print(line)
-        for note in combined["notes"]:
-            print(f"note: {note}")
-        print(f"overall verdict: {combined['verdict']}")
-    return 0 if ok else 1
+
+
+def _verify_all_text(payload: dict) -> list[str]:
+    lines = [line for report in payload["reports"] for line in _report_text(report)]
+    lines += _genesis_text(payload["genesis"])
+    lines += [f"note: {note}" for note in payload["notes"]]
+    lines.append(f"overall verdict: {payload['verdict']}")
+    return lines
+
+
+def _run_verify_all(args: _Args, fmt: str) -> int:
+    payload = _verify_all_payload(_resolve_prime_start(args))
+    return _emit([payload], _verify_all_text, fmt)
 
 
 def _reject_unused_options(args: _Args) -> None:

@@ -25,9 +25,9 @@ from .exact import (
 from .pfield import (
     VerificationError,
     builtin_specs,
-    complement,
     factor_over_generators,
     hom_gf5,
+    is_fundamental_exact,
 )
 
 __all__ = [
@@ -117,15 +117,11 @@ def _candidate_ok(values: dict[str, RatFunc]) -> bool:
         return False
     # Each symbol is fundamental in H3, by definition, with the given image.
     spec = builtin_specs()["H3"]
-    for name, target in zip(SYMBOLS, CROSS_RATIO_GENERATORS):
-        try:
-            fe = factor_over_generators(spec, values[name])
-            factor_over_generators(spec, complement(values[name]))
-        except ValueError:
-            return False
-        if hom_gf5(spec, fe) != target:
-            return False
-    return True
+    return all(
+        is_fundamental_exact(spec, values[name])
+        and hom_gf5(spec, factor_over_generators(spec, values[name])) == target
+        for name, target in zip(SYMBOLS, CROSS_RATIO_GENERATORS)
+    )
 
 
 @cache

@@ -97,17 +97,14 @@ def check_inequivalence(
 
 
 def build_domain(m: int) -> frozenset[GFTuple]:
-    """The width-m cross-ratio domain: the all-0 and all-1 tuples plus
-    {2,3,4}^m minus the per-width exclusions."""
+    """The width-m cross-ratio domain: the all-0 and all-1 tuples plus the
+    tuples of {2,3,4}^m in which no value appears more than twice."""
     if not 2 <= m <= 5:
         raise ValueError(f"domain width must be 2..5, not {m}")
     members = {(0,) * m, (1,) * m}
-    for t in product((2, 3, 4), repeat=m):
-        if m == 3 and len(set(t)) == 1:
-            continue
-        if m >= 4 and any(t.count(c) >= 3 for c in (2, 3, 4)):
-            continue
-        members.add(t)
+    members.update(
+        t for t in product((2, 3, 4), repeat=m) if max(map(t.count, t)) <= 2
+    )
     return frozenset(members)
 
 

@@ -39,6 +39,7 @@ from .exact import (
     grlex_key,
     is_prime,
     make_const,
+    next_prime,
     poly_arith,
     poly_arity,
     poly_pow,
@@ -218,6 +219,12 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         for expr, row in zip(gen_exprs, gen_images):
             if not all(row):
                 raise ValueError(f"generator {expr!r} has no unit image in GF(5)")
+        # Factoring strips each generator's numerator until a division
+        # fails, which a division by 1 or -1 never does.
+        units = (make_const(arity, 1), make_const(arity, -1))
+        for expr, gen in zip(gen_exprs[1:], generators[1:]):
+            if gen.num in units:
+                raise ValueError(f"generator {expr!r} has numerator 1 or -1")
         for row in hom_rows:
             if len(row) != arity:
                 raise ValueError("h2hom rows must give one value per indeterminate")
@@ -254,6 +261,25 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         include_zero_candidate=include_zero,
         source_text=text,
     )
+
+
+def reprime(spec: PartialFieldSpec, start: int | None) -> PartialFieldSpec:
+    """spec declaring the first prime at or after start its fingerprint
+    prime, or spec itself without a start or for the Gaussian field, which
+    has no prime line.  Nothing is parsed again, so re-primings at one prime
+    are equal specs holding the same values and share every per-spec cache.
+    The text has each prime line rewritten and its lines joined without a
+    trailing newline, as the fingerprints always were.  PRIME_LIMIT - 1 is
+    prime, so a start below PRIME_LIMIT gives a prime below it.  The sieve
+    holds that prime to the rule for any declared prime."""
+    if start is None or spec.is_gauss:
+        return spec
+    prime = next_prime(start - 1)
+    text = "\n".join(
+        f"prime {prime}" if line.split()[:1] == ["prime"] else line
+        for line in spec.source_text.splitlines()
+    )
+    return spec._replace(mod_prime=prime, source_text=text)
 
 
 H2_SPEC_TEXT = """\

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from pfverify import cli, exact
-from pfverify.pfield import builtin_specs
+from pfverify import cli, exact, pfield
+from pfverify.pfield import builtin_specs, reprime
 from test_pfield import _h3_with_unused_indeterminates
 
 
@@ -429,6 +430,21 @@ def test_hostile_spec_is_a_prompt_usage_error(tmp_path, old, new) -> None:
     assert proc.stderr.startswith("usage error: cannot parse spec file: ")
 
 
+@pytest.mark.parametrize("gen", ["1", "-1", "1/a"])
+def test_a_generator_with_numerator_one_is_a_prompt_usage_error(tmp_path, gen) -> None:
+    # Factoring over such a generator once ran until killed.
+    text = builtin_specs()["H3"].source_text + f"gen {gen}\n"
+    start = time.perf_counter()
+    proc = _cli_on_spec_text(tmp_path, text)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"usage error: cannot parse spec file: generator {gen!r} has numerator "
+        "1 or -1\n"
+    )
+
+
 def test_a_power_of_a_sixteen_term_sum_is_a_prompt_usage_error(tmp_path) -> None:
     # Expanding it builds 490,314 terms; parsing it once took about 10 s.
     names = [f"v{i}" for i in range(16)]
@@ -675,6 +691,35 @@ def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_a_spec_file_that_is_not_utf8_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, via
+) -> None:
+    path = tmp_path / "image.pfs"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xfe")
+    if via == "env":
+        monkeypatch.setenv("PFVERIFY_SPEC", str(path))
+        code, out, err = run_cli(capsys, "funs")
+    else:
+        code, out, err = run_cli(capsys, "funs", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot read spec file: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
+def test_repriming_at_one_prime_builds_its_table_once(capsys, monkeypatch) -> None:
+    # 3000000 and 3000017 both name the prime 3000017, used by no other test.
+    built = []
+    build = pfield.build_fundamental_table
+    monkeypatch.setattr(
+        pfield, "build_fundamental_table", lambda spec: built.append(spec) or build(spec)
+    )
+    for start in ("3000000", "3000017"):
+        code, out, _ = run_cli(capsys, "funs", "H3", "--prime-start", start)
+        assert code == 0 and "(fingerprint prime 3000017)" in out
+    assert [spec.mod_prime for spec in built] == [3000017]
+
+
 # ---------------------------------------------------------------------------
 # verify-all
 
@@ -742,11 +787,26 @@ def test_text_stdout_is_byte_identical_to_the_pinned_digests(capsys) -> None:
 @pytest.mark.parametrize("name", ["H2", "H3", "H4", "H5", "H4-reprimed"])
 def test_spec_fingerprint_is_the_sha256_of_the_source_text(name) -> None:
     if name == "H4-reprimed":
-        s = cli._builtin_spec("H4", 523456789011)
+        s = reprime(builtin_specs()["H4"], 523456789011)
         assert s.mod_prime != builtin_specs()["H4"].mod_prime
     else:
         s = builtin_specs()[name]
     assert cli._spec_fingerprint(s) == sha256(s.source_text)
+
+
+def test_a_reprimed_text_is_the_one_the_benchmark_hashes() -> None:
+    # perfbench/run.py checks each re-primed report's spec_fingerprint
+    # against its own rewrite of the shipped text.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(run)
+    for name in ("H3", "H4", "H5"):
+        for start in (59, 2000003, 523456789011):
+            spec = builtin_specs()[name]
+            assert sha256(reprime(spec, start).source_text) == (
+                run._reprimed_fingerprint(spec.source_text, start)
+            )
 
 
 def test_the_hashlib_fallback_gives_the_same_fingerprints() -> None:

@@ -18,6 +18,7 @@ from pfverify.exact import (
     GaussDyadic,
     gauss_eq,
     gauss_from_text,
+    next_prime,
     ratfunc_arith,
     ratfunc_eq,
     ratfunc_from_text,
@@ -79,6 +80,31 @@ def test_spec_prime_must_be_a_prime_below_the_proven_limit(prime) -> None:
     text = spec("H3").source_text.replace("prime 1299709", f"prime {prime}")
     with pytest.raises(ValueError, match="is not a prime"):
         pfield.parse_field_spec(text)
+
+
+def test_repriming_replaces_only_the_prime_and_the_text() -> None:
+    h4 = spec("H4")
+    first, second = (pfield.reprime(h4, 523456789011) for _ in range(2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    changed = [f for f in h4._fields if getattr(first, f) != getattr(h4, f)]
+    assert changed == ["mod_prime", "source_text"]
+    assert first.mod_prime == next_prime(523456789010)
+    assert f"\nprime {first.mod_prime}\n" in first.source_text
+    assert not first.source_text.endswith("\n")
+    # The spec is the one its text parses to.
+    parsed = pfield.parse_field_spec(first.source_text)
+    for field in h4._fields:
+        a, b = getattr(first, field), getattr(parsed, field)
+        if field in ("generators", "seeds"):
+            assert all(map(ratfunc_eq, a, b)) and len(a) == len(b)
+        else:
+            assert a == b, field
+
+
+def test_repriming_keeps_a_spec_without_a_start_or_a_prime_line() -> None:
+    assert pfield.reprime(spec("H4"), None) is spec("H4")
+    assert pfield.reprime(spec("H2"), 100000000003) is spec("H2")
 
 
 def test_each_distinct_h2hom_text_is_parsed_once(monkeypatch) -> None:
