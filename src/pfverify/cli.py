@@ -1,24 +1,24 @@
 """Command-line front end for the verification library.
 
 Every command prints either human-readable text or canonical JSON (sorted
-keys, compact separators) to stdout; progress notes go to stderr.  Exit
-status 0 means every requested check passed, 1 means a check failed and
-the output carries the first counterexample, 2 means a usage error.
+keys, compact separators, written here without the json package) to
+stdout; progress notes go to stderr.  Exit status 0 means every requested
+check passed, 1 means a check failed and the output carries the first
+counterexample, 2 means a usage error.  Each command's payload and text
+builders sit beside the computation they report (funs and verify-all, which
+no other module fits, are here); this module parses argv, loads the specs,
+adds the command and spec_fingerprint keys and writes the output.  The
+modules closure, genesis, lift, sieve and symmetry are registered on import
+and run only when a command first reads them.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 import sys
 
-from .exact import (
-    PRIME_LIMIT,
-    gauss_to_str,
-    ratfunc_is_zero,
-    ratfunc_to_str,
-)
+from .exact import PRIME_LIMIT, gauss_to_str
 from .pfield import (
     PartialFieldSpec,
     VerificationError,
@@ -36,9 +36,10 @@ def _lazy(name: str):
     only the modules it uses.  perfbench/spans.py wraps the stage functions
     of every pfverify module in sys.modules after `import pfverify.cli`, and
     reading them executes the module; an import inside each command would
-    leave the module out of sys.modules and its spans unrecorded.  Once the
-    stages record their own counters (ROADMAP item 3), plain imports inside
-    the commands can replace this."""
+    leave the module out of sys.modules and its spans unrecorded.  closure,
+    which only pfield.build_fundamental_table imports, is registered for the
+    same reason.  Once the stages record their own counters (ROADMAP item
+    3), plain imports inside the commands can replace this."""
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
     if module is None:
@@ -52,6 +53,7 @@ def _lazy(name: str):
 
 
 genesis, lift, sieve, symmetry = map(_lazy, ("genesis", "lift", "sieve", "symmetry"))
+_lazy("closure")  # read by pfield.build_fundamental_table only
 
 FIELD_NAMES = ("H2", "H3", "H4", "H5")
 COMMANDS = (
@@ -74,8 +76,52 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+    "\b": "\\b", "\f": "\\f",
+}
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string, escaped as json.dumps(ensure_ascii=True) does."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for c in text:
+        n = ord(c)
+        if c in _ESCAPES:
+            out.append(_ESCAPES[c])
+        elif 0x20 <= n < 0x7F:
+            out.append(c)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:  # a surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
+    return f'"{"".join(out)}"'
+
+
+def _dumps(value) -> str:
+    """Canonical JSON, byte for byte what json.dumps(value, sort_keys=True,
+    separators=(",", ":")) writes, without loading the json package.  It
+    writes dicts with str keys, lists, tuples, str, int, bool and None; any
+    other type, float included, raises TypeError."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        return f"[{','.join(map(_dumps, value))}]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = (f"{_quote(key)}:{_dumps(value[key])}" for key in sorted(value))
+        return f"{{{','.join(items)}}}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 _PRIME_START_RANGE = "must be at least 2 and below 3.3e24, where primality is proven"
@@ -186,9 +232,12 @@ def _resolve_field(args: _Args) -> str:
 
 def _load_specs(args: _Args) -> list[PartialFieldSpec]:
     """Specs named by --spec, the field selection, or the environment,
-    re-primed at the resolved prime start."""
+    re-primed at the resolved prime start.  A given --spec, even an empty
+    one, wins over PFVERIFY_SPEC; an empty PFVERIFY_SPEC counts as unset."""
     start = _resolve_prime_start(args)
-    spec_path = args.spec or os.environ.get("PFVERIFY_SPEC")
+    spec_path = args.spec
+    if spec_path is None:
+        spec_path = os.environ.get("PFVERIFY_SPEC") or None
     if spec_path is None:
         name = _resolve_field(args)
         names = FIELD_NAMES if name == "all" else (name,)
@@ -224,7 +273,6 @@ def _spec_fingerprint(spec: PartialFieldSpec) -> str:
 
 
 def _funs_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: building the fundamental table by both routes")
     table = fundamental_table(spec)
     entries = []
     for index, entry in enumerate(table.entries):
@@ -240,7 +288,6 @@ def _funs_payload(spec: PartialFieldSpec) -> dict:
         )
     return {
         "field": spec.name,
-        "spec_fingerprint": _spec_fingerprint(spec),
         "prime": None if spec.is_gauss else table.mod_map.prime,
         "count": len(table.entries),
         "entries": entries,
@@ -259,166 +306,38 @@ def _funs_text(payload: dict) -> list[str]:
     return lines
 
 
-def _auts_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: searching for symmetries")
-    group = symmetry.find_automorphisms(spec)
-    perms = sorted(aut.coord_perm for aut in group.elements)
-    return {
-        "field": spec.name,
-        "spec_fingerprint": _spec_fingerprint(spec),
-        "order": len(group.elements),
-        "coord_perms": [list(p) for p in perms],
-        "verdict": "PASS",
-    }
+# The stderr status of each command, after "<field>: ", as its work starts.
+_STATUS = {
+    "funs": "building the fundamental table by both routes",
+    "auts": "searching for symmetries",
+    "u25": "enumerating rank-2 representation pairs",
+    "lift-check": "lifting every tuple pair",
+    "bounds": "bounding the exponent box",
+    "report": "running all verification stages",
+    "genesis": "checking the defining triples and relations",
+}
+# The payload and text builders of each per-field command.  Each sits
+# beside the computation it reports and is read only when its command runs,
+# so a command runs only the modules it needs.
+_PER_FIELD = {
+    "funs": lambda: (_funs_payload, _funs_text),
+    "auts": lambda: (symmetry.auts_payload, symmetry.auts_text),
+    "u25": lambda: (lift.u25_payload, lift.u25_text),
+    "lift-check": lambda: (lift.lift_check_payload, lift.lift_check_text),
+    "bounds": lambda: (sieve.bounds_payload, sieve.bounds_text),
+    "report": lambda: (lift.theorem1_report, lift.report_text),
+}
 
 
-def _auts_text(payload: dict) -> list[str]:
-    perms = ", ".join(str(tuple(p)) for p in payload["coord_perms"])
-    return [
-        f"{payload['field']}: symmetry group of order {payload['order']}",
-        f"  induced coordinate permutations: {perms}",
-    ]
-
-
-def _u25_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: enumerating rank-2 representation pairs")
-    pairs = lift.enumerate_u25(spec)
-    tuples = lift.gf5_u25_tuples(spec.report_index)
-    field_keys = {
-        (lift.domain_key(spec, p), lift.domain_key(spec, q)) for p, q in pairs
-    }
-    bijection = len(pairs) == len(tuples) and field_keys == set(tuples)
-    return {
-        "field": spec.name,
-        "spec_fingerprint": _spec_fingerprint(spec),
-        "field_side": len(pairs),
-        "tuple_side": len(tuples),
-        "bijection": bijection,
-        "verdict": "PASS" if bijection else "FAIL",
-    }
-
-
-def _u25_text(payload: dict) -> list[str]:
-    return [
-        f"{payload['field']}: field-side pairs {payload['field_side']}, "
-        f"tuple-side pairs {payload['tuple_side']}, "
-        f"bijection {payload['verdict']}"
-    ]
-
-
-def _lift_check_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: lifting every tuple pair")
-    tuples = lift.gf5_u25_tuples(spec.report_index)
-    violations = lift.local_lift_check(spec, tuples)
-    return {
-        "field": spec.name,
-        "spec_fingerprint": _spec_fingerprint(spec),
-        "pairs": len(tuples),
-        "violations": [
-            {"pair": idx, "p": list(p), "q": list(q)} for idx, p, q in violations
-        ],
-        "verdict": "PASS" if not violations else "FAIL",
-    }
-
-
-def _lift_check_text(payload: dict) -> list[str]:
-    lines = [
-        f"{payload['field']}: {payload['pairs']} tuple pairs lift "
-        f"{payload['verdict']}"
-    ]
-    for v in payload["violations"]:
-        lines.append(
-            f"  FAIL pair {v['pair']}: ratio of lifts of "
-            f"{tuple(v['p'])}, {tuple(v['q'])} is not fundamental"
-        )
-    return lines
-
-
-def _bounds_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: bounding the exponent box")
-    box = sieve.candidate_box(spec)
-    return {
-        "field": spec.name,
-        "spec_fingerprint": _spec_fingerprint(spec),
-        "ranges": [list(r) for r in box.ranges],
-        "include_zero": box.include_zero,
-        "candidates": sieve.candidate_count(box),
-        "verdict": "PASS",
-    }
-
-
-def _bounds_text(payload: dict) -> list[str]:
-    ranges = ", ".join(f"[{lo}, {hi}]" for lo, hi in payload["ranges"])
-    zero = "with" if payload["include_zero"] else "without"
-    return [
-        f"{payload['field']}: exponent ranges {ranges} "
-        f"({zero} the zero candidate)",
-        f"  {payload['candidates']} candidates",
-    ]
-
-
-def _report_payload(spec: PartialFieldSpec) -> dict:
-    _status(f"{spec.name}: running all verification stages")
-    payload = lift.theorem1_report(spec)
-    payload["spec_fingerprint"] = _spec_fingerprint(spec)
-    return payload
-
-
-def _report_text(payload: dict) -> list[str]:
-    lines = [f"{payload['field']} verification report"]
-    for stage, count in payload["counts"].items():
-        lines.append(f"  {stage}: {count}")
-    homs = payload["homs"]
-    lines.append(
-        f"  homs: inequivalence {homs['inequivalence']}, "
-        f"lifting {homs['lifting']}"
-    )
-    for violation in payload["violations"]:
-        lines.append(f"  FAIL at {violation['stage']}: {violation['detail']}")
-    lines.append(f"  verdict: {payload['verdict']}")
-    return lines
+def _field_payload(command: str, spec: PartialFieldSpec) -> dict:
+    _status(f"{spec.name}: {_STATUS[command]}")
+    build, _ = _PER_FIELD[command]()
+    return {**build(spec), "spec_fingerprint": _spec_fingerprint(spec)}
 
 
 def _genesis_payload() -> dict:
-    _status("genesis: checking the defining triples and relations")
-    products = genesis.triple_products()
-    values = genesis.solved_values()
-    residuals = genesis.relation_residuals(values)
-    ok = genesis.check_triples() and all(ratfunc_is_zero(r) for r in residuals)
-    return {
-        "command": "genesis",
-        "triple_products": [list(p) for p in products],
-        "solution": {
-            name: ratfunc_to_str(value, ("a",)) for name, value in values.items()
-        },
-        "residuals": [
-            "0" if ratfunc_is_zero(r) else ratfunc_to_str(r, ("a",))
-            for r in residuals
-        ],
-        "verdict": "PASS" if ok else "FAIL",
-    }
-
-
-def _genesis_text(payload: dict) -> list[str]:
-    lines = ["genesis check"]
-    for product in payload["triple_products"]:
-        lines.append(f"  triple product: {tuple(product)}")
-    for name, text in sorted(payload["solution"].items()):
-        lines.append(f"  {name} = {text}")
-    for index, residual in enumerate(payload["residuals"]):
-        lines.append(f"  relation residual {index}: {residual}")
-    lines.append(f"  verdict: {payload['verdict']}")
-    return lines
-
-
-_PER_FIELD = {
-    "funs": (_funs_payload, _funs_text),
-    "auts": (_auts_payload, _auts_text),
-    "u25": (_u25_payload, _u25_text),
-    "lift-check": (_lift_check_payload, _lift_check_text),
-    "bounds": (_bounds_payload, _bounds_text),
-    "report": (_report_payload, _report_text),
-}
+    _status(f"genesis: {_STATUS['genesis']}")
+    return {"command": "genesis", **genesis.genesis_payload()}
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +358,8 @@ def _emit(payloads: list[dict], renderer, fmt: str) -> int:
 
 def _verify_all_payload(start: int | None) -> dict:
     reports = [
-        _report_payload(reprime(builtin_specs()[name], start)) for name in FIELD_NAMES
+        _field_payload("report", reprime(builtin_specs()[name], start))
+        for name in FIELD_NAMES
     ]
     genesis_payload = _genesis_payload()
     ok = all(p["verdict"] == "PASS" for p in (*reports, genesis_payload))
@@ -456,8 +376,8 @@ def _verify_all_payload(start: int | None) -> dict:
 
 
 def _verify_all_text(payload: dict) -> list[str]:
-    lines = [line for report in payload["reports"] for line in _report_text(report)]
-    lines += _genesis_text(payload["genesis"])
+    lines = [line for p in payload["reports"] for line in lift.report_text(p)]
+    lines += genesis.genesis_text(payload["genesis"])
     lines += [f"note: {note}" for note in payload["notes"]]
     lines.append(f"overall verdict: {payload['verdict']}")
     return lines
@@ -487,12 +407,15 @@ def _dispatch(args: _Args) -> int:
         _reject_unused_options(args)
     fmt = _resolve_format(args)
     if args.command == "genesis":
-        return _emit([_genesis_payload()], _genesis_text, fmt)
+        return _emit([_genesis_payload()], genesis.genesis_text, fmt)
     if args.command == "verify-all":
         return _run_verify_all(args, fmt)
-    build, render = _PER_FIELD[args.command]
     specs = _load_specs(args)
-    payloads = [{"command": args.command, **build(spec)} for spec in specs]
+    payloads = [
+        {"command": args.command, **_field_payload(args.command, spec)}
+        for spec in specs
+    ]
+    _, render = _PER_FIELD[args.command]()
     return _emit(payloads, render, fmt)
 
 

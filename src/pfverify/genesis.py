@@ -9,7 +9,8 @@ solved expressions make every relation vanish identically.
 
 One printed solution line is typographically ambiguous; both readings are
 tested against the relations and against the GF(5) images, and the unique
-reading that satisfies both is the one exported.
+reading that satisfies both is the one exported.  The `genesis` command's
+payload and text are built here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .exact import (
     ratfunc_from_text,
     ratfunc_is_zero,
     ratfunc_subst,
+    ratfunc_to_str,
 )
 from .pfield import (
     VerificationError,
@@ -35,6 +37,8 @@ __all__ = [
     "PQR_TRIPLES",
     "SYMBOLS",
     "check_triples",
+    "genesis_payload",
+    "genesis_text",
     "relation_residuals",
     "solved_values",
     "triple_products",
@@ -142,3 +146,40 @@ def solved_values() -> dict[str, RatFunc]:
     """The solved symbol values, with the ambiguous line resolved to the
     unique reading that satisfies the relations and the GF(5) images."""
     return _candidate_values(ratfunc_from_text(_resolved_s223_text(), ("a",)))
+
+
+# ---------------------------------------------------------------------------
+# Command output: the `genesis` payload (a dict that doubles as the JSON
+# output) and text
+
+
+def genesis_payload() -> dict:
+    """The triple products, the solved values and the relation residuals,
+    each residual "0" when it vanishes identically."""
+    products = triple_products()
+    values = solved_values()
+    residuals = relation_residuals(values)
+    ok = check_triples() and all(ratfunc_is_zero(r) for r in residuals)
+    return {
+        "triple_products": [list(p) for p in products],
+        "solution": {
+            name: ratfunc_to_str(value, ("a",)) for name, value in values.items()
+        },
+        "residuals": [
+            "0" if ratfunc_is_zero(r) else ratfunc_to_str(r, ("a",))
+            for r in residuals
+        ],
+        "verdict": "PASS" if ok else "FAIL",
+    }
+
+
+def genesis_text(payload: dict) -> list[str]:
+    lines = ["genesis check"]
+    for product in payload["triple_products"]:
+        lines.append(f"  triple product: {tuple(product)}")
+    for name, text in sorted(payload["solution"].items()):
+        lines.append(f"  {name} = {text}")
+    for index, residual in enumerate(payload["residuals"]):
+        lines.append(f"  relation residual {index}: {residual}")
+    lines.append(f"  verdict: {payload['verdict']}")
+    return lines

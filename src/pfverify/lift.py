@@ -7,7 +7,9 @@ width-m tuples assembled from the six single-coordinate representations.
 The lifting table, a dict from domain tuple to table entry, inverts the
 coordinate homomorphism on the fundamentals; the local-lift check confirms
 that every tuple pair lifts to a field pair whose ratio is fundamental.  The field report bundles
-every check for one field into a machine-readable verdict.
+every check for one field into a machine-readable verdict.  The payload
+and text builders of the `u25`, `lift-check` and `report` commands are
+here too, beside the computations they report.
 """
 
 from __future__ import annotations
@@ -32,8 +34,13 @@ __all__ = [
     "domain_key",
     "enumerate_u25",
     "gf5_u25_tuples",
+    "lift_check_payload",
+    "lift_check_text",
     "local_lift_check",
+    "report_text",
     "theorem1_report",
+    "u25_payload",
+    "u25_text",
 ]
 
 GF5_REPRESENTATIONS = ((2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3))
@@ -282,3 +289,75 @@ def theorem1_report(spec: PartialFieldSpec) -> dict:
         "violations": violations,
         "verdict": "PASS" if not violations else "FAIL",
     }
+
+
+# ---------------------------------------------------------------------------
+# Command output: payloads (dicts that double as the JSON output) and text
+
+
+def u25_payload(spec: PartialFieldSpec) -> dict:
+    """Field-side pairs against tuple-side pairs, and whether the domain
+    tuples of the field-side pairs are exactly the tuple side."""
+    pairs = enumerate_u25(spec)
+    tuples = gf5_u25_tuples(spec.report_index)
+    field_keys = {(domain_key(spec, p), domain_key(spec, q)) for p, q in pairs}
+    bijection = len(pairs) == len(tuples) and field_keys == set(tuples)
+    return {
+        "field": spec.name,
+        "field_side": len(pairs),
+        "tuple_side": len(tuples),
+        "bijection": bijection,
+        "verdict": "PASS" if bijection else "FAIL",
+    }
+
+
+def u25_text(payload: dict) -> list[str]:
+    return [
+        f"{payload['field']}: field-side pairs {payload['field_side']}, "
+        f"tuple-side pairs {payload['tuple_side']}, "
+        f"bijection {payload['verdict']}"
+    ]
+
+
+def lift_check_payload(spec: PartialFieldSpec) -> dict:
+    """Every tuple pair lifted, with each pair whose lift ratio is not
+    fundamental."""
+    tuples = gf5_u25_tuples(spec.report_index)
+    violations = local_lift_check(spec, tuples)
+    return {
+        "field": spec.name,
+        "pairs": len(tuples),
+        "violations": [
+            {"pair": idx, "p": list(p), "q": list(q)} for idx, p, q in violations
+        ],
+        "verdict": "PASS" if not violations else "FAIL",
+    }
+
+
+def lift_check_text(payload: dict) -> list[str]:
+    lines = [
+        f"{payload['field']}: {payload['pairs']} tuple pairs lift "
+        f"{payload['verdict']}"
+    ]
+    for v in payload["violations"]:
+        lines.append(
+            f"  FAIL pair {v['pair']}: ratio of lifts of "
+            f"{tuple(v['p'])}, {tuple(v['q'])} is not fundamental"
+        )
+    return lines
+
+
+def report_text(payload: dict) -> list[str]:
+    """The lines of one theorem1_report payload."""
+    lines = [f"{payload['field']} verification report"]
+    for stage, count in payload["counts"].items():
+        lines.append(f"  {stage}: {count}")
+    homs = payload["homs"]
+    lines.append(
+        f"  homs: inequivalence {homs['inequivalence']}, "
+        f"lifting {homs['lifting']}"
+    )
+    for violation in payload["violations"]:
+        lines.append(f"  FAIL at {violation['stage']}: {violation['detail']}")
+    lines.append(f"  verdict: {payload['verdict']}")
+    return lines

@@ -4,9 +4,12 @@ A field description lists multiplicative generators (always including -1),
 seed elements, images of the generators in GF(5)^m, and the data a modular
 fingerprint needs (a prime and residues for the indeterminates).  From that
 this module derives the full table of fundamental elements: the closure of
-the seeds under the associate operation, cross-checked against an
-independently computed exponent-box sieve, with every table entry carrying
-its factored form, exact value, fingerprint, and GF(5)^m image.
+the seeds under the associate operation (route one, in `closure`),
+cross-checked against an independently computed exponent-box sieve (route
+two, in `sieve`), with every table entry carrying its factored form, exact
+value, fingerprint, and GF(5)^m image.  Both routes run only when a table
+is built; the associate maps, factoring and exact membership they share
+stay here.
 """
 
 from __future__ import annotations
@@ -754,77 +757,6 @@ def value_eq(a: RatFunc | GaussDyadic, b: RatFunc | GaussDyadic) -> bool:
     return ratfunc_eq(a, b)
 
 
-def _closure_of_seeds(
-    spec: PartialFieldSpec,
-) -> tuple[list, list[tuple[int, int]], dict[int, RatFunc | GaussDyadic]]:
-    """Distinct values reachable from the seeds by taking associates, in the
-    depth-first order of a stack of labels (parent index, map k, root seed x,
-    g in S3) for e_g(x) = e_k(parent).  A popped label that no kept value of
-    x settles gets a form, built from its parent's, and is kept, pushing its
-    associates(), unless value_eq finds it among the kept values sharing its
-    screen key.  Soundness: for x not in {0, 1}, e_i(e_j(x)) = e_{_S3[i][j]}(x),
-    so e_g(x) = e_h(x) iff g and h share a class of _orbit(x), which the
-    screens and value_eq compute once per root.  Across roots, and in the
-    orbit {0, 1} of a seed 0 or 1, value_eq decides.
-
-    Returns the values, each value's label (x, g), where in the orbit
-    {0, 1} g is the value itself, and 1 - x for each root x outside {0, 1},
-    the form _orbit builds.
-    """
-    zero, one, sub, div, eq = _value_ops(spec.seeds[0])
-    values: list = []
-    labels: list[tuple[int, int]] = []  # the (root seed, g) of each kept value
-    classes: dict[int, tuple[int, ...] | None] = {}  # _orbit classes per root
-    complements: dict = {}  # 1 - x per root x outside {0, 1}
-    kept: set[tuple[int, int]] = set()  # (root, class of g) of kept values
-    buckets: dict = {}
-    stack = [(None, 0, r, 0) for r in range(len(spec.seeds))]
-    while stack:
-        parent, k, root, g = stack.pop()
-        cls = classes.get(root)
-        if cls is not None and (root, cls[g]) in kept:
-            continue
-        if parent is None:
-            v = spec.seeds[root]
-        elif cls is None:
-            v = (zero, one)[k]
-        else:
-            v = _ASSOCIATE_OPS[k](values[parent], one, sub, div)
-        if spec.is_gauss:
-            key = v
-        else:
-            num, den = v.screen_residues
-            key = num * pow(den, -1, SCREEN_PRIME) % SCREEN_PRIME if den else None
-        if key is None:
-            probe = range(len(values))
-        else:
-            probe = buckets.get(key, []) + buckets.get(None, [])
-        if any(
-            value_eq(values[i], v) for i in probe if not cls or labels[i][0] != root
-        ):
-            continue
-        i = len(values)
-        if parent is None:
-            forms, cls = _orbit(v, zero, one, sub, div, eq)
-            classes[root] = cls
-            if cls is None:
-                g = int(not eq(v, zero))
-            else:
-                complements[root] = forms[1]
-        buckets.setdefault(key, []).append(i)
-        values.append(v)
-        labels.append((root, g))
-        if cls is None:
-            stack += [(i, j, root, j) for j in (0, 1)]
-            continue
-        kept.add((root, cls[g]))
-        pushes: dict = {}  # the first associate of each class, in map order
-        for j, h in enumerate(row[g] for row in _S3):
-            pushes.setdefault(cls[h], (i, j, root, h))
-        stack += pushes.values()
-    return values, labels, complements
-
-
 def value_text(spec: PartialFieldSpec, value: RatFunc | GaussDyadic) -> str:
     """A table value rendered in the spec's variable names."""
     if isinstance(value, GaussDyadic):
@@ -832,76 +764,20 @@ def value_text(spec: PartialFieldSpec, value: RatFunc | GaussDyadic) -> str:
     return ratfunc_to_str(value, spec.var_names)
 
 
-def _factor_table_value(
-    spec: PartialFieldSpec,
-    x: RatFunc | GaussDyadic,
-    stage: str,
-    text: str | None = None,
-) -> FactoredElement:
-    """factor_over_generators, failing with the field, the stage and the
-    element named: by its spec text if given, else rendered."""
-    try:
-        return factor_over_generators(spec, x)
-    except ValueError:
-        if text is None:
-            text = value_text(spec, x)
-        raise VerificationError(
-            f"{spec.name}: {stage} {text!r} is not a unit over the generators"
-        ) from None
-
-
-def _closure_elements(
-    spec: PartialFieldSpec,
-) -> list[tuple[FactoredElement, RatFunc | GaussDyadic]]:
-    """Route one: the closure values, each with its factored form.
-
-    Only the seeds and each root's 1 - x are factored, and a non-unit among
-    them fails naming it.  With x = (s, e) and 1 - x = (t, f), the other
-    forms follow exactly: 1/(1 - x) = (t, -f), x/(x - 1) = (-st, e - f),
-    (x - 1)/x = (-st, f - e) and 1/x = (s, -e).  The value k of the orbit
-    {0, 1} is (k, 0)."""
-    # A seed that is no unit fails here, before its associates, which can be
-    # far larger than the seed, are built and compared.
-    seeds = [
-        _factor_table_value(spec, seed, f"seed {i}", text)
-        for i, (text, seed) in enumerate(zip(spec.seed_exprs, spec.seeds), start=1)
-    ]
-    values, labels, complements = _closure_of_seeds(spec)
-    orbits = {}
-    for root, complement in complements.items():
-        s, e = seeds[root]
-        t, f = _factor_table_value(spec, complement, "closure element")
-        d = tuple(x - y for x, y in zip(e, f))
-        orbits[root] = [
-            (s, e), (t, f), (t, tuple(-y for y in f)),
-            (-s * t, d), (-s * t, tuple(-x for x in d)), (s, tuple(-x for x in e)),
-        ]
-    zeros = (0,) * len(spec.generators)
-    return [
-        (
-            canonical_element(spec, FactoredElement(*orbits[root][g]))
-            if root in orbits
-            else FactoredElement(g, zeros),
-            v,
-        )
-        for v, (root, g) in zip(values, labels)
-    ]
-
-
 def build_fundamental_table(spec: PartialFieldSpec) -> FundamentalTable:
     """Construct the fundamental table by two routes and cross-check them.
 
     Route one closes the seeds under associates and factors the seeds and
     each root's 1 - x over the generators, deriving every other value's
-    form by exponent arithmetic (see _closure_elements).  Route two
+    form by exponent arithmetic (closure._closure_elements).  Route two
     enumerates the integer points of the exponent box's norm rows and
-    sieves them by fingerprint.  The routes must agree elementwise; then
-    each survivor, in the sieve's ascending fingerprint order, becomes one
-    entry valued by the closure element with its factored form.
+    sieves them by fingerprint (sieve).  The routes must agree elementwise;
+    then each survivor, in the sieve's ascending fingerprint order, becomes
+    one entry valued by the closure element with its factored form.
     """
-    from . import sieve
+    from . import closure, sieve
 
-    elements = _closure_elements(spec)
+    elements = closure._closure_elements(spec)
     result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
     sieve.verify_survivors(spec, result, elements)
 

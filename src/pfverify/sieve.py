@@ -26,6 +26,8 @@ naming the generator, and a later prime where one vanishes is skipped.
 The sieve itself fingerprints only the points, both signs, and zero: a
 candidate survives iff the fingerprint of 1 - candidate is also among
 them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
+
+The `bounds` command's payload and text are built here.
 """
 
 from __future__ import annotations
@@ -686,3 +688,30 @@ def verify_survivors(
                 f"{spec.name}: routes disagree at fingerprint {fp}: "
                 f"{survivor} vs {fe}{at}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Command output: the `bounds` payload (a dict that doubles as the JSON
+# output) and text
+
+
+def bounds_payload(spec: PartialFieldSpec) -> dict:
+    """The exponent box's slot ranges and its candidate count."""
+    box = candidate_box(spec)
+    return {
+        "field": spec.name,
+        "ranges": [list(r) for r in box.ranges],
+        "include_zero": box.include_zero,
+        "candidates": candidate_count(box),
+        "verdict": "PASS",
+    }
+
+
+def bounds_text(payload: dict) -> list[str]:
+    ranges = ", ".join(f"[{lo}, {hi}]" for lo, hi in payload["ranges"])
+    zero = "with" if payload["include_zero"] else "without"
+    return [
+        f"{payload['field']}: exponent ranges {ranges} "
+        f"({zero} the zero candidate)",
+        f"  {payload['candidates']} candidates",
+    ]

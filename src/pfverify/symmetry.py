@@ -28,6 +28,8 @@ VerificationError.
 The Gaussian field has no indeterminates: its two candidate symmetries
 (identity and conjugation) give the generator values by conjugating, and
 then pass the same exact check.
+
+The `auts` command's payload and text are built here.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ __all__ = [
     "Automorphism",
     "AutGroup",
     "FactoredElement",
+    "auts_payload",
+    "auts_text",
     "confirm_candidate",
     "find_automorphisms",
 ]
@@ -357,3 +361,28 @@ def find_automorphisms(spec: PartialFieldSpec) -> AutGroup:
     if spec.is_gauss:
         return _find_gauss_automorphisms(spec)
     return _search_automorphisms(spec)
+
+
+# ---------------------------------------------------------------------------
+# Command output: the `auts` payload (a dict that doubles as the JSON
+# output) and text
+
+
+def auts_payload(spec: PartialFieldSpec) -> dict:
+    """The group order and its induced coordinate permutations, sorted."""
+    group = find_automorphisms(spec)
+    perms = sorted(aut.coord_perm for aut in group.elements)
+    return {
+        "field": spec.name,
+        "order": len(group.elements),
+        "coord_perms": [list(p) for p in perms],
+        "verdict": "PASS",
+    }
+
+
+def auts_text(payload: dict) -> list[str]:
+    perms = ", ".join(str(tuple(p)) for p in payload["coord_perms"])
+    return [
+        f"{payload['field']}: symmetry group of order {payload['order']}",
+        f"  induced coordinate permutations: {perms}",
+    ]

@@ -13,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfverify import cli, exact, pfield
 from pfverify.pfield import builtin_specs, reprime
@@ -153,6 +155,39 @@ def test_the_module_without_arguments_is_a_usage_error() -> None:
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error: missing command")
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+
+# Arbitrary text, with the characters JSON escapes drawn often.
+JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\x7f\xe9\U0001f600'))
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value) -> None:
+    assert cli._dumps(value) == canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1, 2}, {1: "one"}, {"a": [0.0]}],
+    ids=["float", "set", "int-key", "nested-float"],
+)
+def test_the_json_writer_rejects_every_other_type(value) -> None:
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +724,31 @@ def test_a_command_parses_only_the_specs_it_uses(args, parses) -> None:
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:
     code, _, _ = run_cli(capsys, "funs", "--spec", str(tmp_path / "none.pfs"))
     assert code == 2
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["no-env", "env-spec"])
+@pytest.mark.parametrize("flag", [["--spec", ""], ["--spec="]], ids=["spaced", "equals"])
+def test_an_empty_spec_flag_is_a_usage_error_even_over_the_environment(
+    capsys, tmp_path, monkeypatch, flag, env
+) -> None:
+    # A given --spec wins over PFVERIFY_SPEC, and an empty path names no file.
+    monkeypatch.delenv("PFVERIFY_SPEC", raising=False)
+    if env:
+        path = tmp_path / "field.pfs"
+        path.write_text(builtin_specs()["H3"].source_text)
+        monkeypatch.setenv("PFVERIFY_SPEC", str(path))
+    code, out, err = run_cli(capsys, "bounds", *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot read spec file: ")
+    assert err.count("\n") == 1
+
+
+def test_an_empty_spec_variable_counts_as_unset(capsys, monkeypatch) -> None:
+    monkeypatch.setenv("PFVERIFY_SPEC", "")
+    with_empty = run_cli(capsys, "bounds", "H3")
+    monkeypatch.delenv("PFVERIFY_SPEC")
+    assert with_empty == run_cli(capsys, "bounds", "H3")
+    assert with_empty[0] == 0
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pfverify import cli, genesis, pfield
+from pfverify import genesis, pfield
 from pfverify.exact import ratfunc_eq, ratfunc_from_text, ratfunc_is_zero
 from pfverify.pfield import (
     builtin_specs,
@@ -73,4 +73,4 @@ def test_genesis_passes_without_building_a_table(monkeypatch) -> None:
         monkeypatch.setattr(module, "fundamental_table", no_table, raising=False)
     # Uncached, both readings of the ambiguous line are checked again.
     genesis._resolved_s223_text.cache_clear()
-    assert cli._genesis_payload()["verdict"] == "PASS"
+    assert genesis.genesis_payload()["verdict"] == "PASS"

@@ -86,9 +86,9 @@ def test_the_symmetry_search_reads_no_fingerprint_state() -> None:
     assert not read & FINGERPRINT_STATE, read & FINGERPRINT_STATE
 
 
-def test_genesis_names_neither_the_fundamental_table_nor_the_sieve() -> None:
-    # genesis checks fundamentality by definition, without either route.
-    (path,) = [path for path in SOURCES if path.name == "genesis.py"]
+def _names_in(filename: str) -> set[str]:
+    """Every name, attribute and imported module name in one source file."""
+    (path,) = [path for path in SOURCES if path.name == filename]
     named = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name):
@@ -99,22 +99,39 @@ def test_genesis_names_neither_the_fundamental_table_nor_the_sieve() -> None:
             named.update(node.name.split("."))
         elif isinstance(node, ast.ImportFrom):
             named.update((node.module or "").split("."))
+    return named
+
+
+def test_genesis_names_neither_the_fundamental_table_nor_the_sieve() -> None:
+    # genesis checks fundamentality by definition, without either route.
+    named = _names_in("genesis.py")
     assert not named & {"fundamental_table", "sieve"}, named
+
+
+def test_route_one_names_nothing_of_route_two() -> None:
+    # The closure buckets values by screen residues and tells them apart by
+    # value_eq; it imports nothing from the sieve and names no modular map
+    # or fingerprint, so the two routes stay independent.
+    named = _names_in("closure.py")
+    route_two = {"sieve", "mod_map", "ModMap", "mod_eval", "fingerprint"}
+    assert not named & route_two, named & route_two
 
 
 # Modules that only dataclasses brought in; a cold process pays for each.
 UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 PACKAGE_MODULES = {
     f"pfverify.{name}"
-    for name in ("cli", "exact", "genesis", "lift", "pfield", "sieve", "symmetry")
+    for name in (
+        "cli", "closure", "exact", "genesis", "lift", "pfield", "sieve", "symmetry"
+    )
 }
 
 
 def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
     # perfbench/spans.py wraps the stage functions of every module found in
     # sys.modules after `import pfverify.cli`, so that import must register
-    # all of them; genesis, lift, sieve and symmetry are registered lazily
-    # and run on first use (see the tests below).
+    # all of them; closure, genesis, lift, sieve and symmetry are registered
+    # lazily and run on first use (see the tests below).
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -165,12 +182,12 @@ SPEC_MODULES = {"__init__", "cli", "exact", "pfield"}
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["funs", "all"], {"sieve"}),
+        (["funs", "all"], {"closure", "sieve"}),
         (["bounds", "H4"], {"sieve"}),
         (["genesis"], {"genesis"}),
-        (["auts", "H3"], {"sieve", "symmetry"}),
-        (["report", "H3"], {"sieve", "lift", "symmetry"}),
-        (["verify-all"], {"sieve", "genesis", "lift", "symmetry"}),
+        (["auts", "H3"], {"closure", "sieve", "symmetry"}),
+        (["report", "H3"], {"closure", "sieve", "lift", "symmetry"}),
+        (["verify-all"], {"closure", "sieve", "genesis", "lift", "symmetry"}),
     ],
     ids=["funs-all", "bounds-H4", "genesis", "auts-H3", "report-H3", "verify-all"],
 )
@@ -184,6 +201,30 @@ def test_a_cold_command_executes_only_the_modules_it_runs(argv, extra) -> None:
     status, executed = json.loads(_run_cold(code, *argv))
     assert status == 0
     assert set(executed) == SPEC_MODULES | extra
+
+
+# The json package and the modules it loads; the CLI writes its own JSON.
+JSON_MODULES = {"json", "_json", "json.decoder", "json.scanner", "json.encoder"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["funs", "all"], ["genesis"], ["report", "H3"], ["bounds", "H4"]],
+    ids=["funs-all", "genesis", "report-H3", "bounds-H4"],
+)
+def test_a_cold_command_loads_no_json(argv, fmt) -> None:
+    # The probe itself must not import json, so it prints with repr.
+    code = (
+        "import contextlib, io, sys\n"
+        "from pfverify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(sys.argv[1:])\n"
+        "print(repr([status, sorted(sys.modules)]))\n"
+    )
+    status, loaded = ast.literal_eval(_run_cold(code, *argv, "--format", fmt))
+    assert status == 0
+    assert not set(loaded) & JSON_MODULES, set(loaded) & JSON_MODULES
 
 
 def test_importing_the_cli_and_reading_the_specs_executes_no_stage_module() -> None:

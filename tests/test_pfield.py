@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import pfield
+from pfverify import closure, pfield
 from pfverify.exact import (
     PRIME_LIMIT,
     SCREEN_PRIME,
@@ -538,13 +538,13 @@ def test_closure_and_membership_read_no_modular_map(monkeypatch, name, count) ->
         raise AssertionError("the modular map was read")
 
     monkeypatch.setattr(pfield.PartialFieldSpec, "mod_map", no_mod_map)
-    values, _, _ = pfield._closure_of_seeds(blind)
+    values, _, _ = closure._closure_of_seeds(blind)
     assert len(values) == count
     for v in values:
         assert sum(ratfunc_eq(v, e.value) for e in table.entries) == 1
         assert is_fundamental_exact(blind, v)
     # Route one's factored forms, the derived ones included, are the table's.
-    elements = pfield._closure_elements(blind)
+    elements = closure._closure_elements(blind)
     assert {fe for fe, _ in elements} == table.by_element.keys()
     for fe, v in elements:
         assert ratfunc_eq(v, table.by_element[fe].value)
@@ -555,7 +555,7 @@ def test_closure_keeps_the_table_when_a_screen_denominator_vanishes() -> None:
     # screen point; it and its associates have no bucket key.
     s = screen_point(1)[0]
     text = spec("H3").source_text + f"seed a*(a - {s})/(a - {s})\n"
-    values, _, _ = pfield._closure_of_seeds(pfield.parse_field_spec(text))
+    values, _, _ = closure._closure_of_seeds(pfield.parse_field_spec(text))
     table = fundamental_table(spec("H3"))
     assert len(values) == 26
     assert all(any(ratfunc_eq(v, e.value) for e in table.entries) for v in values)
@@ -599,7 +599,7 @@ def with_seeds(name: str, seeds: list[str]) -> pfield.PartialFieldSpec:
 
 
 def assert_closure_matches_reference(s: pfield.PartialFieldSpec) -> None:
-    got, _, _ = pfield._closure_of_seeds(s)
+    got, _, _ = closure._closure_of_seeds(s)
     want = reference_closure(s)
     if s.is_gauss:
         assert got == want
@@ -651,14 +651,14 @@ def assert_derived_forms_are_factored_forms(s: pfield.PartialFieldSpec) -> None:
     """Route one's forms, derived from the seeds and each root's 1 - x,
     equal factor_over_generators of every closure value; when some value is
     no unit, route one fails instead."""
-    values, _, _ = pfield._closure_of_seeds(s)
+    values, _, _ = closure._closure_of_seeds(s)
     try:
         want = [factor_over_generators(s, v) for v in values]
     except ValueError:
         with pytest.raises(pfield.VerificationError, match="is not a unit"):
-            pfield._closure_elements(s)
+            closure._closure_elements(s)
         return
-    assert [fe for fe, _ in pfield._closure_elements(s)] == want
+    assert [fe for fe, _ in closure._closure_elements(s)] == want
 
 
 @CLOSURE_SPECS
@@ -682,7 +682,7 @@ def test_a_table_build_factors_only_seeds_and_their_complements(
         counted.append(x)
         return factor_over_generators(s, x)
 
-    monkeypatch.setattr(pfield, "factor_over_generators", counting_factor)
+    monkeypatch.setattr(closure, "factor_over_generators", counting_factor)
     table = pfield.build_fundamental_table(spec(name))
     assert len(counted) == calls
     assert [e.element for e in table.entries] == [
@@ -704,7 +704,7 @@ def test_h5_closure_cross_multiplies_at_most_once_per_seed(monkeypatch) -> None:
         return ratfunc_eq(a, b)
 
     monkeypatch.setattr(pfield, "ratfunc_eq", counting_eq)
-    pfield._closure_of_seeds(s)
+    closure._closure_of_seeds(s)
     assert exact <= len(s.seeds)
 
 
