@@ -4,7 +4,12 @@ Every command prints either human-readable text or canonical JSON (sorted
 keys, compact separators, written here without the json package) to
 stdout; progress notes go to stderr.  Exit status 0 means every requested
 check passed, 1 means a check failed and the output carries the first
-counterexample, 2 means a usage error.  Each command's payload and text
+counterexample, 2 means a usage error; a run whose output cannot be
+written, because the reader closed the pipe, ends with 1 and no traceback.
+Both `python -m pfverify.cli` and the installed pfverify script go through
+run(): it flushes stdout and stderr and ends the process with os._exit,
+without interpreter teardown, so no library module may rely on atexit;
+main() only returns the status.  Each command's payload and text
 builders sit beside the computation they report (funs and verify-all, which
 no other module fits, are here); this module parses argv, loads the specs,
 adds the command and spec_fingerprint keys and writes the output.  The
@@ -419,9 +424,9 @@ def _dispatch(args: _Args) -> int:
     return _emit(payloads, render, fmt)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _main(argv: list[str]) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(argv)
         return 0 if args is None else _dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -431,5 +436,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def main(argv: list[str] | None = None) -> int:
+    """The exit status of one command on argv (sys.argv[1:] if None); it
+    returns and never exits.  A reader that has closed stdout or stderr
+    makes it 1."""
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        return 1
+
+
+def run() -> None:
+    """Run main(), flush stdout and stderr, and end the process with its
+    status through os._exit, skipping interpreter teardown (freeing every
+    module, table and cache), which a cold process would pay for last.  A
+    flush that fails, as it does when the reader has closed the pipe, makes
+    the status 1."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -25,7 +25,9 @@ at the spec prime: a generator residue that vanishes there is a FAIL
 naming the generator, and a later prime where one vanishes is skipped.
 The sieve itself fingerprints only the points, both signs, and zero: a
 candidate survives iff the fingerprint of 1 - candidate is also among
-them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}.
+them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}, in
+ascending fingerprint order; the sieve sorts nothing up front, so a check
+that fails on an early pair leaves the rest of the survivors unordered.
 
 The `bounds` command's payload and text are built here.
 """
@@ -33,8 +35,9 @@ The `bounds` command's payload and text are built here.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from functools import cache
+from heapq import heapify, heappop
 from itertools import chain, product
 from math import gcd, prod
 from operator import getitem
@@ -81,11 +84,12 @@ class CandidateBox(
 class SieveResult(
     namedtuple("SieveResult", "mod_map fingerprints distinct_count candidate_count")
 ):
-    """Sieve output: surviving fingerprints mapped to factored elements.
-    candidate_count and distinct_count (0 included) count the whole box,
-    not only the fingerprinted points.
+    """Sieve output: surviving fingerprints mapped to factored elements, in
+    ascending fingerprint order.  candidate_count and distinct_count (0
+    included) count the whole box, not only the fingerprinted points.
 
-    mod_map: ModMap | None.  fingerprints: dict.
+    mod_map: ModMap | None.  fingerprints: Mapping (a dict for the
+    Gaussian field, a _Survivors otherwise).
     distinct_count, candidate_count: int.
     """
 
@@ -616,16 +620,53 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
     return SieveResult(None, fingerprints, len(window), len(candidates))
 
 
+class _Survivors(Mapping):
+    """The fingerprints fp of a fingerprint dict with (1 - fp) mod p also
+    among them, mapped to their factored elements, in ascending fingerprint
+    order.  Nothing is filtered or sorted up front: a lookup reads the dict,
+    and iteration pops every fingerprint off a heap and yields the
+    survivors, so a check that stops at an early pair orders nothing more.
+    The order is kept once an iteration has run to the end."""
+
+    __slots__ = ("_fps", "_p", "_order")
+
+    def __init__(self, fps: dict, p: int) -> None:
+        self._fps, self._p, self._order = fps, p, None
+
+    def __getitem__(self, fp: int) -> FactoredElement:
+        if (1 - fp) % self._p not in self._fps:
+            raise KeyError(fp)
+        return self._fps[fp]
+
+    def __iter__(self) -> Iterator[int]:
+        if self._order is not None:
+            yield from self._order
+            return
+        fps, p, order = self._fps, self._p, []
+        heap = list(fps)
+        heapify(heap)
+        while heap:
+            fp = heappop(heap)
+            if (1 - fp) % p in fps:
+                order.append(fp)
+                yield fp
+        self._order = order
+
+    def __len__(self) -> int:
+        if self._order is None:
+            for _ in self:  # a full iteration keeps the order
+                pass
+        return len(self._order)
+
+
 def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
     """Keep the points c, of both signs, and 0, with both c and 1 - c among
     their fingerprints.  The prime and the fingerprints come from
-    resolve_mod_map."""
+    resolve_mod_map; the survivors are ordered only as they are read."""
     if spec.is_gauss:
         return _gauss_sieve(spec, enumerate_candidates(box))
     mm, fps, distinct = resolve_mod_map(spec, box)
-    p = mm.prime
-    survivors = {fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)}
-    return SieveResult(mm, survivors, distinct, candidate_count(box))
+    return SieveResult(mm, _Survivors(fps, mm.prime), distinct, candidate_count(box))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +686,9 @@ def verify_survivors(
     and that fingerprints put the two routes in elementwise bijection.  A
     survivor that fails either check comes first, so a prime too small to
     separate the fundamentals is named as the cause.  Raises
-    VerificationError otherwise, naming the fingerprint prime.
+    VerificationError otherwise, naming the fingerprint prime.  The pairs
+    are read in the survivors' ascending order, and the survivors are
+    counted only once every pair has passed.
     """
     mm = result.mod_map
     at = "" if mm is None else f" at fingerprint prime {mm.prime}"

@@ -891,3 +891,175 @@ def test_the_hashlib_fallback_gives_the_same_fingerprints() -> None:
         name: sha256(spec.source_text) for name, spec in builtin_specs().items()
     }
     assert sorted(fingerprints) == ["H2", "H3", "H4", "H5"]
+
+
+# ---------------------------------------------------------------------------
+# Process exit: the command line flushes its output and ends with os._exit
+
+
+def _cold_env(**env_vars) -> dict:
+    """The environment of a fresh CLI process: no PFVERIFY_* variable, the
+    source on the path, and stdout buffered unless env_vars set
+    PYTHONUNBUFFERED."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("PFVERIFY_") and k != "PYTHONUNBUFFERED"
+    }
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return {**env, **env_vars}
+
+
+def _cold_cli(args, stdout, **env_vars) -> subprocess.CompletedProcess:
+    """`python -m pfverify.cli *args` in a fresh process, its stdout sent to
+    the given sink and its stderr captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "pfverify.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=_cold_env(**env_vars),
+        timeout=120,
+    )
+
+
+def _fail_at_prime_59(out: bytes) -> bool:
+    (line, *rest) = out.decode().splitlines(keepends=True) or [""]
+    return not rest and line.startswith(
+        "FAIL: H3: 1 - s is not exactly the paired survivor "
+    ) and line.endswith(" at fingerprint prime 547\n")
+
+
+# argv, exit status, a check of stdout, the stderr lines.
+EXIT_CASES = {
+    "verify-all-json": (
+        ("verify-all", "--format", "json"),
+        0,
+        lambda out: sha256(out.decode()) == STDOUT_DIGESTS[("verify-all",)],
+        [f"{name}: running all verification stages" for name in cli.FIELD_NAMES]
+        + ["genesis: checking the defining triples and relations"],
+    ),
+    "genesis-json": (
+        ("genesis", "--format", "json"),
+        0,
+        lambda out: sha256(out.decode()) == STDOUT_DIGESTS[("genesis",)],
+        ["genesis: checking the defining triples and relations"],
+    ),
+    "funs-all-text": (
+        ("funs", "all", "--format", "text"),
+        0,
+        lambda out: sha256(out.decode()) == TEXT_STDOUT_DIGESTS[("funs", "all")],
+        [f"{name}: building the fundamental table by both routes" for name in cli.FIELD_NAMES],
+    ),
+    "fail": (
+        ("funs", "H3", "--prime-start", "59"),
+        1,
+        _fail_at_prime_59,
+        ["H3: building the fundamental table by both routes"],
+    ),
+    "usage-error": (
+        ("funs", "--bogus"),
+        2,
+        lambda out: out == b"",
+        ["usage error: unrecognized option '--bogus'"],
+    ),
+    "help": (("-h",), 0, lambda out: out.decode() == cli.USAGE + "\n", []),
+}
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_a_cold_process_writes_all_its_output_before_it_exits(
+    tmp_path, case, sink
+) -> None:
+    # Output left in a buffer at os._exit would be lost; a regular file
+    # shows it as a wrong digest.
+    args, code, stdout_ok, stderr_lines = EXIT_CASES[case]
+    if sink == "file":
+        path = tmp_path / "stdout"
+        with open(path, "wb") as handle:
+            proc = _cold_cli(args, handle)
+        out = path.read_bytes()
+    else:
+        proc = _cold_cli(args, subprocess.PIPE)
+        out = proc.stdout
+    assert proc.returncode == code, proc.stderr
+    assert stdout_ok(out), out[-200:]
+    assert proc.stderr.decode().splitlines() == stderr_lines
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_a_reader_that_closed_the_pipe_ends_the_run_with_exit_1(case, buffering) -> None:
+    # Without a reader every write to the pipe fails with EPIPE: in print
+    # when stdout is unbuffered, in the final flush otherwise.  A usage
+    # error writes nothing to stdout and keeps its 2.
+    args, code, _, stderr_lines = EXIT_CASES[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        unbuffered = {"PYTHONUNBUFFERED": "1"} if buffering == "unbuffered" else {}
+        proc = _cold_cli(args, write_end, **unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == (2 if code == 2 else 1), proc.stderr
+    assert proc.stderr.decode().splitlines() == stderr_lines
+
+
+@pytest.mark.parametrize("args, code", [("-h", 0), ("funs H3 --prime-start 59", 1)])
+def test_a_run_started_with_stdout_closed_keeps_its_status(args, code) -> None:
+    # With file descriptor 1 closed, sys.stdout is None: print writes
+    # nothing and there is no stream to flush.
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m pfverify.cli {args} >&-', sys.executable],
+        capture_output=True,
+        text=True,
+        env=_cold_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["-h"], 0), (["funs", "H3"], 0), (["funs", "H3", "--prime-start", "59"], 1),
+     (["funs", "--bogus"], 2)],
+    ids=["help", "pass", "fail", "usage-error"],
+)
+def test_main_returns_its_status_and_never_exits(capsys, monkeypatch, argv, code) -> None:
+    # perfbench/spans.py and these tests call main in-process and go on
+    # after it returns; only run() ends the process.
+    def refused(*args):
+        raise AssertionError("main tried to end the process")
+
+    monkeypatch.setattr(os, "_exit", refused)
+    monkeypatch.setattr(sys, "exit", refused)
+    assert cli.main(argv) == code
+    capsys.readouterr()
+
+
+class _Ended(Exception):
+    pass
+
+
+def test_run_flushes_both_streams_then_ends_with_the_status_of_main(monkeypatch) -> None:
+    events = []
+
+    class Stream:
+        def __init__(self, name: str) -> None:
+            self.name = name
+
+        def flush(self) -> None:
+            events.append(f"flush {self.name}")
+
+    def fake_exit(code: int) -> None:
+        events.append(f"exit {code}")
+        raise _Ended
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    with pytest.raises(_Ended):
+        cli.run()
+    assert events == ["flush stdout", "flush stderr", "exit 1"]

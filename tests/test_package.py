@@ -401,3 +401,31 @@ def test_records_are_slotted_named_tuples() -> None:
     element = FactoredElement(-1, (2, 0))
     assert repr(element) == "FactoredElement(sign=-1, exps=(2, 0))"
     assert CandidateBox((), False).points is None
+
+
+def test_no_library_module_imports_atexit() -> None:
+    # The command line ends with os._exit, which runs no atexit handler.
+    found = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "atexit" in _imported_packages(node)
+    ]
+    assert SOURCES and not found, found
+
+
+def test_the_script_and_the_module_end_through_one_function() -> None:
+    # pyproject's console script and `python -m pfverify.cli` both call
+    # cli.run, which flushes the output and ends the process.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = SOURCES[0].parent.parent.parent
+    with open(root / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"pfverify": "pfverify.cli:run"}
+    (path,) = [path for path in SOURCES if path.name == "cli.py"]
+    (block,) = [
+        node
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == ["run()"]

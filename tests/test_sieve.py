@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import sieve
+from pfverify import closure, sieve
 from pfverify.exact import ModMap, gauss_from_text, mod_eval, next_prime
 from pfverify.pfield import (
     H3_SPEC_TEXT,
@@ -1004,6 +1004,48 @@ def _h3_elements(specs):
 def test_verify_survivors_accepts_the_real_sieve(specs, h3_result) -> None:
     _, result = h3_result
     sieve.verify_survivors(specs["H3"], result, _h3_elements(specs))
+
+
+def test_a_failing_pair_ends_the_check_before_the_survivors_are_ordered(
+    monkeypatch,
+) -> None:
+    # 32,805 points: 65,611 fingerprints, 3,122 of them spurious survivors
+    # at prime 1,299,709.  The exact check fails on an early pair, and the
+    # survivors are ordered only as far as that pair, with the FAIL of the
+    # fully ordered table.
+    spec = parse_field_spec(_h3_with_only_h2hom_i_and_wide_bounds(40))
+    result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
+    elements = closure._closure_elements(spec)
+    pops = []
+    heappop = sieve.heappop
+    monkeypatch.setattr(sieve, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    with pytest.raises(VerificationError) as lazy:
+        sieve.verify_survivors(spec, result, elements)
+    monkeypatch.undo()
+    ordered = result._replace(fingerprints=dict(result.fingerprints))
+    assert list(ordered.fingerprints) == sorted(ordered.fingerprints)
+    with pytest.raises(VerificationError) as eager:
+        sieve.verify_survivors(spec, ordered, elements)
+    assert str(lazy.value) == str(eager.value)
+    assert "1 - s is not exactly the paired survivor" in str(lazy.value)
+    assert 0 < len(pops) < 100 < len(ordered.fingerprints)
+
+
+def test_survivor_lookups_and_order_match_a_sorted_dict(specs) -> None:
+    # The survivors answer lookups and their count before they are ordered,
+    # and iterate in the order of the eager filter and sort.
+    for name in ("H3", "H4", "H5"):
+        spec = specs[name]
+        box = sieve.candidate_box(spec)
+        mm, fps, _ = sieve.resolve_mod_map(spec, box)
+        p = mm.prime
+        want = {fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)}
+        survivors = sieve.fingerprint_sieve(spec, box).fingerprints
+        assert all(survivors.get(fp) == want.get(fp) for fp in fps)
+        assert len(survivors) == len(want)
+        assert list(survivors.items()) == list(want.items())
+        fresh = sieve.fingerprint_sieve(spec, box).fingerprints
+        assert list(fresh.items()) == list(want.items()) == list(fresh.items())
 
 
 def test_verify_survivors_rejects_a_corrupted_fingerprint(specs, h3_result) -> None:
