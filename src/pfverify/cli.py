@@ -267,13 +267,16 @@ def _load_specs(args: _Args) -> list[PartialFieldSpec]:
 
 
 def _spec_fingerprint(spec: PartialFieldSpec) -> str:
-    """SHA-256 of the spec text.  CPython's builtin _sha256 module computes
-    it without loading OpenSSL; hashlib, which loads it, is the fallback
-    where that module is absent (Python 3.12 renamed it _sha2)."""
+    """SHA-256 of the spec text.  CPython's builtin module computes it
+    without loading OpenSSL: _sha256, renamed _sha2 in Python 3.12.
+    hashlib, which loads OpenSSL, is the fallback where neither exists."""
     try:
         from _sha256 import sha256
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
     return sha256(spec.source_text.encode()).hexdigest()
 
 

@@ -34,7 +34,7 @@ from pfverify.pfield import (
     parse_field_spec,
 )
 from pfverify.symmetry import find_automorphisms
-from test_symmetry import closes
+from conftest import closes
 
 FIELDS = ("H2", "H3", "H4", "H5")
 

@@ -7,13 +7,16 @@ in-process through cli.main.  Every example must end in exit 0, 1 or 2
 without raising; a usage error (2) prints nothing on stdout and one line
 starting `usage error:` on stderr.  --prime-start takes its values from a
 small fixed set, so that most runs reuse the tables of re-primed builtins.
+An example that runs longer than BOUND_S seconds of wall time fails, naming
+its argv and environment, so that a hang cannot hang the suite.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from contextlib import redirect_stderr, redirect_stdout
+import signal
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -44,6 +47,9 @@ ENV_VALUES = {
     "PFVERIFY_PRIME_START": PRIME_STARTS + ("",),
     "PFVERIFY_SPEC": tuple(SPEC_FILES) + ("",),
 }
+# 100 times the slowest of 450 examples measured (0.10 s on a 2-core Xeon),
+# and 40 times the slowest command line found (verify-all re-primed, 0.23 s).
+BOUND_S = 10.0
 ABBREVIATIONS = ("--prime", "--prime-st", "--form", "--fi", "--sp")
 JUNK = ("", "-", "--", "x", "-x", "--bogus", "=", "--=json", "H6", "ALL", "funs=H3")
 
@@ -89,13 +95,30 @@ def spec_paths(tmp_path_factory) -> dict[str, str]:
     return {key: str(root / f"{key}.pfs") for key in SPEC_FILES}
 
 
+@contextmanager
+def _bounded(seconds: float, what: str):
+    """Fail the running test from a SIGALRM once seconds of wall time pass."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{what} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=150, deadline=None)
 @given(argv=argvs(), env=ENVIRONMENTS)
 def test_every_argv_ends_in_exit_0_1_or_2(spec_paths, argv, env) -> None:
     if env.get("PFVERIFY_SPEC"):
         env = {**env, "PFVERIFY_SPEC": spec_paths[env["PFVERIFY_SPEC"]]}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+    bound = _bounded(BOUND_S, f"argv {argv!r} with environment {env!r}")
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err), bound:
         for name in ENV_VALUES:
             os.environ.pop(name, None)
         os.environ.update(env)

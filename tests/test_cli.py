@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from pfverify import cli, exact, pfield
 from pfverify.pfield import builtin_specs, reprime
-from test_pfield import _h3_with_unused_indeterminates
+from conftest import (
+    cold_record,
+    h3_with_only_h2hom_i_and_wide_bounds,
+    h3_with_unused_indeterminates,
+    run_cold,
+)
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -142,15 +147,7 @@ def test_a_malformed_argv_is_one_usage_error_line(capsys, argv, message) -> None
 
 
 def test_the_module_without_arguments_is_a_usage_error() -> None:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "pfverify.cli"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_cold("-m", "pfverify.cli", timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error: missing command")
@@ -520,14 +517,6 @@ def _h4_with_only_the_first_h2hom() -> str:
     return "".join(line for i, line in enumerate(lines) if i not in homs[1:])
 
 
-def _h3_with_only_h2hom_i_and_wide_bounds(bound: int = 300) -> str:
-    text = builtin_specs()["H3"].source_text
-    text = text.replace("h2hom 1 - i\n", "").replace("h2hom (1 - i)/2\n", "")
-    return text + "".join(
-        f"extrabound {slot} -{bound} {bound}\n" for slot in (1, 2, 3)
-    )
-
-
 @pytest.mark.parametrize(
     "text, fail",
     [
@@ -542,7 +531,7 @@ def _h3_with_only_h2hom_i_and_wide_bounds(bound: int = 300) -> str:
         ),
         (
             # 601 x 5 x 601 vectors: the lone norm row bounds slot 2 alone.
-            _h3_with_only_h2hom_i_and_wide_bounds(),
+            h3_with_only_h2hom_i_and_wide_bounds(),
             "H3: the exponent box holds 1806005 vectors, more than 1048576",
         ),
     ],
@@ -559,7 +548,7 @@ def test_primes_too_small_to_separate_the_box_are_skipped_unwalked(tmp_path) -> 
     # 2,088,491 candidates: each of the 256 primes tried from the spec
     # prime 1,299,709 is at most 2|B| = 2,088,490, so none can separate the
     # box and none has its 2 M fingerprints walked.  The cut is at 10 s.
-    proc = _cli_on_spec_text(tmp_path, _h3_with_only_h2hom_i_and_wide_bounds(228))
+    proc = _cli_on_spec_text(tmp_path, h3_with_only_h2hom_i_and_wide_bounds(228))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == (
@@ -575,16 +564,7 @@ def _cli_on_spec_text(
     10 s."""
     path = tmp_path / "hostile.pfs"
     path.write_text(text)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = src
-    return subprocess.run(
-        [sys.executable, "-m", "pfverify.cli", command, "--spec", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    return run_cold("-m", "pfverify.cli", command, "--spec", str(path), timeout=10)
 
 
 def _spec_with_gf5_width_27() -> str:
@@ -621,7 +601,7 @@ def test_many_indeterminates_fail_the_symmetry_search_before_their_points(
     tmp_path,
 ) -> None:
     # 17 indeterminates would be 3^17 GF(5) points; the table still builds.
-    text = _h3_with_unused_indeterminates(list("bcdefghjkmnpqrst"))
+    text = h3_with_unused_indeterminates(list("bcdefghjkmnpqrst"))
     assert _cli_on_spec_text(tmp_path, text).returncode == 0
     started = time.perf_counter()
     proc = _cli_on_spec_text(tmp_path, text, "auts")
@@ -680,23 +660,6 @@ def test_prime_start_keeps_the_gaussian_spec_and_its_fingerprint(capsys) -> None
     assert fingerprint == sha256(builtin_specs()["H2"].source_text)
 
 
-# Runs the CLI in a fresh process, where no spec has been parsed yet, and
-# prints the number of spec texts parsed as its last stdout line.
-_COUNT_PARSES = """
-import sys
-from pfverify import cli, pfield
-parsed = []
-parse = pfield.parse_field_spec
-def counting(text):
-    parsed.append(text)
-    return parse(text)
-pfield.parse_field_spec = cli.parse_field_spec = counting
-code = cli.main(sys.argv[1:])
-print(len(parsed))
-sys.exit(code)
-"""
-
-
 @pytest.mark.parametrize(
     "args, parses",
     [
@@ -707,18 +670,9 @@ sys.exit(code)
     ids=["report-H3-reprimed", "funs-H3", "funs-all"],
 )
 def test_a_command_parses_only_the_specs_it_uses(args, parses) -> None:
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_PARSES, *args, "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(parses)
+    # In a fresh process, where no spec has been parsed yet.
+    record = cold_record(*args, "--format", "json")
+    assert (record.status, record.parses) == (0, parses)
 
 
 def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:
@@ -870,20 +824,17 @@ def test_a_reprimed_text_is_the_one_the_benchmark_hashes() -> None:
 
 
 def test_the_hashlib_fallback_gives_the_same_fingerprints() -> None:
-    # Where the builtin _sha256 module is absent, hashlib computes the digest.
+    # Where neither builtin module (_sha256, or _sha2 from Python 3.12) is
+    # present, hashlib computes the digest.
     code = (
         "import json, sys\n"
-        "sys.modules['_sha256'] = None\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
         "from pfverify import cli\n"
         "specs = cli.builtin_specs()\n"
         "print(json.dumps([{n: cli._spec_fingerprint(specs[n]) for n in specs},"
         " 'hashlib' in sys.modules]))\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_cold("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     fingerprints, loaded_hashlib = json.loads(proc.stdout)
     assert loaded_hashlib
@@ -895,31 +846,6 @@ def test_the_hashlib_fallback_gives_the_same_fingerprints() -> None:
 
 # ---------------------------------------------------------------------------
 # Process exit: the command line flushes its output and ends with os._exit
-
-
-def _cold_env(**env_vars) -> dict:
-    """The environment of a fresh CLI process: no PFVERIFY_* variable, the
-    source on the path, and stdout buffered unless env_vars set
-    PYTHONUNBUFFERED."""
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if not k.startswith("PFVERIFY_") and k != "PYTHONUNBUFFERED"
-    }
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    return {**env, **env_vars}
-
-
-def _cold_cli(args, stdout, **env_vars) -> subprocess.CompletedProcess:
-    """`python -m pfverify.cli *args` in a fresh process, its stdout sent to
-    the given sink and its stderr captured."""
-    return subprocess.run(
-        [sys.executable, "-m", "pfverify.cli", *args],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        env=_cold_env(**env_vars),
-        timeout=120,
-    )
 
 
 def _fail_at_prime_59(out: bytes) -> bool:
@@ -977,10 +903,12 @@ def test_a_cold_process_writes_all_its_output_before_it_exits(
     if sink == "file":
         path = tmp_path / "stdout"
         with open(path, "wb") as handle:
-            proc = _cold_cli(args, handle)
+            proc = run_cold(
+                "-m", "pfverify.cli", *args, timeout=120, stdout=handle, text=False
+            )
         out = path.read_bytes()
     else:
-        proc = _cold_cli(args, subprocess.PIPE)
+        proc = run_cold("-m", "pfverify.cli", *args, timeout=120, text=False)
         out = proc.stdout
     assert proc.returncode == code, proc.stderr
     assert stdout_ok(out), out[-200:]
@@ -997,8 +925,10 @@ def test_a_reader_that_closed_the_pipe_ends_the_run_with_exit_1(case, buffering)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        unbuffered = {"PYTHONUNBUFFERED": "1"} if buffering == "unbuffered" else {}
-        proc = _cold_cli(args, write_end, **unbuffered)
+        proc = run_cold(
+            "-m", "pfverify.cli", *args, timeout=120, stdout=write_end, text=False,
+            unbuffered=buffering == "unbuffered",
+        )
     finally:
         os.close(write_end)
     assert proc.returncode == (2 if code == 2 else 1), proc.stderr
@@ -1009,12 +939,9 @@ def test_a_reader_that_closed_the_pipe_ends_the_run_with_exit_1(case, buffering)
 def test_a_run_started_with_stdout_closed_keeps_its_status(args, code) -> None:
     # With file descriptor 1 closed, sys.stdout is None: print writes
     # nothing and there is no stream to flush.
-    proc = subprocess.run(
-        ["sh", "-c", f'exec "$0" -m pfverify.cli {args} >&-', sys.executable],
-        capture_output=True,
-        text=True,
-        env=_cold_env(),
-        timeout=60,
+    proc = run_cold(
+        "-m", "pfverify.cli", *args.split(), timeout=60,
+        prefix=("sh", "-c", 'exec "$@" >&-', "sh"),
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,20 +5,25 @@ from __future__ import annotations
 import ast
 import importlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import cold_record, run_cold
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pfverify").glob("*.py"))
 
 
 def test_library_imports_only_the_standard_library() -> None:
+    # Besides the standard library, only the builtin SHA-256 module, named
+    # _sha256 before Python 3.12 and _sha2 from it, in the fingerprint's
+    # fallback chain.
     assert SOURCES
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        builtin_hash, _ = _sha256_chain(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -26,7 +31,9 @@ def test_library_imports_only_the_standard_library() -> None:
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                assert name.split(".")[0] in sys.stdlib_module_names or (
+                    name in {"_sha256", "_sha2"} and id(node) in builtin_hash
+                ), (path.name, name)
 
 
 def test_the_library_has_no_float() -> None:
@@ -138,43 +145,13 @@ def test_importing_the_cli_loads_every_module_and_no_unused_stdlib() -> None:
         "import pfverify.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_cold("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     assert not added & UNUSED_STDLIB, added & UNUSED_STDLIB
     assert {m for m in added if m.startswith("pfverify.")} == PACKAGE_MODULES
 
 
-def _run_cold(code: str, *argv: str, timeout: int = 120) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-# Records the package modules whose bodies have run: the import system runs
-# a module's code object through exec, which raises the "exec" audit event.
-EXECUTED_HOOK = (
-    "import contextlib, io, json, os, sys\n"
-    "executed = set()\n"
-    "def hook(event, args):\n"
-    "    code = args[0] if event == 'exec' and args else None\n"
-    "    path = getattr(code, 'co_filename', '')\n"
-    "    if os.path.basename(os.path.dirname(path)) == 'pfverify':\n"
-    "        executed.add(os.path.basename(path)[:-3])\n"
-    "sys.addaudithook(hook)\n"
-)
 # The modules every process runs: the package, the CLI, and what parses a spec.
 SPEC_MODULES = {"__init__", "cli", "exact", "pfield"}
 
@@ -192,15 +169,9 @@ SPEC_MODULES = {"__init__", "cli", "exact", "pfield"}
     ids=["funs-all", "bounds-H4", "genesis", "auts-H3", "report-H3", "verify-all"],
 )
 def test_a_cold_command_executes_only_the_modules_it_runs(argv, extra) -> None:
-    code = EXECUTED_HOOK + (
-        "from pfverify.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = main(sys.argv[1:])\n"
-        "print(json.dumps([status, sorted(executed)]))\n"
-    )
-    status, executed = json.loads(_run_cold(code, *argv))
-    assert status == 0
-    assert set(executed) == SPEC_MODULES | extra
+    record = cold_record(*argv)
+    assert record.status == 0
+    assert record.executed == SPEC_MODULES | extra
 
 
 # The json package and the modules it loads; the CLI writes its own JSON.
@@ -214,29 +185,16 @@ JSON_MODULES = {"json", "_json", "json.decoder", "json.scanner", "json.encoder"}
     ids=["funs-all", "genesis", "report-H3", "bounds-H4"],
 )
 def test_a_cold_command_loads_no_json(argv, fmt) -> None:
-    # The probe itself must not import json, so it prints with repr.
-    code = (
-        "import contextlib, io, sys\n"
-        "from pfverify.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = main(sys.argv[1:])\n"
-        "print(repr([status, sorted(sys.modules)]))\n"
-    )
-    status, loaded = ast.literal_eval(_run_cold(code, *argv, "--format", fmt))
-    assert status == 0
-    assert not set(loaded) & JSON_MODULES, set(loaded) & JSON_MODULES
+    # The probe itself imports no json.
+    record = cold_record(*argv, "--format", fmt)
+    assert record.status == 0
+    assert not record.modules & JSON_MODULES, record.modules & JSON_MODULES
 
 
 def test_importing_the_cli_and_reading_the_specs_executes_no_stage_module() -> None:
-    code = EXECUTED_HOOK + (
-        "import pfverify.cli\n"
-        "pfverify.cli.builtin_specs()\n"
-        "registered = [m for m in sys.modules if m.startswith('pfverify.')]\n"
-        "print(json.dumps([sorted(executed), sorted(registered)]))\n"
-    )
-    executed, registered = json.loads(_run_cold(code))
-    assert set(executed) == SPEC_MODULES
-    assert set(registered) == PACKAGE_MODULES
+    record = cold_record()
+    assert record.executed == SPEC_MODULES
+    assert {m for m in record.modules if m.startswith("pfverify.")} == PACKAGE_MODULES
 
 
 # Stage functions that perfbench/spans.py wraps, one per module at least.
@@ -259,7 +217,9 @@ def test_vars_of_each_registered_module_lists_its_stage_functions() -> None:
         " if callable(v)) for name in sys.argv[1:]}))\n"
     )
     names = [f"pfverify.{module}" for module in STAGE_FUNCTIONS]
-    found = json.loads(_run_cold(code, *names))
+    proc = run_cold("-c", code, *names, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
     for module, function in STAGE_FUNCTIONS.items():
         assert function in found[f"pfverify.{module}"], (module, function)
     assert "find_automorphisms" in found["pfverify.lift"]
@@ -268,7 +228,7 @@ def test_vars_of_each_registered_module_lists_its_stage_functions() -> None:
 # Modules that rational arithmetic brings in; the table path needs none.
 RATIONAL_STDLIB = {"fractions", "decimal", "_decimal"}
 # argparse brings in gettext and locale, and hashlib loads OpenSSL; the CLI
-# parses its own argv and hashes spec texts with the builtin _sha256 module.
+# parses its own argv and hashes spec texts with the builtin SHA-256 module.
 PARSING_AND_HASHING_STDLIB = {"argparse", "gettext", "locale", "hashlib", "_hashlib"}
 
 
@@ -303,23 +263,35 @@ def test_no_module_imports_fractions_at_module_level() -> None:
     assert SOURCES and not found, found
 
 
+def _sha256_chain(tree: ast.Module) -> tuple[set[int], set[int]]:
+    """The fingerprint's fallback chain `try: _sha256, except: try: _sha2,
+    except: ...`: the ids of the statements its two try bodies hold, and of
+    those its last handlers hold; empty sets where the tree has no chain."""
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.Try) or not any(
+            "_sha256" in _imported_packages(stmt) for stmt in outer.body
+        ):
+            continue
+        for inner in (stmt for handler in outer.handlers for stmt in handler.body):
+            if isinstance(inner, ast.Try) and any(
+                "_sha2" in _imported_packages(stmt) for stmt in inner.body
+            ):
+                last = [stmt for handler in inner.handlers for stmt in handler.body]
+                return {id(stmt) for stmt in outer.body + inner.body}, set(map(id, last))
+    return set(), set()
+
+
 def test_no_module_imports_argparse_and_only_a_fallback_imports_hashlib() -> None:
     # The CLI parses its own argv, and the fingerprint comes from the builtin
-    # _sha256 module; hashlib only stands in where that module is absent.
+    # SHA-256 module (_sha256, or _sha2 from Python 3.12); hashlib only
+    # stands in, in the chain's last handler, where neither is present.
     found, fallbacks = [], 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
-        fallback = {
-            id(stmt)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Try)
-            and any("_sha256" in _imported_packages(stmt) for stmt in node.body)
-            for handler in node.handlers
-            for stmt in handler.body
-        }
+        _, last_handler = _sha256_chain(tree)
         for node in ast.walk(tree):
             names = _imported_packages(node)
-            in_fallback = "hashlib" in names and id(node) in fallback
+            in_fallback = "hashlib" in names and id(node) in last_handler
             if "argparse" in names or ("hashlib" in names and not in_fallback):
                 found.append((path.name, node.lineno))
             fallbacks += in_fallback
@@ -332,48 +304,19 @@ def test_no_module_imports_argparse_and_only_a_fallback_imports_hashlib() -> Non
     ids=["funs-all", "genesis", "report-H3"],
 )
 def test_a_cold_command_loads_no_rational_arithmetic(argv) -> None:
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from pfverify.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PFVERIFY_")}
-    env["PYTHONPATH"] = str(SOURCES[0].parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
-    assert code == 0
-    assert not set(loaded) & RATIONAL_STDLIB, set(loaded) & RATIONAL_STDLIB
-    assert not set(loaded) & PARSING_AND_HASHING_STDLIB
+    record = cold_record(*argv)
+    assert record.status == 0
+    assert not record.modules & RATIONAL_STDLIB, record.modules & RATIONAL_STDLIB
+    assert not record.modules & PARSING_AND_HASHING_STDLIB
 
 
 @pytest.mark.parametrize(
-    "code",
-    [
-        "from pfverify.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['genesis']) == 0\n",
-        "import pfverify.cli\npfverify.cli.builtin_specs()\n",
-    ],
-    ids=["genesis", "import-and-read-specs"],
+    "argv, status", [(["genesis"], 0), ([], None)], ids=["genesis", "import-and-read-specs"]
 )
-def test_genesis_and_reading_the_specs_load_no_hashlib(code) -> None:
-    loaded = json.loads(
-        _run_cold(
-            "import contextlib, io, json, sys\n"
-            + code
-            + "print(json.dumps(sorted(sys.modules)))\n"
-        )
-    )
-    assert not PARSING_AND_HASHING_STDLIB & set(loaded)
+def test_genesis_and_reading_the_specs_load_no_hashlib(argv, status) -> None:
+    record = cold_record(*argv)
+    assert record.status == status
+    assert not PARSING_AND_HASHING_STDLIB & record.modules
 
 
 def test_records_are_slotted_named_tuples() -> None:

@@ -35,6 +35,7 @@ from pfverify.pfield import (
     is_fundamental_exact,
     value_eq,
 )
+from conftest import h3_with_unused_indeterminates
 
 
 def spec(name: str) -> pfield.PartialFieldSpec:
@@ -457,26 +458,10 @@ def test_one_minus_every_table_entry_is_fundamental() -> None:
         assert is_fundamental_exact(s, complement)
 
 
-def _h3_with_unused_indeterminates(names: list[str]) -> str:
-    text = spec("H3").source_text.replace("vars a\n", f"vars a {' '.join(names)}\n")
-    text = text.replace(
-        "gf5map a 2 3 4\n",
-        "gf5map a 2 3 4\n" + "".join(f"gf5map {v} 1 1 1\n" for v in names),
-    )
-    text = text.replace(
-        "modvar a 5\n",
-        "modvar a 5\n" + "".join(f"modvar {v} {7 + i}\n" for i, v in enumerate(names)),
-    )
-    return "\n".join(
-        line + ", 1" * len(names) if line.startswith("h2hom ") else line
-        for line in text.splitlines()
-    ) + "\n"
-
-
 def test_table_of_a_spec_with_many_indeterminates() -> None:
     # Six indeterminates, more than any builtin field has; the ones besides
     # a occur in no generator, so the table is H3's.
-    wide = pfield.parse_field_spec(_h3_with_unused_indeterminates(list("pqrst")))
+    wide = pfield.parse_field_spec(h3_with_unused_indeterminates(list("pqrst")))
     assert wide.arity == 6
     table = pfield.build_fundamental_table(wide)
     h3 = fundamental_table(spec("H3"))

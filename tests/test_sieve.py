@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +24,7 @@ from pfverify.pfield import (
     parse_field_spec,
     value_eq,
 )
-from test_cli import _h3_with_only_h2hom_i_and_wide_bounds
+from conftest import h3_with_only_h2hom_i_and_wide_bounds, run_cold
 
 
 @pytest.fixture(scope="module")
@@ -929,7 +925,7 @@ def test_the_fingerprint_index_is_the_mod_eval_index(specs, name, wide) -> None:
     # time, is the reference, down to the order of the entries.
     spec = specs[name]
     if wide:  # 8,405 points
-        spec = parse_field_spec(_h3_with_only_h2hom_i_and_wide_bounds(20))
+        spec = parse_field_spec(h3_with_only_h2hom_i_and_wide_bounds(20))
     box = sieve.candidate_box(spec)
     mm, fps, _ = sieve.resolve_mod_map(spec, box)
     want = {0: FactoredElement(0, (0,) * len(box.ranges))}
@@ -973,18 +969,7 @@ def test_equal_candidates_are_a_verification_error() -> None:
 def test_repeated_generator_spec_fails_without_hanging(tmp_path) -> None:
     path = tmp_path / "repeated.pfs"
     path.write_text(_spec_with_repeated_generator())
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pfverify.cli", "funs", "--spec", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = run_cold("-m", "pfverify.cli", "funs", "--spec", str(path), timeout=30)
     assert proc.returncode == 1
     fail = [line for line in proc.stdout.splitlines() if line.startswith("FAIL:")]
     assert len(fail) == 1
@@ -1013,7 +998,7 @@ def test_a_failing_pair_ends_the_check_before_the_survivors_are_ordered(
     # at prime 1,299,709.  The exact check fails on an early pair, and the
     # survivors are ordered only as far as that pair, with the FAIL of the
     # fully ordered table.
-    spec = parse_field_spec(_h3_with_only_h2hom_i_and_wide_bounds(40))
+    spec = parse_field_spec(h3_with_only_h2hom_i_and_wide_bounds(40))
     result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
     elements = closure._closure_elements(spec)
     pops = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 from itertools import permutations
@@ -11,31 +10,32 @@ import pytest
 
 from pfverify import symmetry
 from pfverify.exact import (
-    gauss_conj,
     ratfunc_eq,
     ratfunc_eval_mod,
     ratfunc_from_text,
-    ratfunc_var,
 )
 from pfverify.pfield import (
     VerificationError,
     associates,
     builtin_specs,
-    canonical_element,
     factor_over_generators,
     fundamental_table,
     parse_field_spec,
 )
-from test_pfield import _h3_with_unused_indeterminates
+from conftest import (
+    closes,
+    compose,
+    element_of,
+    group,
+    h3_with_unused_indeterminates,
+    identity_images,
+    reference,
+)
 
 
 @pytest.fixture(scope="module")
 def specs():
     return builtin_specs()
-
-
-def group(name: str):
-    return symmetry.find_automorphisms(builtin_specs()[name])
 
 
 def entry_for(name: str, text: str):
@@ -46,75 +46,7 @@ def entry_for(name: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Reference: every element's exact generator images, by exponent arithmetic
-
-
-def identity_images(spec) -> tuple:
-    """The identity's generator images: unit vector j for generator j."""
-    n = len(spec.generators)
-    return tuple(
-        symmetry.FactoredElement(1, tuple(int(i == j) for j in range(n)))
-        for i in range(n)
-    )
-
-
-def compose(spec, outer: tuple, inner: tuple) -> tuple:
-    """Generator images of outer . inner (apply inner first), by exponent
-    arithmetic.  The sign generator's image stays the unit vector; the
-    Gaussian generators are dependent, so the others are recanonicalized."""
-    return (inner[0],) + tuple(
-        canonical_element(spec, symmetry._map_element(outer, fe)) for fe in inner[1:]
-    )
-
-
-def _element_of(spec, table, images: tuple) -> symmetry.Automorphism:
-    """The symmetry with these generator images: where they send the
-    indeterminates, and their induced coordinate permutation."""
-    var_images = tuple(
-        table.by_element[
-            symmetry._map_element(
-                images, factor_over_generators(spec, ratfunc_var(spec.arity, v))
-            )
-        ]
-        for v in range(spec.arity)
-    )
-    return symmetry.Automorphism(var_images, symmetry._induced_perm(spec, images))
-
-
-@functools.cache
-def reference(name: str) -> dict:
-    """Each symmetry of the field, as the element its exact generator images
-    make, mapped to those images.
-
-    Built from generators as the group is: the group's elements are walked
-    in order, and each that the reference lacks is confirmed exactly by
-    confirm_candidate (the Gaussian conjugation by the same check on the
-    conjugated generators).  Every other element's images are composed
-    from the confirmed ones by exponent arithmetic, and none is taken from
-    the group."""
-    spec = builtin_specs()[name]
-    table = fundamental_table(spec)
-    identity = identity_images(spec)
-    images = {_element_of(spec, table, identity): identity}
-    gens: list[tuple] = []
-    for aut in group(name).elements:
-        if aut in images:
-            continue
-        if spec.is_gauss:
-            conj = map(gauss_conj, spec.generators[1:])
-            gen = symmetry._confirmed_images(spec, table, conj)
-        else:
-            gen = symmetry.confirm_candidate(spec, table, aut.var_images)
-        gens.append(gen)
-        queue = list(images.values())
-        for inner in queue:
-            for outer in gens:
-                product = compose(spec, outer, inner)
-                element = _element_of(spec, table, product)
-                if element not in images:
-                    images[element] = product
-                    queue.append(product)
-    return images
+# Reference: every element's exact generator images (conftest.reference)
 
 
 def test_the_reference_reaches_exactly_the_group() -> None:
@@ -161,7 +93,7 @@ def test_identity_is_in_every_group(specs) -> None:
     for name in ("H2", "H3", "H4", "H5"):
         g = group(name)
         spec = specs[name]
-        identity = _element_of(spec, g.table, identity_images(spec))
+        identity = element_of(spec, g.table, identity_images(spec))
         assert identity.coord_perm == tuple(range(spec.gf5_width))
         assert identity in g.elements
 
@@ -264,7 +196,7 @@ def test_the_homomorphism_walk_stops_at_the_first_point_that_is_no_coordinate(
 ) -> None:
     # Seven indeterminates in no generator, each at 1 in every coordinate:
     # the first point, all 2, is a homomorphism and no coordinate.
-    spec = parse_field_spec(_h3_with_unused_indeterminates(list("bcdefgh")))
+    spec = parse_field_spec(h3_with_unused_indeterminates(list("bcdefgh")))
     assert spec.arity == symmetry.MAX_GF5_ARITY
     calls = []
     evaluate = symmetry.ratfunc_eval_mod
@@ -456,15 +388,6 @@ def test_composed_coordinate_permutations_are_the_induced_ones(specs, name) -> N
 
 # ---------------------------------------------------------------------------
 # Group structure
-
-
-def closes(name: str, pairs) -> bool:
-    """Whether every composite of the pairs' exact generator images is the
-    images of a group element."""
-    spec = builtin_specs()[name]
-    ref = reference(name)
-    images = set(ref.values())
-    return all(compose(spec, ref[x], ref[y]) in images for x, y in pairs)
 
 
 def test_composition_closes_exhaustively_on_small_groups() -> None:
