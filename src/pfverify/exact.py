@@ -72,8 +72,7 @@ def poly_arity(poly: Poly) -> int | None:
 
 
 def _check_same_arity(a: Poly, b: Poly) -> None:
-    aa, ab = poly_arity(a), poly_arity(b)
-    if aa is not None and ab is not None and aa != ab:
+    if a and b and (aa := len(next(iter(a)))) != (ab := len(next(iter(b)))):
         raise ValueError(f"arity mismatch: {aa} vs {ab}")
 
 
@@ -104,11 +103,12 @@ def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
                         return dict(other)
                     return {m: v for m, coeff in other.items() if (v := c * coeff)}
         out = {}
+        get, b_terms = out.get, b.items()
         for mono_a, coeff_a in a.items():
-            for mono_b, coeff_b in b.items():
+            for mono_b, coeff_b in b_terms:
                 mono = tuple(map(add, mono_a, mono_b))
-                out[mono] = out.get(mono, 0) + coeff_a * coeff_b
-        return canonicalize(out)
+                out[mono] = get(mono, 0) + coeff_a * coeff_b
+        return {mono: coeff for mono, coeff in out.items() if coeff}
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -128,14 +128,10 @@ def poly_pow(a: Poly, n: int) -> Poly:
     return result
 
 
-def grlex_key(mono: Exponent) -> tuple[int, Exponent]:
-    """Graded lexicographic sort key (total degree first, then lexicographic)."""
-    return (sum(mono), mono)
-
-
 def sorted_terms(poly: Poly) -> list[tuple[Exponent, int]]:
-    """Terms in descending graded-lex order; the canonical serialization order."""
-    return sorted(poly.items(), key=lambda item: grlex_key(item[0]), reverse=True)
+    """Terms in descending graded-lex order (total degree, then the
+    exponents); the canonical serialization order."""
+    return sorted(poly.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
 def poly_to_str(poly: Poly, var_names: Sequence[str]) -> str:

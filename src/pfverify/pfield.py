@@ -39,7 +39,6 @@ from .exact import (
     gauss_pow,
     gauss_sub,
     gauss_to_str,
-    grlex_key,
     is_prime,
     make_const,
     next_prime,
@@ -580,18 +579,26 @@ def associates(p):
 
 
 def poly_divexact(a: Poly, g: Poly) -> Poly | None:
-    """Quotient a/g when g divides a exactly over the integers, else None."""
+    """Quotient a/g when g divides a exactly over the integers, else None.
+
+    Leading terms are lex-largest, in plain tuple order, which max()
+    compares in C.  Division is exact in any monomial order: a = q*g gives
+    lead(a) = lead(q)*lead(g), so a multiple never fails, and a quotient is
+    returned only for an empty remainder.  Each step lowers the leading
+    term, and a multiple's quotient terms have degree <= deg a - deg g, so
+    a step past that fails: at most as many steps as such monomials."""
     if not a:
         return {}
-    g_lead = max(g, key=grlex_key)
+    g_lead = max(g)
     g_lc = g[g_lead]
+    top = max(map(sum, a)) - max(map(sum, g))
     rem = dict(a)
     quot: Poly = {}
     while rem:
-        lead = max(rem, key=grlex_key)
+        lead = max(rem)
         lc = rem[lead]
         mono = tuple(map(operator.sub, lead, g_lead))
-        if any(m < 0 for m in mono) or lc % g_lc:
+        if min(mono) < 0 or sum(mono) > top or lc % g_lc:
             return None
         c = lc // g_lc
         quot[mono] = c
@@ -607,12 +614,9 @@ def poly_divexact(a: Poly, g: Poly) -> Poly | None:
 
 def _strip_generator(poly: Poly, gen: Poly) -> tuple[Poly, int]:
     count = 0
-    while True:
-        q = poly_divexact(poly, gen)
-        if q is None:
-            return poly, count
-        poly = q
-        count += 1
+    while (q := poly_divexact(poly, gen)) is not None:
+        poly, count = q, count + 1
+    return poly, count
 
 
 _GAUSS_UNIT_PHASES = {

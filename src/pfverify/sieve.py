@@ -47,6 +47,7 @@ from .exact import (
     GaussDyadic,
     ModMap,
     RatFunc,
+    gauss_conj,
     gauss_is_unit,
     gauss_is_zero,
     gauss_log2_norm,
@@ -103,19 +104,26 @@ class SieveResult(
 def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
     """One integer log2-norm row per Gaussian-unit map of the indeterminates;
     a generator that is no unit at a map is a VerificationError naming
-    both."""
-    rows = []
+    both.  The generators have integer coefficients, so g(conj P) is
+    conj g(P), of the same norm and unit verdict: a map whose point or its
+    conjugate came earlier reuses that row, and the first map to fail is
+    still the one named."""
+    rows, seen = [], {}
     for i, images in enumerate(spec.h2_hom_images):
-        row = []
-        for expr, gen in zip(spec.generator_exprs, spec.generators):
-            try:
-                row.append(gauss_log2_norm(ratfunc_eval_gauss(gen, images)))
-            except ValueError:
-                raise VerificationError(
-                    f"generator {expr!r} is not a unit at h2hom row {i + 1} "
-                    f"({', '.join(spec.h2_hom_exprs[i])})"
-                ) from None
-        rows.append(tuple(row))
+        row = seen.get(images)
+        if row is None:
+            row = []
+            for expr, gen in zip(spec.generator_exprs, spec.generators):
+                try:
+                    row.append(gauss_log2_norm(ratfunc_eval_gauss(gen, images)))
+                except ValueError:
+                    raise VerificationError(
+                        f"generator {expr!r} is not a unit at h2hom row {i + 1} "
+                        f"({', '.join(spec.h2_hom_exprs[i])})"
+                    ) from None
+            row = tuple(row)
+            seen[images] = seen[tuple(map(gauss_conj, images))] = row
+        rows.append(row)
     return rows
 
 
@@ -210,8 +218,10 @@ class _IntegerSimplex:
             pivot, old = abs(alpha[k]), self.det
             for row in chain(rows, self.inverse):
                 f = row[k] if alpha[k] > 0 else -row[k]
-                row[:] = [(pivot * v - f * a) // old for v, a in zip(row, alpha)]
-                row[k] = f
+                # With f = 0 and pivot = old the update is the identity.
+                if f or pivot != old:
+                    row[:] = [(pivot * v - f * a) // old for v, a in zip(row, alpha)]
+                    row[k] = f
             self.det = pivot
             basis[k] = entering
 
@@ -523,13 +533,47 @@ def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool
     return num == den
 
 
+class _FingerprintIndex(Mapping):
+    """Fingerprint -> factored element over the box's points, both signs,
+    and 0, in the order 0, then (r, p - r) for each point of residue r.
+    Only the residues of sign 1 are held, each mapped to its point; a
+    fingerprint fp of sign -1 is found at p - fp, and an element is built
+    only when it is read."""
+
+    __slots__ = ("_points", "_p", "_width")
+
+    def __init__(self, points: dict, p: int, width: int) -> None:
+        self._points, self._p, self._width = points, p, width
+
+    def __getitem__(self, fp: int) -> FactoredElement:
+        if fp == 0:
+            return FactoredElement(0, (0,) * self._width)
+        if (point := self._points.get(fp)) is not None:
+            return FactoredElement(1, point)
+        if (point := self._points.get(self._p - fp)) is not None:
+            return FactoredElement(-1, point)
+        raise KeyError(fp)
+
+    def __contains__(self, fp) -> bool:
+        return fp == 0 or fp in self._points or self._p - fp in self._points
+
+    def __iter__(self) -> Iterator[int]:
+        yield 0
+        for fp in self._points:
+            yield fp
+            yield self._p - fp
+
+    def __len__(self) -> int:
+        return 2 * len(self._points) + 1
+
+
 def resolve_mod_map(
     spec: PartialFieldSpec, box: CandidateBox
-) -> tuple[ModMap, dict, int]:
+) -> tuple[ModMap, Mapping, int]:
     """Modular map whose fingerprints separate all candidates and 0; its
-    fingerprint -> factored element dict over the box's points, both signs,
-    and 0; and the number of distinct fingerprints in the whole box, 0
-    included.
+    _FingerprintIndex, fingerprint -> factored element over the box's
+    points, both signs, and 0; and the number of distinct fingerprints in
+    the whole box, 0 included.
 
     The primes are tried upward from the spec prime, at most
     MAX_PRIMES_TRIED of them.  At the spec prime a vanishing generator
@@ -564,13 +608,12 @@ def resolve_mod_map(
                 {e: pow(r, e, p) for e in range(lo, hi + 1)}
                 for r, (lo, hi) in zip(mm.gen_residues, box.ranges)
             ]
-            fps = {0: FactoredElement(0, (0,) * len(box.ranges))}
-            for point in box.points:
-                fp = prod(map(getitem, powers, point)) % p
-                fps[fp] = FactoredElement(1, point)
-                fps[p - fp] = FactoredElement(-1, point)
+            points = {
+                prod(map(getitem, powers, point)) % p: point for point in box.points
+            }
+            index = _FingerprintIndex(points, p, len(box.ranges))
             # A unit's residue is never 0, so 0 is new unless the box has it.
-            return mm, fps, count + (not box.include_zero)
+            return mm, index, count + (not box.include_zero)
         if d:
             sign = 1 if mod_eval(mm, 1, d) == 1 else -1
             quotient = FactoredElement(sign, d)
@@ -621,16 +664,16 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
 
 
 class _Survivors(Mapping):
-    """The fingerprints fp of a fingerprint dict with (1 - fp) mod p also
+    """The fingerprints fp of a fingerprint index with (1 - fp) mod p also
     among them, mapped to their factored elements, in ascending fingerprint
-    order.  Nothing is filtered or sorted up front: a lookup reads the dict,
+    order.  Nothing is filtered or sorted up front: a lookup reads the index,
     and iteration pops every fingerprint off a heap and yields the
     survivors, so a check that stops at an early pair orders nothing more.
     The order is kept once an iteration has run to the end."""
 
     __slots__ = ("_fps", "_p", "_order")
 
-    def __init__(self, fps: dict, p: int) -> None:
+    def __init__(self, fps: Mapping, p: int) -> None:
         self._fps, self._p, self._order = fps, p, None
 
     def __getitem__(self, fp: int) -> FactoredElement:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from pfverify.exact import (
     gauss_eq,
     gauss_from_text,
     next_prime,
+    poly_arith,
+    poly_pow,
     ratfunc_arith,
     ratfunc_eq,
     ratfunc_from_text,
@@ -318,6 +321,78 @@ def test_factor_accepts_a_common_factor_that_is_no_generator(text, sign) -> None
 def test_factor_rejects_non_units() -> None:
     with pytest.raises(ValueError):
         factor_over_generators(spec("H3"), rf("a + 1"))
+
+
+def _grlex_divexact(a, g):
+    """The reference: a/g by the same division with leading terms taken in
+    graded-lex order (total degree, then the exponents), else None."""
+    if not a:
+        return {}
+
+    def key(mono):
+        return sum(mono), mono
+
+    g_lead = max(g, key=key)
+    rem, quot = dict(a), {}
+    while rem:
+        lead = max(rem, key=key)
+        mono = tuple(x - y for x, y in zip(lead, g_lead))
+        if min(mono) < 0 or rem[lead] % g[g_lead]:
+            return None
+        c = quot[mono] = rem[lead] // g[g_lead]
+        for e, gc in g.items():
+            k = tuple(x + y for x, y in zip(mono, e))
+            rem[k] = rem.get(k, 0) - c * gc
+            if not rem[k]:
+                del rem[k]
+    return quot
+
+
+@st.composite
+def _divisions(draw):
+    """An arity 1-3, a nonzero quotient q and divisor g, and one term to
+    add to their product."""
+    arity = draw(st.integers(1, 3))
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * arity),
+        st.integers(-4, 4).filter(bool),
+        min_size=1,
+        max_size=5,
+    )
+    q, g = draw(terms), draw(terms)
+    extra = draw(st.tuples(*[st.integers(0, 6)] * arity)), draw(st.integers(-3, 3))
+    return q, g, extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(_divisions())
+def test_lex_division_equals_the_grlex_reference(case) -> None:
+    # A product divides back to its quotient, and a perturbed product gives
+    # the reference's answer: None, or the same quotient where it happens
+    # to be a multiple still.
+    q, g, (mono, coeff) = case
+    product = poly_arith(q, g, "mul")
+    assert pfield.poly_divexact(product, g) == q == _grlex_divexact(product, g)
+    perturbed = dict(product)
+    perturbed[mono] = perturbed.get(mono, 0) + coeff
+    perturbed = {m: c for m, c in perturbed.items() if c}
+    assert pfield.poly_divexact(perturbed, g) == _grlex_divexact(perturbed, g)
+
+
+@pytest.mark.parametrize("power, multiple", [(24, False), (8, True)])
+def test_lex_division_by_a_max_degree_generator_ends_promptly(power, multiple) -> None:
+    # Led by a, lex division with no degree bound substitutes b^8 + c^8 for
+    # a throughout the 2,925 terms of (a + b + c + 1)^24: 18 s on a 2-core
+    # Xeon.  The bound on the quotient's degree stops that non-multiple at
+    # its first step, and a multiple still divides.
+    names = ("a", "b", "c")
+    g = ratfunc_from_text("a - b^8 - c^8", names).num
+    base = poly_pow(ratfunc_from_text("a + b + c + 1", names).num, power)
+    value = poly_arith(base, g, "mul") if multiple else base
+    start = time.perf_counter()
+    quotient = pfield.poly_divexact(value, g)
+    assert time.perf_counter() - start < 2.0
+    assert quotient == (base if multiple else None)
 
 
 def test_factor_of_gaussian_units() -> None:

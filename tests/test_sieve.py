@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfverify import closure, sieve
-from pfverify.exact import ModMap, gauss_from_text, mod_eval, next_prime
+from pfverify.exact import (
+    ModMap,
+    gauss_from_text,
+    gauss_log2_norm,
+    mod_eval,
+    next_prime,
+    ratfunc_eval_gauss,
+)
 from pfverify.pfield import (
     H3_SPEC_TEXT,
     FactoredElement,
@@ -67,6 +74,62 @@ def test_three_variable_norm_rows_first_and_last(specs) -> None:
     assert len(rows) == 30
     assert rows[0] == (0, 0, 1, 0, 2, 0, 1, 1, 0, 1)
     assert rows[-1] == (0, 2, 1, 1, 0, 0, 0, 1, 1, 0)
+
+
+def _rows_point_by_point(spec) -> list[tuple[int, ...]]:
+    """The reference: every generator evaluated at every h2hom point."""
+    return [
+        tuple(
+            gauss_log2_norm(ratfunc_eval_gauss(gen, images)) for gen in spec.generators
+        )
+        for images in spec.h2_hom_images
+    ]
+
+
+def _counting_evaluations(monkeypatch) -> list:
+    calls = []
+    evaluate = sieve.ratfunc_eval_gauss
+    monkeypatch.setattr(
+        sieve, "ratfunc_eval_gauss", lambda *a: calls.append(a[1]) or evaluate(*a)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name, points", [("H3", 3), ("H4", 6), ("H5", 15)])
+def test_norm_rows_are_evaluated_once_per_conjugate_pair(
+    specs, monkeypatch, name, points
+) -> None:
+    spec = specs[name]
+    calls = _counting_evaluations(monkeypatch)
+    rows = sieve.lognorm_rows(spec)
+    assert rows == _rows_point_by_point(spec)
+    assert len(calls) == points * len(spec.generators)
+
+
+def test_repeated_and_self_conjugate_points_reuse_their_rows(monkeypatch) -> None:
+    # Generators -1, a and 1 - a are units at the real points -1 and 2,
+    # which are their own conjugates; -i is the conjugate of i, and i
+    # comes again.
+    text = H3_SPEC_TEXT.replace("gen a^2 - a + 1\n", "").replace(
+        "h2hom 1 - i\nh2hom (1 - i)/2\n", "h2hom -1\nh2hom -i\nh2hom 2\nh2hom i\n"
+    )
+    spec = parse_field_spec(text)
+    assert spec.h2_hom_exprs == (("i",), ("-1",), ("-i",), ("2",), ("i",))
+    calls = _counting_evaluations(monkeypatch)
+    rows = sieve.lognorm_rows(spec)
+    assert rows == _rows_point_by_point(spec)
+    assert rows == [(0, 0, 1), (0, 0, 2), (0, 0, 1), (0, 2, 0), (0, 0, 1)]
+    assert calls[::3] == [spec.h2_hom_images[k] for k in (0, 1, 3)]
+
+
+def test_the_first_failing_point_is_named_before_its_conjugate() -> None:
+    # a^2 - 5a is no unit at -i or at its conjugate i; the row named is the
+    # first, whichever of the two comes first.
+    text = H3_SPEC_TEXT.replace("h2hom i\n", "h2hom -i\nh2hom i\n")
+    spec = parse_field_spec(text + "gen a^2 - 5*a\n")
+    named = r"^generator 'a\^2 - 5\*a' is not a unit at h2hom row 1 \(-i\)$"
+    with pytest.raises(VerificationError, match=named):
+        sieve.lognorm_rows(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +997,24 @@ def test_the_fingerprint_index_is_the_mod_eval_index(specs, name, wide) -> None:
         want[fp] = FactoredElement(1, point)
         want[mm.prime - fp] = FactoredElement(-1, point)
     assert list(fps.items()) == list(want.items())
+
+
+def test_the_index_builds_an_element_only_when_one_is_read(specs, monkeypatch) -> None:
+    spec = specs["H5"]
+    box = sieve.candidate_box(spec)
+    built = []
+    monkeypatch.setattr(
+        sieve, "FactoredElement", lambda *a: built.append(a) or FactoredElement(*a)
+    )
+    mm, index, _ = sieve.resolve_mod_map(spec, box)
+    assert len(index) == 2 * len(box.points) + 1 and not built
+    point = box.points[7]
+    fp = mod_eval(mm, -1, point)
+    assert fp in index and index[fp] == FactoredElement(-1, point)
+    assert built == [(-1, point)]
+    absent = next(r for r in range(1, mm.prime) if r not in index)
+    with pytest.raises(KeyError):
+        index[absent]
 
 
 def _spec_with_repeated_generator() -> str:
