@@ -153,9 +153,9 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             seed_exprs.append(rest)
         elif keyword == "gf5map":
             var, *coords = rest.split()
-            gf5_var_images[var] = tuple(int(c) for c in coords)
+            gf5_var_images[var] = _gf5_row(line, coords)
         elif keyword == "gf5gen":
-            gf5_gen_rows.append(tuple(int(c) for c in rest.split()))
+            gf5_gen_rows.append(_gf5_row(line, rest.split()))
         elif keyword == "h2hom":
             hom_rows.append(tuple(part.strip() for part in rest.split(",")))
         elif keyword == "prime":
@@ -193,6 +193,27 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             raise ValueError("gf5gen rows must share one width")
         width = widths.pop()
         gen_images = tuple(gf5_gen_rows)
+        # Each column must be a homomorphism: the generators at i = r in
+        # GF(5) for a root r of -1 there.  A wrong column names the first
+        # generator at which it has left both roots' images.
+        at_roots = [
+            tuple(
+                (g.re_num + g.im_num * r) * pow(2, -g.two_exp, 5) % 5
+                for g in generators
+            )
+            for r in (2, 3)
+        ]
+        for j in range(width):
+            column = tuple(row[j] for row in gen_images)
+            if column not in at_roots:
+                k = max(
+                    next(k for k, (c, v) in enumerate(zip(column, at)) if c != v)
+                    for at in at_roots
+                )
+                raise ValueError(
+                    f"gf5gen column {j + 1} is not the generators at i = 2 or "
+                    f"i = 3 mod 5: generator {gen_exprs[k]!r} maps to {column[k]}"
+                )
         var_images: tuple[tuple[int, ...], ...] = ()
         hom_images: tuple[tuple[GaussDyadic, ...], ...] = ()
         residues: tuple[int, ...] = ()
@@ -218,9 +239,6 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             )
             for gen in generators
         )
-        for expr, row in zip(gen_exprs, gen_images):
-            if not all(row):
-                raise ValueError(f"generator {expr!r} has no unit image in GF(5)")
         # Factoring strips each generator's numerator until a division
         # fails, which a division by 1 or -1 never does.
         units = (make_const(arity, 1), make_const(arity, -1))
@@ -240,6 +258,9 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             raise ValueError("need one modvar row per indeterminate")
         residues = tuple(var_residues[v] for v in var_names)
 
+    for expr, row in zip(gen_exprs, gen_images):
+        if not all(row):
+            raise ValueError(f"generator {expr!r} has no unit image in GF(5)")
     for slot, lo, hi in extra_bounds:
         if not 1 <= slot < len(gen_exprs) or lo > hi:
             raise ValueError(f"bad extrabound line: {slot} {lo} {hi}")
@@ -263,6 +284,15 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         include_zero_candidate=include_zero,
         source_text=text,
     )
+
+
+def _gf5_row(line: str, coords) -> tuple[int, ...]:
+    """The GF(5) entries of a gf5map or gf5gen line, each in 0..4."""
+    row = tuple(int(c) for c in coords)
+    for c in row:
+        if not 0 <= c <= 4:
+            raise ValueError(f"GF(5) entry {c} is not in 0..4: {line!r}")
+    return row
 
 
 def reprime(spec: PartialFieldSpec, start: int | None) -> PartialFieldSpec:

@@ -23,11 +23,15 @@ dependent (a FAIL naming two equal candidates), anything else an unlucky
 prime (advance to the next one, up to a fixed count).  The search starts
 at the spec prime: a generator residue that vanishes there is a FAIL
 naming the generator, and a later prime where one vanishes is skipped.
-The sieve itself fingerprints only the points, both signs, and zero: a
-candidate survives iff the fingerprint of 1 - candidate is also among
-them.  Survivors are cross-checked exactly, once per pair {s, 1 - s}, in
-ascending fingerprint order; the sieve sorts nothing up front, so a check
-that fails on an early pair leaves the rest of the survivors unordered.
+The sieve itself fingerprints only the points, both signs, and zero,
+holding one plain dict from each point's residue (sign 1) to the point:
+the fingerprint of sign -1 is p minus that residue.  A candidate survives
+iff the fingerprint of 1 - candidate is also among them.  Survivors are
+cross-checked exactly, once per pair {s, 1 - s}, in ascending fingerprint
+order; the sieve sorts nothing up front, so a check that fails on an early
+pair leaves the rest of the survivors unordered.  Then the two routes must
+have found the same factored elements, and a FAIL names the first survivor
+the closure lacks, or else the first closure element the sieve lacks.
 
 The `bounds` command's payload and text are built here.
 """
@@ -89,8 +93,9 @@ class SieveResult(
     ascending fingerprint order.  candidate_count and distinct_count (0
     included) count the whole box, not only the fingerprinted points.
 
-    mod_map: ModMap | None.  fingerprints: Mapping (a dict for the
-    Gaussian field, a _Survivors otherwise).
+    mod_map: ModMap | None.  fingerprints: Mapping (a dict from exact
+    values for the Gaussian field, otherwise a _Survivors over the residue
+    dict of resolve_mod_map).
     distinct_count, candidate_count: int.
     """
 
@@ -533,47 +538,11 @@ def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool
     return num == den
 
 
-class _FingerprintIndex(Mapping):
-    """Fingerprint -> factored element over the box's points, both signs,
-    and 0, in the order 0, then (r, p - r) for each point of residue r.
-    Only the residues of sign 1 are held, each mapped to its point; a
-    fingerprint fp of sign -1 is found at p - fp, and an element is built
-    only when it is read."""
-
-    __slots__ = ("_points", "_p", "_width")
-
-    def __init__(self, points: dict, p: int, width: int) -> None:
-        self._points, self._p, self._width = points, p, width
-
-    def __getitem__(self, fp: int) -> FactoredElement:
-        if fp == 0:
-            return FactoredElement(0, (0,) * self._width)
-        if (point := self._points.get(fp)) is not None:
-            return FactoredElement(1, point)
-        if (point := self._points.get(self._p - fp)) is not None:
-            return FactoredElement(-1, point)
-        raise KeyError(fp)
-
-    def __contains__(self, fp) -> bool:
-        return fp == 0 or fp in self._points or self._p - fp in self._points
-
-    def __iter__(self) -> Iterator[int]:
-        yield 0
-        for fp in self._points:
-            yield fp
-            yield self._p - fp
-
-    def __len__(self) -> int:
-        return 2 * len(self._points) + 1
-
-
-def resolve_mod_map(
-    spec: PartialFieldSpec, box: CandidateBox
-) -> tuple[ModMap, Mapping, int]:
-    """Modular map whose fingerprints separate all candidates and 0; its
-    _FingerprintIndex, fingerprint -> factored element over the box's
-    points, both signs, and 0; and the number of distinct fingerprints in
-    the whole box, 0 included.
+def resolve_mod_map(spec: PartialFieldSpec, box: CandidateBox) -> tuple[ModMap, dict]:
+    """Modular map whose fingerprints separate all candidates and 0, and
+    the residue of each of the box's points under it, sign 1, mapped to
+    the point.  The fingerprints are those residues r, their negatives
+    p - r (sign -1), and 0.
 
     The primes are tried upward from the spec prime, at most
     MAX_PRIMES_TRIED of them.  At the spec prime a vanishing generator
@@ -608,12 +577,9 @@ def resolve_mod_map(
                 {e: pow(r, e, p) for e in range(lo, hi + 1)}
                 for r, (lo, hi) in zip(mm.gen_residues, box.ranges)
             ]
-            points = {
+            return mm, {
                 prod(map(getitem, powers, point)) % p: point for point in box.points
             }
-            index = _FingerprintIndex(points, p, len(box.ranges))
-            # A unit's residue is never 0, so 0 is new unless the box has it.
-            return mm, index, count + (not box.include_zero)
         if d:
             sign = 1 if mod_eval(mm, 1, d) == 1 else -1
             quotient = FactoredElement(sign, d)
@@ -664,33 +630,45 @@ def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
 
 
 class _Survivors(Mapping):
-    """The fingerprints fp of a fingerprint index with (1 - fp) mod p also
-    among them, mapped to their factored elements, in ascending fingerprint
-    order.  Nothing is filtered or sorted up front: a lookup reads the index,
-    and iteration pops every fingerprint off a heap and yields the
-    survivors, so a check that stops at an early pair orders nothing more.
-    The order is kept once an iteration has run to the end."""
+    """The fingerprints fp over the box's points, both signs, and 0 with
+    (1 - fp) mod p also among them, mapped to their factored elements, in
+    ascending fingerprint order.  Only the residues of sign 1 are held,
+    each mapped to its point; a fingerprint fp of sign -1 is found at
+    p - fp.  Nothing is filtered or sorted up front, and an element is
+    built only when it is read: iteration pops every fingerprint off a
+    heap and yields the survivors, so a check that stops at an early pair
+    orders nothing more.  The order is kept once an iteration has run to
+    the end."""
 
-    __slots__ = ("_fps", "_p", "_order")
+    __slots__ = ("_residues", "_p", "_width", "_order")
 
-    def __init__(self, fps: Mapping, p: int) -> None:
-        self._fps, self._p, self._order = fps, p, None
+    def __init__(self, residues: dict, p: int, width: int) -> None:
+        self._residues, self._p, self._width = residues, p, width
+        self._order = None
+
+    def _is_fingerprint(self, fp: int) -> bool:
+        """Whether fp is 0, a residue r, or p - r."""
+        return fp == 0 or fp in self._residues or self._p - fp in self._residues
 
     def __getitem__(self, fp: int) -> FactoredElement:
-        if (1 - fp) % self._p not in self._fps:
+        if not (self._is_fingerprint(fp) and self._is_fingerprint((1 - fp) % self._p)):
             raise KeyError(fp)
-        return self._fps[fp]
+        if fp == 0:
+            return FactoredElement(0, (0,) * self._width)
+        if (point := self._residues.get(fp)) is not None:
+            return FactoredElement(1, point)
+        return FactoredElement(-1, self._residues[self._p - fp])
 
     def __iter__(self) -> Iterator[int]:
         if self._order is not None:
             yield from self._order
             return
-        fps, p, order = self._fps, self._p, []
-        heap = list(fps)
+        p, order = self._p, []
+        heap = [0, *self._residues, *(p - r for r in self._residues)]
         heapify(heap)
         while heap:
             fp = heappop(heap)
-            if (1 - fp) % p in fps:
+            if self._is_fingerprint((1 - fp) % p):
                 order.append(fp)
                 yield fp
         self._order = order
@@ -704,12 +682,16 @@ class _Survivors(Mapping):
 
 def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
     """Keep the points c, of both signs, and 0, with both c and 1 - c among
-    their fingerprints.  The prime and the fingerprints come from
-    resolve_mod_map; the survivors are ordered only as they are read."""
+    their fingerprints.  The prime and the residues come from
+    resolve_mod_map; the survivors are ordered only as they are read.  The
+    fingerprints separate the whole box, and a unit's residue is never 0,
+    so 0 is a new fingerprint unless the box has it."""
     if spec.is_gauss:
         return _gauss_sieve(spec, enumerate_candidates(box))
-    mm, fps, distinct = resolve_mod_map(spec, box)
-    return SieveResult(mm, _Survivors(fps, mm.prime), distinct, candidate_count(box))
+    mm, residues = resolve_mod_map(spec, box)
+    count = candidate_count(box)
+    survivors = _Survivors(residues, mm.prime, len(box.ranges))
+    return SieveResult(mm, survivors, count + (not box.include_zero), count)
 
 
 # ---------------------------------------------------------------------------
@@ -725,24 +707,21 @@ def verify_survivors(
 
     Checks that every survivor s has a partner, the survivor at the
     fingerprint of 1 - s, and that 1 - s is exactly that partner, once per
-    pair {s, t}, since 1 - s = t iff 1 - t = s; then that the counts match,
-    and that fingerprints put the two routes in elementwise bijection.  A
-    survivor that fails either check comes first, so a prime too small to
-    separate the fundamentals is named as the cause.  Raises
-    VerificationError otherwise, naming the fingerprint prime.  The pairs
-    are read in the survivors' ascending order, and the survivors are
-    counted only once every pair has passed.
+    pair {s, t}, since 1 - s = t iff 1 - t = s; then that the two routes
+    found the same factored elements.  The pairs come first, so a prime too
+    small to separate the fundamentals is named as the cause.  Raises
+    VerificationError otherwise, naming the fingerprint prime and the
+    first survivor, in ascending fingerprint order, that the closure lacks,
+    or failing that the first closure element that the sieve lacks.
     """
     mm = result.mod_map
     at = "" if mm is None else f" at fingerprint prime {mm.prime}"
+    survivors = result.fingerprints
     checked = set()  # fingerprints of partners already checked exactly
-    for fp, fe in result.fingerprints.items():
-        if isinstance(fp, GaussDyadic):
-            partner_fp = gauss_sub(GAUSS_ONE, fp)
-        else:
-            assert mm is not None
-            partner_fp = (1 - fp) % mm.prime
-        partner = result.fingerprints.get(partner_fp)
+    for fp, fe in survivors.items():
+        # A Gaussian value is its own fingerprint.
+        partner_fp = gauss_sub(GAUSS_ONE, fp) if mm is None else (1 - fp) % mm.prime
+        partner = survivors.get(partner_fp)
         if partner is None:
             raise VerificationError(
                 f"{spec.name}: survivor {fe} has no partner for 1 - s{at}"
@@ -756,24 +735,18 @@ def verify_survivors(
                 f"{spec.name}: 1 - s is not exactly the paired survivor "
                 f"for {fe}{at}"
             )
-    if len(result.fingerprints) != len(elements):
+    closed = {fe for fe, _ in elements}
+    sieved = set(survivors.values())
+    if sieved != closed:
+        for fe in survivors.values():
+            if fe not in closed:
+                raise VerificationError(
+                    f"{spec.name}: survivor {fe} is not in the closure{at}"
+                )
+        missing = next(fe for fe, _ in elements if fe not in sieved)
         raise VerificationError(
-            f"{spec.name}: sieve found {len(result.fingerprints)} survivors, "
-            f"closure found {len(elements)}{at}"
+            f"{spec.name}: closure element {missing} is missing from the sieve{at}"
         )
-    for fe, value in elements:
-        # A Gaussian value is its own fingerprint.
-        fp = value if mm is None else mod_eval(mm, fe.sign, fe.exps)
-        survivor = result.fingerprints.get(fp)
-        if survivor is None:
-            raise VerificationError(
-                f"{spec.name}: closure element {fe} missing from the sieve{at}"
-            )
-        if survivor != fe:
-            raise VerificationError(
-                f"{spec.name}: routes disagree at fingerprint {fp}: "
-                f"{survivor} vs {fe}{at}"
-            )
 
 
 # ---------------------------------------------------------------------------

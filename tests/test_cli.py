@@ -511,6 +511,117 @@ def test_non_unit_seed_fails_promptly_and_names_the_seed(tmp_path, seed) -> None
     )
 
 
+def _run_on_spec_text(capsys, tmp_path, text: str, *args: str):
+    """`pfverify <args> --spec` on the text, in this process."""
+    path = tmp_path / "field.pfs"
+    path.write_text(text)
+    return run_cli(capsys, *args, "--spec", str(path))
+
+
+_H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Each of the four GF(5) cases once passed `funs`, printing the bad
+        # image or failing later in `auts`.
+        (
+            _H2.replace("gf5gen 4 4\n", "gf5gen 9 4\n"),
+            "GF(5) entry 9 is not in 0..4: 'gf5gen 9 4'",
+        ),
+        (
+            _H2.replace("gf5gen 4 4\n", "gf5gen 0 4\n"),
+            "gf5gen column 1 is not the generators at i = 2 or i = 3 mod 5: "
+            "generator '-1' maps to 0",
+        ),
+        (
+            # Column 2 follows i = 3 up to the generator i, then i = 2.
+            _H2.replace("gf5gen 4 3\n", "gf5gen 4 4\n"),
+            "gf5gen column 2 is not the generators at i = 2 or i = 3 mod 5: "
+            "generator '1 - i' maps to 4",
+        ),
+        (
+            _H3.replace("gf5map a 2 3 4\n", "gf5map a 7 3 4\n"),
+            "GF(5) entry 7 is not in 0..4: 'gf5map a 7 3 4'",
+        ),
+        (_H3 + "extrabound 0 -1 1\n", "bad extrabound line: 0 -1 1"),
+        (_H3 + "gen 1/a\n", "generator '1/a' has numerator 1 or -1"),
+        (
+            _H3.replace("gf5map a 2 3 4\n", "gf5map a 0 3 4\n"),
+            "generator 'a' has no unit image in GF(5)",
+        ),
+        (
+            _H4.replace("gf5map b 2 3 4 3\n", "gf5map b 2 3 4\n"),
+            "gf5map rows must share one width",
+        ),
+        (_H2 + "prime 7\n", "h2hom/prime/modvar lines need indeterminates"),
+        ("field X\nk 3\n", "field description needs generators and seeds"),
+    ],
+    ids=[
+        "H2-gf5gen-9", "H2-gf5gen-0", "H2-gf5gen-mixed", "H3-gf5map-7",
+        "extrabound", "numerator-one", "no-unit-image", "gf5map-width",
+        "gaussian-prime", "no-generators",
+    ],
+)
+def test_a_spec_the_parser_rejects_is_a_usage_error_naming_why(
+    capsys, tmp_path, text, message
+) -> None:
+    code, out, err = _run_on_spec_text(capsys, tmp_path, text, "funs")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot parse spec file: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, fail",
+    [
+        (
+            # Without this seed the closure misses six fundamentals.
+            _H3.replace("seed a^2/(a - 1)\n", ""),
+            "H3: survivor FactoredElement(sign=1, exps=(0, 2, 0, -1)) is not in "
+            "the closure at fingerprint prime 1299709",
+        ),
+        (
+            # The bound cuts fundamentals out of the box, not out of the closure.
+            _H4 + "extrabound 1 0 1\n",
+            "H4: closure element FactoredElement(sign=1, exps=(0, -1, 1, 2, 0, -1, "
+            "0)) is missing from the sieve at fingerprint prime 179424673",
+        ),
+    ],
+    ids=["H3-survivor", "H4-closure-element"],
+)
+def test_a_route_disagreement_names_the_element(capsys, tmp_path, text, fail) -> None:
+    code, out, _ = _run_on_spec_text(capsys, tmp_path, text, "funs")
+    assert code == 1
+    assert out == f"FAIL: {fail}\n"
+
+
+def test_report_fails_the_stage_whose_count_is_wrong(capsys, tmp_path) -> None:
+    # H3's table under k 4 builds, but holds 26 fundamentals, not H4's 56.
+    text = _H3.replace("k 3\n", "k 4\n")
+    code, out, _ = _run_on_spec_text(capsys, tmp_path, text, "report")
+    assert code == 1
+    assert out == (
+        "H3 verification report\n"
+        "  fundamentals: 26\n"
+        "  automorphisms: 0\n"
+        "  u25_pairs: 0\n"
+        "  domain: 0\n"
+        "  homs: inequivalence width-3, lifting width-4\n"
+        "  FAIL at fundamentals: expected 56 fundamentals, found 26\n"
+        "  verdict: FAIL\n"
+    )
+    code, out, _ = _run_on_spec_text(
+        capsys, tmp_path, text, "report", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "FAIL"
+    assert payload["violations"] == [
+        {"stage": "fundamentals", "detail": "expected 56 fundamentals, found 26"}
+    ]
+
+
 def _h4_with_only_the_first_h2hom() -> str:
     lines = builtin_specs()["H4"].source_text.splitlines(keepends=True)
     homs = [i for i, line in enumerate(lines) if line.startswith("h2hom ")]

@@ -584,9 +584,10 @@ SMALL_BOX = sieve.CandidateBox(
 def test_prime_advances_until_fingerprints_separate(specs) -> None:
     # The sieve must walk past 59 to a larger prime on its own.
     assert sieve.candidate_count(SMALL_BOX) == 54
-    mm, _, distinct = sieve.resolve_mod_map(_at_prime(specs["H3"], 59), SMALL_BOX)
+    spec = _at_prime(specs["H3"], 59)
+    mm, _ = sieve.resolve_mod_map(spec, SMALL_BOX)
     assert mm.prime > 59
-    assert distinct == 55
+    assert sieve.fingerprint_sieve(spec, SMALL_BOX).distinct_count == 55
 
 
 def _h3_vanishing_at_61(prime: int):
@@ -607,9 +608,9 @@ def test_a_later_prime_where_a_generator_vanishes_is_skipped(monkeypatch) -> Non
     with pytest.raises(ValueError, match="vanishes mod 61"):
         spec.mod_map(61)
     # 59 has a collision, so the search reaches 61, skips it and goes on.
-    mm, _, distinct = sieve.resolve_mod_map(spec, SMALL_BOX)
+    mm, _ = sieve.resolve_mod_map(spec, SMALL_BOX)
     assert mm.prime > 61
-    assert distinct == 55
+    assert sieve.fingerprint_sieve(spec, SMALL_BOX).distinct_count == 55
     # The skipped prime counts against the cap: 59 and 61 are two tries.
     monkeypatch.setattr(sieve, "MAX_PRIMES_TRIED", 2)
     with pytest.raises(VerificationError, match="among 2 from 59 "):
@@ -624,20 +625,27 @@ def test_table_fingerprints_equal_mod_eval(specs, name, prime_start) -> None:
         spec = _at_prime(spec, prime_start)
     box = sieve.candidate_box(spec)
     candidates = sieve.enumerate_candidates(box)
-    mm, index, distinct = sieve.resolve_mod_map(spec, box)
+    mm, residues = sieve.resolve_mod_map(spec, box)
     assert mm.prime >= spec.mod_prime
     fps = box_fingerprints(mm, box)
     assert len(fps) == len(candidates)
     for fp, fe in zip(fps, candidates):
         assert fp == mod_eval(mm, fe.sign, fe.exps)
-    assert distinct == len(set(fps) | {0})
-    # The index holds the points, both signs, and 0, each at its own
-    # fingerprint, which is one of the box's or 0.
-    assert len(index) == 2 * len(box.points) + 1
-    assert {fe.exps for fe in index.values() if fe.sign} == set(box.points)
-    for fp, fe in index.items():
+    result = sieve.fingerprint_sieve(spec, box)
+    assert result.distinct_count == len(set(fps) | {0})
+    # The residues hold each point once, at its own sign-1 fingerprint; with
+    # their negatives and 0 they are distinct fingerprints of the box or 0.
+    assert len(residues) == len(box.points)
+    assert set(residues.values()) == set(box.points)
+    for r, point in residues.items():
+        assert r == mod_eval(mm, 1, point)
+        assert mm.prime - r == mod_eval(mm, -1, point)
+    everything = {0, *residues, *(mm.prime - r for r in residues)}
+    assert len(everything) == 2 * len(box.points) + 1
+    assert everything <= set(fps) | {0}
+    # Each survivor is read at its own fingerprint.
+    for fp, fe in result.fingerprints.items():
         assert fp == mod_eval(mm, fe.sign, fe.exps)
-    assert set(index) <= set(fps) | {0}
 
 
 @pytest.mark.parametrize(
@@ -990,13 +998,26 @@ def test_the_fingerprint_index_is_the_mod_eval_index(specs, name, wide) -> None:
     if wide:  # 8,405 points
         spec = parse_field_spec(h3_with_only_h2hom_i_and_wide_bounds(20))
     box = sieve.candidate_box(spec)
-    mm, fps, _ = sieve.resolve_mod_map(spec, box)
-    want = {0: FactoredElement(0, (0,) * len(box.ranges))}
-    for point in box.points:
-        fp = mod_eval(mm, 1, point)
-        want[fp] = FactoredElement(1, point)
-        want[mm.prime - fp] = FactoredElement(-1, point)
-    assert list(fps.items()) == list(want.items())
+    mm, residues = sieve.resolve_mod_map(spec, box)
+    want = {mod_eval(mm, 1, point): point for point in box.points}
+    assert list(residues.items()) == list(want.items())
+    # The survivors read a fingerprint of either sign, or 0, as mod_eval
+    # does, and only where 1 - fp is a fingerprint too.
+    p = mm.prime
+    fps = _fingerprints(want, p, len(box.ranges))
+    survivors = sieve._Survivors(residues, p, len(box.ranges))
+    for fp, fe in fps.items():
+        assert survivors.get(fp) == (fe if (1 - fp) % p in fps else None)
+
+
+def _fingerprints(residues, p: int, width: int) -> dict:
+    """Fingerprint -> factored element over the points of the residue dict,
+    both signs, and 0, in the order 0, then (r, p - r) per residue r."""
+    fps = {0: FactoredElement(0, (0,) * width)}
+    for r, point in residues.items():
+        fps[r] = FactoredElement(1, point)
+        fps[p - r] = FactoredElement(-1, point)
+    return fps
 
 
 def test_the_index_builds_an_element_only_when_one_is_read(specs, monkeypatch) -> None:
@@ -1006,15 +1027,24 @@ def test_the_index_builds_an_element_only_when_one_is_read(specs, monkeypatch) -
     monkeypatch.setattr(
         sieve, "FactoredElement", lambda *a: built.append(a) or FactoredElement(*a)
     )
-    mm, index, _ = sieve.resolve_mod_map(spec, box)
-    assert len(index) == 2 * len(box.points) + 1 and not built
-    point = box.points[7]
-    fp = mod_eval(mm, -1, point)
-    assert fp in index and index[fp] == FactoredElement(-1, point)
+    mm, residues = sieve.resolve_mod_map(spec, box)
+    p = mm.prime
+    survivors = sieve._Survivors(residues, p, len(box.ranges))
+    assert len(survivors) == 92 and not built
+    fp = next(fp for fp in survivors if p - fp in residues)  # a survivor of sign -1
+    point = residues[p - fp]
+    assert fp == mod_eval(mm, -1, point)
+    assert survivors[fp] == FactoredElement(-1, point)
     assert built == [(-1, point)]
-    absent = next(r for r in range(1, mm.prime) if r not in index)
-    with pytest.raises(KeyError):
-        index[absent]
+    # Neither a fingerprint that does not survive nor a residue that is no
+    # fingerprint builds an element.
+    order = set(survivors)
+    dropped = next(r for r in residues if r not in order)
+    absent = next(r for r in range(1, p) if r not in residues and p - r not in residues)
+    for fp in (dropped, absent):
+        with pytest.raises(KeyError):
+            survivors[fp]
+    assert built == [(-1, point)]
 
 
 def _spec_with_repeated_generator() -> str:
@@ -1103,8 +1133,9 @@ def test_survivor_lookups_and_order_match_a_sorted_dict(specs) -> None:
     for name in ("H3", "H4", "H5"):
         spec = specs[name]
         box = sieve.candidate_box(spec)
-        mm, fps, _ = sieve.resolve_mod_map(spec, box)
+        mm, residues = sieve.resolve_mod_map(spec, box)
         p = mm.prime
+        fps = _fingerprints(residues, p, len(box.ranges))
         want = {fp: fps[fp] for fp in sorted(fp for fp in fps if (1 - fp) % p in fps)}
         survivors = sieve.fingerprint_sieve(spec, box).fingerprints
         assert all(survivors.get(fp) == want.get(fp) for fp in fps)
