@@ -4,17 +4,19 @@ A rank-2 representation of the five-point uniform matroid U_{2,5} is
 normalized to a pair (p, q) of distinct nonzero-one fundamentals whose
 ratio is again fundamental.  Over GF(5)^m the same data is a pair of
 width-m tuples assembled from the six single-coordinate representations.
-The lifting table, a dict from domain tuple to table entry, inverts the
-coordinate homomorphism on the fundamentals; the local-lift check confirms
-that every tuple pair lifts to a field pair whose ratio is fundamental.  The field report bundles
-every check for one field into a machine-readable verdict.  The payload
-and text builders of the `u25`, `lift-check` and `report` commands are
-here too, beside the computations they report.
+The lifting table, a dict from domain tuple to table entry built once per
+spec, inverts the coordinate homomorphism on the fundamentals; the
+local-lift check confirms that every tuple pair lifts to a field pair whose
+ratio is fundamental.  The field report runs every check for one field and
+names the stage that fails.  The payload and text builders of the `u25`,
+`lift-check` and `report` commands are here too, beside the computations
+they report.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from functools import cache
+from itertools import combinations, permutations, product
 from operator import sub
 
 from .pfield import (
@@ -81,12 +83,7 @@ def gf5_u25_tuples(width: int) -> list[tuple[GFTuple, GFTuple]]:
     transposed into one p-tuple and one q-tuple each."""
     if not 2 <= width <= 5:
         raise ValueError(f"tuple width must be 2..5, not {width}")
-    out = []
-    for sel in permutations(GF5_REPRESENTATIONS, width):
-        p = tuple(r[0] for r in sel)
-        q = tuple(r[1] for r in sel)
-        out.append((p, q))
-    return out
+    return [tuple(zip(*sel)) for sel in permutations(GF5_REPRESENTATIONS, width)]
 
 
 def check_inequivalence(
@@ -94,13 +91,12 @@ def check_inequivalence(
 ) -> list[tuple[int, int, int]]:
     """(pair index, i, j) for coordinate pairs where both projections
     coincide; empty means all projections are pairwise inequivalent."""
-    violations = []
-    for idx, (p, q) in enumerate(tuple_pairs):
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] == p[j] and q[i] == q[j]:
-                    violations.append((idx, i, j))
-    return violations
+    return [
+        (idx, i, j)
+        for idx, (p, q) in enumerate(tuple_pairs)
+        for i, j in combinations(range(len(p)), 2)
+        if p[i] == p[j] and q[i] == q[j]
+    ]
 
 
 def build_domain(m: int) -> frozenset[GFTuple]:
@@ -122,9 +118,10 @@ def domain_key(spec: PartialFieldSpec, entry: TableEntry) -> GFTuple:
     return entry.gf5_image[: spec.report_index]
 
 
+@cache
 def build_lifting_fn(spec: PartialFieldSpec) -> dict[GFTuple, TableEntry]:
-    """Invert the coordinate hom on the fundamentals, verifying that it
-    maps them bijectively onto the cross-ratio domain."""
+    """The inverse of the coordinate hom on the fundamentals, checked to be
+    a bijection onto the cross-ratio domain, built once per spec object."""
     mapping: dict[GFTuple, TableEntry] = {}
     for entry in fundamental_table(spec).entries:
         key = domain_key(spec, entry)
@@ -141,15 +138,12 @@ def build_lifting_fn(spec: PartialFieldSpec) -> dict[GFTuple, TableEntry]:
 
 
 def local_lift_check(
-    spec: PartialFieldSpec,
-    tuple_pairs: list[tuple[GFTuple, GFTuple]],
-    fn: dict[GFTuple, TableEntry] | None = None,
+    spec: PartialFieldSpec, tuple_pairs: list[tuple[GFTuple, GFTuple]]
 ) -> list[tuple[int, GFTuple, GFTuple]]:
     """Lift every tuple pair and report those whose ratio fails to be
     fundamental.  A tuple outside the domain is a usage error, not a lift
     failure, and raises instead."""
-    if fn is None:
-        fn = build_lifting_fn(spec)
+    fn = build_lifting_fn(spec)
     table = fundamental_table(spec)
     violations = []
     for idx, (p, q) in enumerate(tuple_pairs):
@@ -163,6 +157,14 @@ def local_lift_check(
     return violations
 
 
+def _spec_tuples(spec: PartialFieldSpec) -> list[tuple[GFTuple, GFTuple]]:
+    """The tuple pairs of width k; a k outside 2..5 fails naming the field."""
+    try:
+        return gf5_u25_tuples(spec.report_index)
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Field reports
 
@@ -174,111 +176,79 @@ EXPECTED_COUNTS = {
 }
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, detail: str) -> None:
-        super().__init__(f"{stage}: {detail}")
-        self.stage = stage
-        self.detail = detail
-
-
-def _require(ok: bool, stage: str, detail: str) -> None:
+def _require(ok: bool, detail: str) -> None:
     if not ok:
-        raise _StageFailure(stage, detail)
-
-
-def _run_stages(spec: PartialFieldSpec, counts: dict) -> None:
-    k = spec.report_index
-    expect_funs, expect_auts, expect_pairs, expect_domain = EXPECTED_COUNTS[k]
-
-    try:
-        table = fundamental_table(spec)
-    except (VerificationError, ValueError) as exc:
-        raise _StageFailure("fundamentals", str(exc)) from exc
-    counts["fundamentals"] = len(table.entries)
-    _require(
-        len(table.entries) == expect_funs,
-        "fundamentals",
-        f"expected {expect_funs} fundamentals, found {len(table.entries)}",
-    )
-
-    try:
-        group = find_automorphisms(spec)
-    except (VerificationError, ValueError) as exc:
-        raise _StageFailure("automorphisms", str(exc)) from exc
-    counts["automorphisms"] = len(group.elements)
-    _require(
-        len(group.elements) == expect_auts,
-        "automorphisms",
-        f"expected {expect_auts} symmetries, found {len(group.elements)}",
-    )
-    perms = {aut.coord_perm for aut in group.elements}
-    _require(
-        perms == set(permutations(range(spec.gf5_width))),
-        "automorphisms",
-        "induced permutations do not realize the full symmetric group",
-    )
-
-    pairs = enumerate_u25(spec)
-    counts["u25_pairs"] = len(pairs)
-    _require(
-        len(pairs) == expect_pairs,
-        "u25_pairs",
-        f"expected {expect_pairs} field-side pairs, found {len(pairs)}",
-    )
-    tuples = gf5_u25_tuples(k)
-    _require(
-        len(tuples) == expect_pairs,
-        "u25_pairs",
-        f"expected {expect_pairs} tuple-side pairs, found {len(tuples)}",
-    )
-
-    bad = check_inequivalence([(p.gf5_image, q.gf5_image) for p, q in pairs])
-    _require(
-        not bad,
-        "inequivalence",
-        f"projections coincide at (pair, i, j) = {bad[0]}" if bad else "",
-    )
-
-    domain = build_domain(k)
-    counts["domain"] = len(domain)
-    _require(
-        len(domain) == expect_domain,
-        "domain",
-        f"expected {expect_domain} domain members, found {len(domain)}",
-    )
-
-    try:
-        fn = build_lifting_fn(spec)
-    except VerificationError as exc:
-        raise _StageFailure("lifting", str(exc)) from exc
-
-    # Equal counts + bijective fn + fundamental ratios: the lifts are the field pairs.
-    try:
-        bad_lifts = local_lift_check(spec, tuples, fn)
-    except VerificationError as exc:
-        raise _StageFailure("local_lift", str(exc)) from exc
-    _require(
-        not bad_lifts,
-        "local_lift",
-        f"ratio not fundamental at {bad_lifts[0]}" if bad_lifts else "",
-    )
+        raise VerificationError(detail)
 
 
 def theorem1_report(spec: PartialFieldSpec) -> dict:
     """Run every verification stage for one field in this process and
-    bundle the counts and the first failing stage into one verdict.
+    bundle the counts and the first stage to raise VerificationError or
+    ValueError into one verdict.
 
     Defined for k = spec.report_index in 2..5; the k=1 and k=6 cases need
     no computation and are out of scope."""
     k = spec.report_index
     if k not in EXPECTED_COUNTS:
-        raise ValueError(f"report is defined for k in 2..5, not k={k}")
+        raise ValueError(f"{spec.name}: report is defined for k in 2..5, not k={k}")
+    expect_funs, expect_auts, expect_pairs, expect_domain = EXPECTED_COUNTS[k]
     counts = {"fundamentals": 0, "automorphisms": 0, "u25_pairs": 0, "domain": 0}
     violations: list[dict] = []
     try:
-        _run_stages(spec, counts)
-    except _StageFailure as failure:
-        violations.append({"stage": failure.stage, "detail": failure.detail})
+        stage = "fundamentals"
+        table = fundamental_table(spec)
+        counts[stage] = len(table.entries)
+        _require(
+            len(table.entries) == expect_funs,
+            f"expected {expect_funs} fundamentals, found {len(table.entries)}",
+        )
+        stage = "automorphisms"
+        group = find_automorphisms(spec)
+        counts[stage] = len(group.elements)
+        _require(
+            len(group.elements) == expect_auts,
+            f"expected {expect_auts} symmetries, found {len(group.elements)}",
+        )
+        perms = {aut.coord_perm for aut in group.elements}
+        _require(
+            perms == set(permutations(range(spec.gf5_width))),
+            "induced permutations do not realize the full symmetric group",
+        )
+        stage = "u25_pairs"
+        pairs = enumerate_u25(spec)
+        counts[stage] = len(pairs)
+        _require(
+            len(pairs) == expect_pairs,
+            f"expected {expect_pairs} field-side pairs, found {len(pairs)}",
+        )
+        tuples = gf5_u25_tuples(k)
+        _require(
+            len(tuples) == expect_pairs,
+            f"expected {expect_pairs} tuple-side pairs, found {len(tuples)}",
+        )
+        stage = "inequivalence"
+        bad = check_inequivalence([(p.gf5_image, q.gf5_image) for p, q in pairs])
+        _require(
+            not bad, f"projections coincide at (pair, i, j) = {bad[0]}" if bad else ""
+        )
+        stage = "domain"
+        domain = build_domain(k)
+        counts[stage] = len(domain)
+        _require(
+            len(domain) == expect_domain,
+            f"expected {expect_domain} domain members, found {len(domain)}",
+        )
+        stage = "lifting"
+        build_lifting_fn(spec)
+        # Equal counts, a bijective table, fundamental ratios: lifts = field pairs.
+        stage = "local_lift"
+        bad_lifts = local_lift_check(spec, tuples)
+        _require(
+            not bad_lifts,
+            f"ratio not fundamental at {bad_lifts[0]}" if bad_lifts else "",
+        )
+    except (VerificationError, ValueError) as exc:
+        violations.append({"stage": stage, "detail": str(exc)})
     return {
         "field": spec.name,
         "counts": counts,
@@ -299,7 +269,7 @@ def u25_payload(spec: PartialFieldSpec) -> dict:
     """Field-side pairs against tuple-side pairs, and whether the domain
     tuples of the field-side pairs are exactly the tuple side."""
     pairs = enumerate_u25(spec)
-    tuples = gf5_u25_tuples(spec.report_index)
+    tuples = _spec_tuples(spec)
     field_keys = {(domain_key(spec, p), domain_key(spec, q)) for p, q in pairs}
     bijection = len(pairs) == len(tuples) and field_keys == set(tuples)
     return {
@@ -322,7 +292,7 @@ def u25_text(payload: dict) -> list[str]:
 def lift_check_payload(spec: PartialFieldSpec) -> dict:
     """Every tuple pair lifted, with each pair whose lift ratio is not
     fundamental."""
-    tuples = gf5_u25_tuples(spec.report_index)
+    tuples = _spec_tuples(spec)
     violations = local_lift_check(spec, tuples)
     return {
         "field": spec.name,

@@ -147,6 +147,9 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             report_index = int(rest)
         elif keyword == "vars":
             var_names = rest.split()
+            for i, var in enumerate(var_names):
+                if var in var_names[:i]:
+                    raise ValueError(f"indeterminate {var!r} is named twice: {line!r}")
         elif keyword == "gen":
             gen_exprs.append(rest)
         elif keyword == "seed":

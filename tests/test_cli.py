@@ -557,11 +557,19 @@ _H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
         ),
         (_H2 + "prime 7\n", "h2hom/prime/modvar lines need indeterminates"),
         ("field X\nk 3\n", "field description needs generators and seeds"),
+        (
+            # Once parsed as a field of arity 2 whose `funs` passed.
+            _H3.replace("vars a\n", "vars a a\n")
+            .replace("h2hom i\n", "h2hom i, i\n")
+            .replace("h2hom 1 - i\n", "h2hom 1 - i, 1 - i\n")
+            .replace("h2hom (1 - i)/2\n", "h2hom (1 - i)/2, (1 - i)/2\n"),
+            "indeterminate 'a' is named twice: 'vars a a'",
+        ),
     ],
     ids=[
         "H2-gf5gen-9", "H2-gf5gen-0", "H2-gf5gen-mixed", "H3-gf5map-7",
         "extrabound", "numerator-one", "no-unit-image", "gf5map-width",
-        "gaussian-prime", "no-generators",
+        "gaussian-prime", "no-generators", "repeated-indeterminate",
     ],
 )
 def test_a_spec_the_parser_rejects_is_a_usage_error_naming_why(
@@ -620,6 +628,23 @@ def test_report_fails_the_stage_whose_count_is_wrong(capsys, tmp_path) -> None:
     assert payload["violations"] == [
         {"stage": "fundamentals", "detail": "expected 56 fundamentals, found 26"}
     ]
+
+
+@pytest.mark.parametrize(
+    "command, fail",
+    [
+        ("report", "H3: report is defined for k in 2..5, not k=6"),
+        ("u25", "H3: tuple width must be 2..5, not 6"),
+        ("lift-check", "H3: tuple width must be 2..5, not 6"),
+    ],
+    ids=["report", "u25", "lift-check"],
+)
+def test_a_k_outside_two_to_five_fails_naming_the_field(
+    capsys, tmp_path, command, fail
+) -> None:
+    text = _H3.replace("k 3\n", "k 6\n")
+    code, out, _ = _run_on_spec_text(capsys, tmp_path, text, command)
+    assert (code, out) == (1, f"FAIL: {fail}\n")
 
 
 def _h4_with_only_the_first_h2hom() -> str:

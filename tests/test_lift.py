@@ -238,6 +238,25 @@ def test_unknown_key_is_rejected(specs) -> None:
     assert (2, 2, 2) not in fn
 
 
+def test_the_lifting_table_is_built_once_per_spec(specs, monkeypatch) -> None:
+    spec = specs["H3"]
+    assert lift.build_lifting_fn(spec) is lift.build_lifting_fn(spec)
+    renamed = spec._replace(name="H3-renamed")
+    keyed = []
+    key = lift.domain_key
+    monkeypatch.setattr(
+        lift, "domain_key", lambda s, entry: keyed.append(entry) or key(s, entry)
+    )
+    for run in (lift.theorem1_report, lift.lift_check_payload, lift.theorem1_report):
+        assert run(renamed)["verdict"] == "PASS"
+    # One domain_key call per table entry: the table was filled once.
+    assert len(keyed) == len(fundamental_table(renamed).entries) == 26
+    own = lift.build_lifting_fn(renamed)
+    assert own is not lift.build_lifting_fn(spec)
+    assert set(own) == set(lift.build_lifting_fn(spec))
+    assert all(own[key(renamed, e)] is e for e in fundamental_table(renamed).entries)
+
+
 # ---------------------------------------------------------------------------
 # Local lift checks
 
@@ -322,6 +341,36 @@ def test_report_fails_for_a_corrupted_spec(specs) -> None:
     report = lift.theorem1_report(corrupted)
     assert report["verdict"] == "FAIL"
     assert report["violations"][0]["stage"] == "fundamentals"
+
+
+# The function each stage calls first that can fail, the stage, and the
+# counts H3 reaches before it.
+STAGE_FAILURES = [
+    ("fundamental_table", "fundamentals", (0, 0, 0, 0)),
+    ("find_automorphisms", "automorphisms", (26, 0, 0, 0)),
+    ("enumerate_u25", "u25_pairs", (26, 6, 0, 0)),
+    ("check_inequivalence", "inequivalence", (26, 6, 120, 0)),
+    ("build_domain", "domain", (26, 6, 120, 0)),
+    ("build_lifting_fn", "lifting", (26, 6, 120, 26)),
+    ("local_lift_check", "local_lift", (26, 6, 120, 26)),
+]
+
+
+@pytest.mark.parametrize("error", [VerificationError, ValueError])
+@pytest.mark.parametrize(
+    "function, stage, counts", STAGE_FAILURES, ids=[s for _, s, _ in STAGE_FAILURES]
+)
+def test_each_report_stage_names_its_own_failure(
+    specs, monkeypatch, function, stage, counts, error
+) -> None:
+    def fail(*args):
+        raise error(f"{function} failed")
+
+    monkeypatch.setattr(lift, function, fail)
+    report = lift.theorem1_report(specs["H3"])
+    assert report["violations"] == [{"stage": stage, "detail": f"{function} failed"}]
+    assert report_counts(report) == counts
+    assert report["verdict"] == "FAIL"
 
 
 def test_report_rejects_out_of_scope_k(specs) -> None:
