@@ -110,10 +110,9 @@ class PartialFieldSpec(
         residues = []
         for expr, gen in zip(self.generator_exprs, self.generators):
             r = ratfunc_eval_mod(gen, self.mod_var_residues, p)
-            if not r:
-                what = "vanishes" if r == 0 else "has a vanishing denominator"
+            if not r:  # every generator is a polynomial, so r is never None
                 raise ValueError(
-                    f"{self.name}: generator {expr!r} {what} mod {p} "
+                    f"{self.name}: generator {expr!r} vanishes mod {p} "
                     "at the fingerprint residues"
                 )
             residues.append(r)
@@ -235,6 +234,17 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             raise ValueError("gf5map rows must share one width")
         width = widths.pop()
         var_images = tuple(gf5_var_images[v] for v in var_names)
+        # Factoring strips each generator until a division by it fails, which
+        # never happens for 1 or -1, and it and the survivor check multiply
+        # polynomials only, so each generator is kept as its exact quotient.
+        units = (make_const(arity, 1), make_const(arity, -1))
+        quotients = [poly_divexact(gen.num, gen.den) for gen in generators]
+        for i, (expr, gen, q) in enumerate(zip(gen_exprs, generators, quotients)):
+            if i and (gen.num in units or q in units):
+                raise ValueError(f"generator {expr!r} has numerator 1 or -1")
+            if q is None:
+                raise ValueError(f"generator {expr!r} is not a polynomial")
+        generators = tuple(RatFunc(q, units[0]) for q in quotients)
         gen_images = tuple(
             tuple(
                 ratfunc_eval_mod(gen, [images[j] for images in var_images], 5)
@@ -242,12 +252,6 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
             )
             for gen in generators
         )
-        # Factoring strips each generator's numerator until a division
-        # fails, which a division by 1 or -1 never does.
-        units = (make_const(arity, 1), make_const(arity, -1))
-        for expr, gen in zip(gen_exprs[1:], generators[1:]):
-            if gen.num in units:
-                raise ValueError(f"generator {expr!r} has numerator 1 or -1")
         for row in hom_rows:
             if len(row) != arity:
                 raise ValueError("h2hom rows must give one value per indeterminate")
@@ -619,9 +623,13 @@ def poly_divexact(a: Poly, g: Poly) -> Poly | None:
     lead(a) = lead(q)*lead(g), so a multiple never fails, and a quotient is
     returned only for an empty remainder.  Each step lowers the leading
     term, and a multiple's quotient terms have degree <= deg a - deg g, so
-    a step past that fails: at most as many steps as such monomials."""
+    a step past that fails: at most as many steps as such monomials.  The
+    lex-least terms give trail(a) = trail(q)*trail(g), checked at entry."""
     if not a:
         return {}
+    a_trail, g_trail = min(a), min(g)
+    if min(map(operator.sub, a_trail, g_trail)) < 0 or a[a_trail] % g[g_trail]:
+        return None
     g_lead = max(g)
     g_lc = g[g_lead]
     top = max(map(sum, a)) - max(map(sum, g))
@@ -707,10 +715,24 @@ def factor_over_generators(
     return FactoredElement(sign, tuple(exps))
 
 
+def generator_products(spec: PartialFieldSpec, factors) -> Iterator[Poly]:
+    """sign * prod(generators[i] ** exps[i]) for each (sign, exps) of
+    factors, every exponent >= 0: a polynomial, as every generator of a field
+    with indeterminates is one.  Powers are kept for this call only."""
+    power = cache(lambda i, e: poly_pow(spec.generators[i].num, e))
+    for sign, exps in factors:
+        acc = make_const(spec.arity, sign)
+        for i, e in enumerate(exps):
+            if e:
+                acc = poly_arith(acc, power(i, e), "mul")
+        yield acc
+
+
 def expand_element(
     spec: PartialFieldSpec, fe: FactoredElement
 ) -> RatFunc | GaussDyadic:
-    """Exact value of a factored element."""
+    """Exact value of a factored element: with indeterminates, a quotient
+    of generator_products, the powers of positive and of negative exponents."""
     if spec.is_gauss:
         if fe.sign == 0:
             return GAUSS_ZERO
@@ -719,19 +741,8 @@ def expand_element(
             if e:
                 acc = gauss_mul(acc, gauss_pow(gen, e))
         return acc
-    arity = spec.arity
-    if fe.sign == 0:
-        return ratfunc_const(arity, 0)
-    num = make_const(arity, fe.sign)
-    den = make_const(arity, 1)
-    for gen, e in zip(spec.generators, fe.exps):
-        if e > 0:
-            num = poly_arith(num, poly_pow(gen.num, e), "mul")
-            den = poly_arith(den, poly_pow(gen.den, e), "mul")
-        elif e < 0:
-            num = poly_arith(num, poly_pow(gen.den, -e), "mul")
-            den = poly_arith(den, poly_pow(gen.num, -e), "mul")
-    return RatFunc(num, den)
+    over, under = ([max(x, 0) for x in fe.exps], [max(-x, 0) for x in fe.exps])
+    return RatFunc(*generator_products(spec, ((fe.sign, over), (1, under))))
 
 
 def canonical_element(spec: PartialFieldSpec, fe: FactoredElement) -> FactoredElement:

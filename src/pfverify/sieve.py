@@ -44,7 +44,7 @@ from functools import cache
 from heapq import heapify, heappop
 from itertools import chain, product
 from math import gcd, prod
-from operator import getitem
+from operator import add, getitem
 
 from .exact import (
     GAUSS_ONE,
@@ -58,7 +58,7 @@ from .exact import (
     gauss_sub,
     mod_eval,
     next_prime,
-    ratfunc_const,
+    poly_arith,
     ratfunc_eval_gauss,
 )
 from .pfield import (
@@ -68,6 +68,7 @@ from .pfield import (
     complement,
     expand_element,
     factor_over_generators,
+    generator_products,
     value_eq,
 )
 
@@ -518,24 +519,18 @@ def _collision(mm: ModMap, box: CandidateBox) -> tuple[int, ...] | None:
 
 def _is_one_at_modvar_point(spec: PartialFieldSpec, fe: FactoredElement) -> bool:
     """Whether fe is exactly 1 at the modvar point, comparing its integer
-    numerator and denominator there.  Then it is 1 mod every prime where
-    the generators are units, so no prime separates.  Only called once a
-    prime has given every generator a unit residue, so no value there is 0
-    or has a vanishing denominator."""
+    numerator and denominator there, products of generator values.  Then it
+    is 1 mod every prime where the generators are units, so no prime
+    separates.  Only called once a prime has given every generator a unit
+    residue, so no generator's value there is 0."""
     point = spec.mod_var_residues
 
     def at_point(poly) -> int:
         return sum(c * prod(x**e for x, e in zip(point, m)) for m, c in poly.items())
 
-    num, den = fe.sign, 1
-    for gen, e in zip(spec.generators, fe.exps):
-        if e:
-            top, bottom = at_point(gen.num), at_point(gen.den)
-            if e < 0:
-                top, bottom, e = bottom, top, -e
-            num *= top**e
-            den *= bottom**e
-    return num == den
+    values = [at_point(g.num) ** abs(e) for g, e in zip(spec.generators, fe.exps)]
+    over = prod(v for v, e in zip(values, fe.exps) if e > 0)
+    return fe.sign * over == prod(v for v, e in zip(values, fe.exps) if e < 0)
 
 
 def resolve_mod_map(spec: PartialFieldSpec, box: CandidateBox) -> tuple[ModMap, dict]:
@@ -552,7 +547,8 @@ def resolve_mod_map(spec: PartialFieldSpec, box: CandidateBox) -> tuple[ModMap, 
     returns names the quotient (sign, d), sign = r^d = +-1 mod p, which is
     first evaluated exactly at the modvar point.  If it is not 1 there it
     is not identically 1 either, and the search advances to the next prime.
-    If it is, the quotient is expanded and compared with 1 once.  Exactly 1
+    If it is, it is compared with 1 once, exactly, as the polynomial
+    identity prod g_i^max(d_i, 0) = sign * prod g_i^max(-d_i, 0).  Exactly 1
     means the generators are dependent, which no prime separates, and the
     FAIL names the two equal candidates (1, e) and (sign, e + d) with
     e_i = lo_i + max(-d_i, 0), both in the box ranges.  Otherwise the FAIL
@@ -584,8 +580,9 @@ def resolve_mod_map(spec: PartialFieldSpec, box: CandidateBox) -> tuple[ModMap, 
             sign = 1 if mod_eval(mm, 1, d) == 1 else -1
             quotient = FactoredElement(sign, d)
             if _is_one_at_modvar_point(spec, quotient):
-                one = ratfunc_const(spec.arity, 1)
-                if value_eq(expand_element(spec, quotient), one):
+                over, under = ([max(x, 0) for x in d], [max(-x, 0) for x in d])
+                over, under = generator_products(spec, ((1, over), (sign, under)))
+                if over == under:
                     e = tuple(lo + max(-x, 0) for (lo, _), x in zip(box.ranges, d))
                     first = FactoredElement(1, e)
                     second = FactoredElement(sign, tuple(a + x for a, x in zip(e, d)))
@@ -698,6 +695,18 @@ def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
 # Exact verification of the survivors
 
 
+def _is_one_minus(spec: PartialFieldSpec, s, t) -> bool:
+    """Whether 1 - s = t exactly for factored s and t (see verify_survivors)."""
+    if spec.is_gauss:
+        one_minus_s = complement(expand_element(spec, s))
+        return value_eq(one_minus_s, expand_element(spec, t))
+    m = [max(0, -e, -f) for e, f in zip(s.exps, t.exps)]
+    m_, m_s, m_t = generator_products(
+        spec, ((1, m), (s.sign, map(add, m, s.exps)), (t.sign, map(add, m, t.exps)))
+    )
+    return poly_arith(m_, m_s, "sub") == m_t
+
+
 def verify_survivors(
     spec: PartialFieldSpec,
     result: SieveResult,
@@ -713,6 +722,11 @@ def verify_survivors(
     VerificationError otherwise, naming the fingerprint prime and the
     first survivor, in ascending fingerprint order, that the closure lacks,
     or failing that the first closure element that the sieve lacks.
+
+    Gaussian pairs are compared as values.  Otherwise, for s = (sigma, e)
+    and t = (tau, f), M = prod g_i^max(0, -e_i, -f_i) is not 0, and M, M*s
+    and M*t are products of generator powers, so polynomials: 1 - s = t iff
+    M - M*s = M*t, an exact identity with no rational function.
     """
     mm = result.mod_map
     at = "" if mm is None else f" at fingerprint prime {mm.prime}"
@@ -729,8 +743,7 @@ def verify_survivors(
         if fp in checked:
             continue
         checked.add(partner_fp)
-        one_minus_s = complement(expand_element(spec, fe))
-        if not value_eq(one_minus_s, expand_element(spec, partner)):
+        if not _is_one_minus(spec, fe, partner):
             raise VerificationError(
                 f"{spec.name}: 1 - s is not exactly the paired survivor "
                 f"for {fe}{at}"

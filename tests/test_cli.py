@@ -548,6 +548,11 @@ _H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
         (_H3 + "extrabound 0 -1 1\n", "bad extrabound line: 0 -1 1"),
         (_H3 + "gen 1/a\n", "generator '1/a' has numerator 1 or -1"),
         (
+            # A generator divides out of a value only if it is a polynomial.
+            _H3.replace("gen a\n", "gen a/(a - 1)\n"),
+            "generator 'a/(a - 1)' is not a polynomial",
+        ),
+        (
             _H3.replace("gf5map a 2 3 4\n", "gf5map a 0 3 4\n"),
             "generator 'a' has no unit image in GF(5)",
         ),
@@ -568,7 +573,8 @@ _H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
     ],
     ids=[
         "H2-gf5gen-9", "H2-gf5gen-0", "H2-gf5gen-mixed", "H3-gf5map-7",
-        "extrabound", "numerator-one", "no-unit-image", "gf5map-width",
+        "extrabound", "numerator-one", "not-a-polynomial", "no-unit-image",
+        "gf5map-width",
         "gaussian-prime", "no-generators", "repeated-indeterminate",
     ],
 )
@@ -578,6 +584,19 @@ def test_a_spec_the_parser_rejects_is_a_usage_error_naming_why(
     code, out, err = _run_on_spec_text(capsys, tmp_path, text, "funs")
     assert (code, out) == (2, "")
     assert err == f"usage error: cannot parse spec file: {message}\n"
+
+
+def test_a_generator_written_as_a_quotient_is_its_polynomial(
+    capsys, tmp_path
+) -> None:
+    # Factoring once stripped only a generator's numerator, so with a^2/a
+    # for a it failed: "seed 2 'a' is not a unit over the generators".
+    text = _H3.replace("gen a\n", "gen a^2/a\n")
+    got = _run_on_spec_text(capsys, tmp_path, text, "funs", "--format", "json")
+    want = run_cli(capsys, "funs", "H3", "--format", "json")
+    assert got[0] == 0 and got[2] == want[2]
+    assert json.loads(got[1])["count"] == 26
+    assert json.loads(got[1])["entries"] == json.loads(want[1])["entries"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -15,10 +16,15 @@ from hypothesis import strategies as st
 from pfverify import closure, sieve
 from pfverify.exact import (
     ModMap,
+    RatFunc,
     gauss_from_text,
     gauss_log2_norm,
+    make_const,
     mod_eval,
     next_prime,
+    poly_arith,
+    poly_pow,
+    ratfunc_const,
     ratfunc_eval_gauss,
 )
 from pfverify.pfield import (
@@ -26,6 +32,7 @@ from pfverify.pfield import (
     FactoredElement,
     VerificationError,
     builtin_specs,
+    complement,
     expand_element,
     fundamental_table,
     parse_field_spec,
@@ -745,11 +752,12 @@ def test_survivors_equal_the_box_wide_scan(specs, name, prime_start) -> None:
 
 
 def test_the_sieve_decodes_no_index_without_a_collision(specs, monkeypatch) -> None:
-    # At a separating prime no relation is decoded, so nothing is expanded.
+    # At a separating prime no relation is decoded, so no generator power
+    # is multiplied out.
     def refused(*args):
-        raise AssertionError("expand_element ran")
+        raise AssertionError("generator_products ran")
 
-    monkeypatch.setattr(sieve, "expand_element", refused)
+    monkeypatch.setattr(sieve, "generator_products", refused)
     for name in ("H3", "H4", "H5"):
         for spec in (specs[name], _at_prime(specs[name], 100000000003)):
             result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
@@ -962,12 +970,12 @@ def test_squared_residues_never_separate_at_two(ranges, at_three) -> None:
 def test_survivor_pairs_are_checked_exactly_once(specs, monkeypatch) -> None:
     checks = []
 
-    def counting_complement(value):
-        checks.append(value)
-        return complement(value)
+    def counting_check(spec, s, t):
+        checks.append((s, t))
+        return is_one_minus(spec, s, t)
 
-    complement = sieve.complement
-    monkeypatch.setattr(sieve, "complement", counting_complement)
+    is_one_minus = sieve._is_one_minus
+    monkeypatch.setattr(sieve, "_is_one_minus", counting_check)
     for name, pairs in (("H2", 6), ("H3", 13), ("H4", 28), ("H5", 46)):
         spec = specs[name]
         table = fundamental_table(spec)
@@ -977,6 +985,88 @@ def test_survivor_pairs_are_checked_exactly_once(specs, monkeypatch) -> None:
         sieve.verify_survivors(spec, result, elements)
         assert len(checks) == pairs
         assert 2 * pairs - len(result.fingerprints) in (0, 1)
+
+
+def _expanded(spec, fe) -> RatFunc:
+    """The reference expansion: one rational function, multiplying in each
+    generator's numerator and denominator, crosswise for a negative power."""
+    if fe.sign == 0:
+        return ratfunc_const(spec.arity, 0)
+    num, den = make_const(spec.arity, fe.sign), make_const(spec.arity, 1)
+    for gen, e in zip(spec.generators, fe.exps):
+        top, bottom = (gen.num, gen.den) if e > 0 else (gen.den, gen.num)
+        num = poly_arith(num, poly_pow(top, abs(e)), "mul")
+        den = poly_arith(den, poly_pow(bottom, abs(e)), "mul")
+    return RatFunc(num, den)
+
+
+def _is_one_minus_expanded(spec, s, t) -> bool:
+    return value_eq(complement(_expanded(spec, s)), _expanded(spec, t))
+
+
+_FIELDS_WITH_INDETERMINATES = ("H3", "H4", "H5")
+
+
+@functools.cache
+def _survivor_pairs(name: str) -> list:
+    """Every ordered pair (s, t) of survivors with t at the fingerprint of
+    1 - s."""
+    spec = builtin_specs()[name]
+    fps = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec)).fingerprints
+    p = spec.mod_prime
+    return [(fe, fps[(1 - fp) % p]) for fp, fe in fps.items()]
+
+
+@st.composite
+def _element_pairs(draw):
+    """A field of H3..H5 and two elements: each a random sign with exponents
+    from the box, or zero, or a survivor pair, its partner perhaps with the
+    sign turned or one exponent moved by one."""
+    name = draw(st.sampled_from(_FIELDS_WITH_INDETERMINATES))
+    spec = builtin_specs()[name]
+    ranges = sieve.candidate_box(spec).ranges
+
+    def element() -> FactoredElement:
+        sign = draw(st.sampled_from((1, -1, 0)))
+        if sign == 0:
+            return FactoredElement(0, (0,) * len(ranges))
+        return FactoredElement(sign, tuple(draw(st.integers(*r)) for r in ranges))
+
+    if not draw(st.booleans()):
+        return spec, element(), element()
+    s, t = draw(st.sampled_from(_survivor_pairs(name)))
+    change = draw(st.sampled_from(("none", "sign", "exponent")))
+    if change == "sign":
+        t = FactoredElement(-t.sign, t.exps)
+    elif change == "exponent" and t.sign:
+        slot = draw(st.integers(1, len(ranges) - 1))
+        step = draw(st.sampled_from((1, -1)))
+        t = t._replace(exps=tuple(e + step * (i == slot) for i, e in enumerate(t.exps)))
+    return spec, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_pairs())
+def test_the_pair_identity_agrees_with_the_expanded_values(case) -> None:
+    # M - M*s = M*t over generator powers decides 1 - s = t as the rational
+    # functions do, and the expansion over generator_products is the old one.
+    spec, s, t = case
+    assert sieve._is_one_minus(spec, s, t) == _is_one_minus_expanded(spec, s, t)
+    for fe in (s, t):
+        got, want = expand_element(spec, fe), _expanded(spec, fe)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("name", _FIELDS_WITH_INDETERMINATES)
+def test_every_survivor_pair_is_an_identity_and_a_turned_sign_is_not(name) -> None:
+    spec = builtin_specs()[name]
+    assert len(_survivor_pairs(name)) == {"H3": 26, "H4": 56, "H5": 92}[name]
+    for s, t in _survivor_pairs(name):
+        assert sieve._is_one_minus(spec, s, t)
+        assert _is_one_minus_expanded(spec, s, t)
+        if t.sign:
+            turned = FactoredElement(-t.sign, t.exps)
+            assert not sieve._is_one_minus(spec, s, turned)
 
 
 def test_prime_search_is_capped(specs, monkeypatch) -> None:
@@ -1074,7 +1164,7 @@ def test_equal_candidates_are_a_verification_error() -> None:
     for fe in named:
         assert fe.sign in (1, -1)
         assert all(lo <= e <= hi for e, (lo, hi) in zip(fe.exps, box.ranges))
-    assert value_eq(expand_element(spec, first), expand_element(spec, second))
+    assert value_eq(_expanded(spec, first), _expanded(spec, second))
 
 
 def test_repeated_generator_spec_fails_without_hanging(tmp_path) -> None:
