@@ -23,6 +23,7 @@ from .exact import (
     PRIME_LIMIT,
     SCREEN_PRIME,
     GaussDyadic,
+    GAUSS_I,
     GAUSS_ONE,
     GAUSS_ZERO,
     ModMap,
@@ -188,6 +189,16 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         seeds: tuple = tuple(gauss_from_text(e) for e in seed_exprs)
         if not gauss_eq(generators[0], gauss_neg(GAUSS_ONE)):
             raise ValueError("the first generator must be -1")
+        # _factor_gauss and the Gaussian box read the generators in this
+        # layout, in which they generate every unit i^k (1 + i)^m: the field
+        # is H2, and its fundamentals are sieve.h2_fundamentals.
+        layout = "the Gaussian generators are -1, a unit of norm 4, i and one of norm 2"
+        for expr, g, norm in zip(gen_exprs[1:], generators[1:], (2, 0, 1)):
+            unit = gauss_is_unit(g) and gauss_log2_norm(g) == norm
+            if not unit or (norm == 0 and g != GAUSS_I):
+                raise ValueError(f"generator {expr!r} is out of place: {layout}")
+        if len(generators) != 4:
+            raise ValueError(f"{layout}, not {len(generators)} generators")
         if len(gf5_gen_rows) != len(gen_exprs):
             raise ValueError("need one gf5gen row per generator")
         widths = {len(r) for r in gf5_gen_rows}
@@ -221,6 +232,8 @@ def parse_field_spec(text: str) -> PartialFieldSpec:
         residues: tuple[int, ...] = ()
         if hom_rows or prime is not None or var_residues:
             raise ValueError("h2hom/prime/modvar lines need indeterminates")
+        if extra_bounds:
+            raise ValueError("extrabound lines need indeterminates")
     else:
         vt = tuple(var_names)
         generators = tuple(ratfunc_from_text(e, vt) for e in gen_exprs)

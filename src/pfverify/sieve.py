@@ -3,15 +3,18 @@
 Every unit of a field is sign * prod(generators ** exps).  Mapping the
 indeterminates to Gaussian dyadic units turns each generator into a unit
 whose norm is a power of two, so every such map yields one integer row r
-of log2-norms with |r . exps| <= 2.  Each exponent is bounded in the real
+of log2-norms.  The map sends each fundamental element to one of H2, and
+h2_fundamentals derives those with their proof, so |r . exps| is at most
+the largest |log2 N| among them (2).  Each exponent is bounded in the real
 relaxation of those rows by one simplex in exact integer arithmetic, a
 phase 1 first if the origin violates a row; rows closed under negation
 need only the upper ends.  One pruned enumeration inside those outer
 ranges then lists the integer points of the rows: every exponent vector
 that can be fundamental.  The box is their bounding box.
 
-Each candidate gets a fingerprint (its residue under the spec's modular
-map, or its exact value for the Gaussian field).  No other module chooses
+Each candidate gets a fingerprint, its residue under the spec's modular
+map.  The Gaussian field H2 has no candidates to sieve: its survivors are
+h2_fundamentals, each its own fingerprint.  No other module chooses
 a fingerprint prime or computes a fingerprint.  Each prime tried is
 decided in one pass (_collision): the fingerprints of the whole box are
 distinct iff no nonzero d in the difference box of the slot ranges has
@@ -47,15 +50,16 @@ from math import gcd, prod
 from operator import add, getitem
 
 from .exact import (
+    GAUSS_I,
     GAUSS_ONE,
+    GAUSS_ZERO,
     GaussDyadic,
     ModMap,
     RatFunc,
     gauss_conj,
     gauss_is_unit,
-    gauss_is_zero,
     gauss_log2_norm,
-    gauss_sub,
+    gauss_pow,
     mod_eval,
     next_prime,
     poly_arith,
@@ -78,7 +82,7 @@ class CandidateBox(
 ):
     """Integer exponent ranges per generator slot; slot 0 is pinned to 0.
     points are the exponent vectors the sieve fingerprints; the Gaussian
-    box, whose candidates are expanded exactly, has none.
+    box, which only bounds the derived h2_fundamentals, has none.
 
     ranges: tuple[tuple[int, int], ...].  include_zero: bool.
     points: tuple[tuple[int, ...], ...] | None, default None.
@@ -92,11 +96,13 @@ class SieveResult(
 ):
     """Sieve output: surviving fingerprints mapped to factored elements, in
     ascending fingerprint order.  candidate_count and distinct_count (0
-    included) count the whole box, not only the fingerprinted points.
+    included) count the whole box, not only the fingerprinted points; on
+    the Gaussian field, whose only fingerprints are the derived
+    h2_fundamentals, distinct_count counts those.
 
-    mod_map: ModMap | None.  fingerprints: Mapping (a dict from exact
-    values for the Gaussian field, otherwise a _Survivors over the residue
-    dict of resolve_mod_map).
+    mod_map: ModMap | None.  fingerprints: Mapping (for the Gaussian field
+    a dict from the h2_fundamentals values, by real then imaginary part,
+    otherwise a _Survivors over the residue dict of resolve_mod_map).
     distinct_count, candidate_count: int.
     """
 
@@ -131,6 +137,31 @@ def lognorm_rows(spec: PartialFieldSpec) -> list[tuple[int, ...]]:
             seen[images] = seen[tuple(map(gauss_conj, images))] = row
         rows.append(row)
     return rows
+
+
+@cache
+def h2_fundamentals() -> tuple[GaussDyadic, ...]:
+    """F(H2), the fundamental elements of H2 = Z[i, 1/2]: 0, 1, and u,
+    1 - u and 1/(1 - u) for each u in {i, -1, -i}, 11 values.
+
+    Proof, by the valuation v at the prime 1 + i: every unit x is
+    i^k (1 + i)^v(x).  Let x and 1 - x be units, so x is neither 0 nor 1,
+    and let u stand for a power of i other than 1.  If v(x) >= 1, then
+    v(1 - x) = 0, so 1 - x = u.  If v(x) <= -1, then v(1/x) >= 1, so the
+    unit 1 - 1/x = (x - 1)/x has valuation 0 and is u: x = 1/(1 - u).  If
+    v(x) = 0, then x = u.  The table adds 0 and 1.  The code checks each
+    member: x and 1 - x are units, or x is 0 or 1.
+
+    The parser accepts a Gaussian spec only with the generators -1, a unit
+    of norm 4, i and a unit of norm 2, i^k (1 + i), which generate every
+    unit, so this set is the fundamentals of every such spec."""
+    values = [GAUSS_ZERO, GAUSS_ONE]
+    for u in (gauss_pow(GAUSS_I, k) for k in (1, 2, 3)):
+        values += [u, complement(u), gauss_pow(complement(u), -1)]
+    for x in values[2:]:
+        if not (gauss_is_unit(x) and gauss_is_unit(complement(x))):
+            raise VerificationError(f"H2: {x} is not fundamental")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +361,17 @@ def _integer_points(int_rows, ranges) -> list[tuple[int, ...]]:
 
 
 def _inequalities(rows, extra_bounds, width: int) -> list[tuple[tuple[int, ...], int]]:
-    """Integer inequalities: each log2-norm row r gives +-r . exps <= 2, and
-    each extra bound lo <= exps[slot] <= hi gives two unit rows."""
-    int_rows = []
-    for row in rows:
-        int_rows.append((tuple(row), 2))
-        int_rows.append((tuple(-c for c in row), 2))
+    """Integer inequalities: each log2-norm row r gives +-r . exps <= b, and
+    each extra bound lo <= exps[slot] <= hi gives two unit rows.  A row is
+    the log2-norm at an h2hom point P, and a fundamental x of the field,
+    x and 1 - x units, goes to x(P) with x(P) and 1 - x(P) units, a
+    fundamental of H2 other than 0 and 1.  So b is the largest |log2 N|
+    over the nonzero h2_fundamentals."""
+    bound = max(abs(gauss_log2_norm(x)) for x in h2_fundamentals() if gauss_is_unit(x))
+    int_rows = [(tuple(s * c for c in row), bound) for row in rows for s in (1, -1)]
     for slot, lo_extra, hi_extra in extra_bounds:
-        unit = [0] * width
-        unit[slot] = 1
-        int_rows.append((tuple(unit), hi_extra))
-        int_rows.append((tuple(-u for u in unit), -lo_extra))
+        unit = tuple(int(j == slot) for j in range(width))
+        int_rows += [(unit, hi_extra), (tuple(-u for u in unit), -lo_extra)]
     return int_rows
 
 
@@ -383,9 +414,16 @@ def bound_exponents(rows, extra_bounds, include_zero: bool) -> CandidateBox:
 def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
     """Exponent box containing every fundamental element of the field."""
     if spec.is_gauss:
-        # Units of norm 1/4 to 4: 2-exponent in [-1, 1], i-exponent a
-        # phase in [0, 3], and (1 - i)-exponent in [0, 1].
-        return CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
+        # Units of norm 1/4 to 4 over the generators -1, a unit of norm 4,
+        # i and a unit of norm 2 (see _factor_gauss): the norm-4 exponent in
+        # [-1, 1], the i-exponent a phase in [0, 3], and the norm-2
+        # exponent in [0, 1].  Every derived fundamental must lie inside.
+        box = CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
+        for x in h2_fundamentals():
+            fe = factor_over_generators(spec, x)
+            if not all(lo <= e <= hi for e, (lo, hi) in zip(fe.exps, box.ranges)):
+                raise VerificationError(f"{spec.name}: {fe} lies outside the box")
+        return box
     try:
         return bound_exponents(
             lognorm_rows(spec), spec.extra_bounds, spec.include_zero_candidate
@@ -605,27 +643,6 @@ def resolve_mod_map(spec: PartialFieldSpec, box: CandidateBox) -> tuple[ModMap, 
     )
 
 
-def _gauss_sieve(spec: PartialFieldSpec, candidates) -> SieveResult:
-    values: dict[GaussDyadic, None] = {}
-    for fe in candidates:
-        values.setdefault(expand_element(spec, fe), None)
-    window = []
-    for v in values:
-        if gauss_is_zero(v):
-            window.append(v)
-        elif gauss_is_unit(v) and abs(gauss_log2_norm(v)) <= 2:
-            window.append(v)
-    in_window = set(window)
-    survivors = [v for v in window if gauss_sub(GAUSS_ONE, v) in in_window]
-    # By real part, then imaginary part, both over the largest denominator.
-    scale = max((v.two_exp for v in survivors), default=0)
-    survivors.sort(
-        key=lambda v: (v.re_num << (scale - v.two_exp), v.im_num << (scale - v.two_exp))
-    )
-    fingerprints = {v: factor_over_generators(spec, v) for v in survivors}
-    return SieveResult(None, fingerprints, len(window), len(candidates))
-
-
 class _Survivors(Mapping):
     """The fingerprints fp over the box's points, both signs, and 0 with
     (1 - fp) mod p also among them, mapped to their factored elements, in
@@ -682,9 +699,16 @@ def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
     their fingerprints.  The prime and the residues come from
     resolve_mod_map; the survivors are ordered only as they are read.  The
     fingerprints separate the whole box, and a unit's residue is never 0,
-    so 0 is a new fingerprint unless the box has it."""
+    so 0 is a new fingerprint unless the box has it.  The Gaussian field's
+    survivors are h2_fundamentals, factored, with no candidate expanded."""
     if spec.is_gauss:
-        return _gauss_sieve(spec, enumerate_candidates(box))
+        # By real part, then imaginary part, both over the largest denominator.
+        scale = max(v.two_exp for v in h2_fundamentals())
+        values = sorted(
+            h2_fundamentals(), key=lambda v: [c << (scale - v.two_exp) for c in v[:2]]
+        )
+        fingerprints = {v: factor_over_generators(spec, v) for v in values}
+        return SieveResult(None, fingerprints, len(values), candidate_count(box))
     mm, residues = resolve_mod_map(spec, box)
     count = candidate_count(box)
     survivors = _Survivors(residues, mm.prime, len(box.ranges))
@@ -734,7 +758,7 @@ def verify_survivors(
     checked = set()  # fingerprints of partners already checked exactly
     for fp, fe in survivors.items():
         # A Gaussian value is its own fingerprint.
-        partner_fp = gauss_sub(GAUSS_ONE, fp) if mm is None else (1 - fp) % mm.prime
+        partner_fp = complement(fp) if mm is None else (1 - fp) % mm.prime
         partner = survivors.get(partner_fp)
         if partner is None:
             raise VerificationError(

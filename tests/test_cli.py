@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import cli, exact, pfield
+from pfverify import cli, exact, pfield, sieve
 from pfverify.pfield import builtin_specs, reprime
 from conftest import (
     cold_record,
@@ -561,6 +561,27 @@ _H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
             "gf5map rows must share one width",
         ),
         (_H2 + "prime 7\n", "h2hom/prime/modvar lines need indeterminates"),
+        # Once ignored: `bounds` printed slot 1 as [-1, 1].
+        (_H2 + "extrabound 1 0 0\n", "extrabound lines need indeterminates"),
+        (
+            # Once a false FAIL: "seed 3 '2' is not a unit over the generators".
+            _H2.replace("gen 2\ngen i\n", "gen i\ngen 2\n").replace(
+                "gf5gen 2 2\ngf5gen 2 3\n", "gf5gen 2 3\ngf5gen 2 2\n"
+            ),
+            "generator 'i' is out of place: the Gaussian generators are -1, "
+            "a unit of norm 4, i and one of norm 2",
+        ),
+        (
+            # These two once FAILed naming a survivor of the wrong width.
+            _H2 + "gen 3\ngf5gen 3 3\n",
+            "the Gaussian generators are -1, a unit of norm 4, i and one of "
+            "norm 2, not 5 generators",
+        ),
+        (
+            _H2 + "gen 1 - i\ngf5gen 4 3\n",
+            "the Gaussian generators are -1, a unit of norm 4, i and one of "
+            "norm 2, not 5 generators",
+        ),
         ("field X\nk 3\n", "field description needs generators and seeds"),
         (
             # Once parsed as a field of arity 2 whose `funs` passed.
@@ -575,7 +596,9 @@ _H2, _H3, _H4 = (builtin_specs()[n].source_text for n in ("H2", "H3", "H4"))
         "H2-gf5gen-9", "H2-gf5gen-0", "H2-gf5gen-mixed", "H3-gf5map-7",
         "extrabound", "numerator-one", "not-a-polynomial", "no-unit-image",
         "gf5map-width",
-        "gaussian-prime", "no-generators", "repeated-indeterminate",
+        "gaussian-prime", "gaussian-extrabound", "gaussian-generators-swapped",
+        "gaussian-fifth-generator", "gaussian-repeated-generator",
+        "no-generators", "repeated-indeterminate",
     ],
 )
 def test_a_spec_the_parser_rejects_is_a_usage_error_naming_why(
@@ -584,6 +607,29 @@ def test_a_spec_the_parser_rejects_is_a_usage_error_naming_why(
     code, out, err = _run_on_spec_text(capsys, tmp_path, text, "funs")
     assert (code, out) == (2, "")
     assert err == f"usage error: cannot parse spec file: {message}\n"
+
+
+def test_a_gaussian_unit_of_norm_two_other_than_one_minus_i_passes(
+    capsys, tmp_path
+) -> None:
+    text = _H2.replace("gen 1 - i\n", "gen 1 + i\n").replace(
+        "gf5gen 4 3\n", "gf5gen 3 4\n"
+    )
+    code, out, _ = _run_on_spec_text(capsys, tmp_path, text, "report")
+    assert code == 0
+    assert out.endswith("  verdict: PASS\n")
+
+
+def test_funs_h2_enumerates_no_candidates(capsys, tmp_path, monkeypatch) -> None:
+    def refused(box):
+        raise AssertionError("enumerate_candidates ran")
+
+    monkeypatch.setattr(sieve, "enumerate_candidates", refused)
+    # A spec text of its own, so no table or box is read from a cache.
+    got = _run_on_spec_text(capsys, tmp_path, _H2 + "# uncached\n", "funs")
+    want = run_cli(capsys, "funs", "H2")
+    assert got == want
+    assert got[0] == 0
 
 
 def test_a_generator_written_as_a_quotient_is_its_polynomial(

@@ -18,6 +18,8 @@ from pfverify.exact import (
     ModMap,
     RatFunc,
     gauss_from_text,
+    gauss_is_unit,
+    gauss_is_zero,
     gauss_log2_norm,
     make_const,
     mod_eval,
@@ -34,7 +36,9 @@ from pfverify.pfield import (
     builtin_specs,
     complement,
     expand_element,
+    factor_over_generators,
     fundamental_table,
+    is_fundamental_exact,
     parse_field_spec,
     value_eq,
 )
@@ -168,6 +172,41 @@ def test_gaussian_box(specs) -> None:
     box = sieve.candidate_box(specs["H2"])
     assert box.ranges == ((0, 0), (-1, 1), (0, 3), (0, 1))
     assert box.include_zero
+
+
+def test_h2_fundamentals_are_the_table_and_the_closure(specs) -> None:
+    spec = specs["H2"]
+    derived = sieve.h2_fundamentals()
+    assert len(set(derived)) == len(derived) == 11
+    assert set(derived) == {e.value for e in fundamental_table(spec).entries}
+    assert set(derived) == {value for _, value in closure._closure_elements(spec)}
+
+
+def test_every_h2_fundamental_is_fundamental(specs) -> None:
+    # x and 1 - x both factor over the generators, 0 with sign 0.
+    for x in sieve.h2_fundamentals():
+        assert is_fundamental_exact(specs["H2"], x)
+
+
+def test_the_norm_bound_comes_from_h2_and_is_two() -> None:
+    nonzero = [x for x in sieve.h2_fundamentals() if not gauss_is_zero(x)]
+    assert max(abs(gauss_log2_norm(x)) for x in nonzero) == 2
+    rows = sieve._inequalities([(0, 1, -1), (0, 2, 1)], [(1, -3, 3)], 3)
+    assert [rhs for _, rhs in rows] == [2, 2, 2, 2, 3, 3]
+
+
+def test_the_gaussian_box_must_hold_every_derived_fundamental(
+    specs, monkeypatch
+) -> None:
+    derived = sieve.h2_fundamentals()
+    # 4 = 2^2 needs the norm-4 exponent 2, outside [-1, 1].
+    four = gauss_from_text("4")
+    monkeypatch.setattr(sieve, "h2_fundamentals", lambda: (*derived, four))
+    with pytest.raises(
+        VerificationError,
+        match=re.escape("H2: FactoredElement(sign=1, exps=(0, 2, 0, 0)) lies outside"),
+    ):
+        sieve.candidate_box.__wrapped__(specs["H2"])
 
 
 def test_pinned_coordinate_in_a_trivial_system() -> None:
@@ -551,7 +590,8 @@ def test_three_variable_sieve_counts(specs) -> None:
 def test_gaussian_sieve_survivors(specs) -> None:
     result = sieve.fingerprint_sieve(specs["H2"], sieve.candidate_box(specs["H2"]))
     assert result.mod_map is None
-    assert result.distinct_count == 21
+    # The derived set is the only thing fingerprinted.
+    assert result.distinct_count == 11
     expected = {
         "-1", "0", "-i", "i", "1/2", "(1 - i)/2", "(1 + i)/2", "1", "1 - i",
         "1 + i", "2",
@@ -699,14 +739,34 @@ def test_survivors_equal_the_candidate_by_candidate_sieve(specs, name) -> None:
     assert list(result.fingerprints.items()) == list(expected.items())
 
 
+def _gauss_window_sieve(spec, box):
+    """H2's survivors by brute force, the reference for h2_fundamentals:
+    every candidate of the box expanded exactly, the distinct values kept
+    if 0 or a unit with |log2 N| <= 2, and those whose 1 - v is also kept
+    survive, by real then imaginary part.  distinct_count counts the kept
+    values."""
+    candidates = sieve.enumerate_candidates(box)
+    values = dict.fromkeys(expand_element(spec, fe) for fe in candidates)
+    window = [
+        v
+        for v in values
+        if gauss_is_zero(v) or gauss_is_unit(v) and abs(gauss_log2_norm(v)) <= 2
+    ]
+    survivors = [v for v in window if complement(v) in window]
+    survivors.sort(key=lambda v: [Fraction(c, 2**v.two_exp) for c in v[:2]])
+    fingerprints = {v: factor_over_generators(spec, v) for v in survivors}
+    return sieve.SieveResult(None, fingerprints, len(window), len(candidates))
+
+
 def _box_wide_sieve(spec, box):
     """The survivor scan over the whole box, the reference for the sieve over
     the points: for each prime from the spec's, a fingerprint -> index dict
     over every candidate in enumerate_candidates order, advancing past a
     collision; then every candidate whose 1 - fp is also in the dict
-    survives, decoded by index.  The Gaussian field keeps its one path."""
+    survives, decoded by index.  The Gaussian field's reference is the
+    brute force over its box."""
     if spec.is_gauss:
-        return sieve._gauss_sieve(spec, sieve.enumerate_candidates(box))
+        return _gauss_window_sieve(spec, box)
     p = spec.mod_prime
     while True:
         try:
@@ -747,7 +807,12 @@ def test_survivors_equal_the_box_wide_scan(specs, name, prime_start) -> None:
     expected = _box_wide_sieve(spec, box)
     assert result.mod_map == expected.mod_map
     assert list(result.fingerprints.items()) == list(expected.fingerprints.items())
-    assert result.distinct_count == expected.distinct_count
+    # H2's derivation fingerprints its 11 fundamentals, the brute force the
+    # 21 values of its norm window.
+    if spec.is_gauss:
+        assert (result.distinct_count, expected.distinct_count) == (11, 21)
+    else:
+        assert result.distinct_count == expected.distinct_count
     assert result.candidate_count == expected.candidate_count
 
 
