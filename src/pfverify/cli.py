@@ -130,28 +130,24 @@ def _dumps(value) -> str:
 
 
 _PRIME_START_RANGE = "must be at least 2 and below 3.3e24, where primality is proven"
+# The longest spec file read, in characters; the builtin texts are about 2 KB.
+MAX_SPEC_CHARS = 1 << 20
 
 USAGE = f"""\
-usage: pfverify [-h] COMMAND [FIELD] [--field FIELD] [--format text|json]
-                [--prime-start N] [--spec PATH]
+usage: pfverify [-h] COMMAND [FIELD] [--format text|json] [--prime-start N]
+                [--spec PATH]
 
   COMMAND          {", ".join(COMMANDS)}
-  FIELD, --field   {", ".join(FIELD_NAMES)} or all
+  FIELD            {", ".join(FIELD_NAMES)} or all (the default)
   --prime-start N  declare the first prime at or after N the fingerprint prime
   --spec PATH      verify a field description file instead of a builtin
 
 Options go anywhere, as --opt VALUE or --opt=VALUE; the last one given wins."""
 
-_OPTIONS = {
-    "--field": "field_flag",
-    "--format": "format",
-    "--prime-start": "prime_start",
-    "--spec": "spec",
-}
+_OPTIONS = {"--format": "format", "--prime-start": "prime_start", "--spec": "spec"}
 _CHOICES = {
     "command": COMMANDS,
     "field": FIELD_NAMES + ("all",),
-    "field_flag": FIELD_NAMES + ("all",),
     "format": ("text", "json"),
 }
 
@@ -159,16 +155,16 @@ _CHOICES = {
 class _Args:
     """Parsed argv; an option or argument not given stays None."""
 
-    command = field = field_flag = format = prime_start = spec = None
+    command = field = format = prime_start = spec = None
 
 
-def _prime_start(raw: str, source: str) -> int:
+def _prime_start(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise _UsageError(f"{source} is not an integer: {raw!r}")
+        raise _UsageError(f"--prime-start is not an integer: {raw!r}")
     if not 2 <= value < PRIME_LIMIT:
-        raise _UsageError(f"{source} {_PRIME_START_RANGE}")
+        raise _UsageError(f"--prime-start {_PRIME_START_RANGE}")
     return value
 
 
@@ -202,64 +198,37 @@ def _parse_args(argv: list[str]) -> _Args | None:
         value = getattr(args, dest)
         if value is not None and value not in choices:
             raise _UsageError(
-                f"invalid {dest.replace('_flag', '')} {value!r}; "
-                f"choose from {', '.join(choices)}"
+                f"invalid {dest} {value!r}; choose from {', '.join(choices)}"
             )
     if args.prime_start is not None:
-        args.prime_start = _prime_start(args.prime_start, "--prime-start")
+        args.prime_start = _prime_start(args.prime_start)
     return args
 
 
-# ---------------------------------------------------------------------------
-# Option resolution (flags win over PFVERIFY_* environment variables)
-
-
-def _resolve_format(args: _Args) -> str:
-    fmt = args.format or os.environ.get("PFVERIFY_FORMAT") or "text"
-    if fmt not in ("text", "json"):
-        raise _UsageError(f"unknown format {fmt!r}")
-    return fmt
-
-
-def _resolve_prime_start(args: _Args) -> int | None:
-    if args.prime_start is not None:
-        return args.prime_start
-    raw = os.environ.get("PFVERIFY_PRIME_START")
-    return None if raw is None else _prime_start(raw, "PFVERIFY_PRIME_START")
-
-
-def _resolve_field(args: _Args) -> str:
-    name = args.field_flag or args.field or os.environ.get("PFVERIFY_FIELD") or "all"
-    if name not in FIELD_NAMES + ("all",):
-        raise _UsageError(f"unknown field {name!r}")
-    return name
-
-
 def _load_specs(args: _Args) -> list[PartialFieldSpec]:
-    """Specs named by --spec, the field selection, or the environment,
-    re-primed at the resolved prime start.  A given --spec, even an empty
-    one, wins over PFVERIFY_SPEC; an empty PFVERIFY_SPEC counts as unset."""
-    start = _resolve_prime_start(args)
-    spec_path = args.spec
-    if spec_path is None:
-        spec_path = os.environ.get("PFVERIFY_SPEC") or None
-    if spec_path is None:
-        name = _resolve_field(args)
-        names = FIELD_NAMES if name == "all" else (name,)
+    """The spec in the --spec file, or else the builtin ones the field
+    argument names, re-primed at --prime-start."""
+    if args.spec is None:
+        names = FIELD_NAMES if args.field in (None, "all") else (args.field,)
         specs = [builtin_specs()[n] for n in names]
     else:
         try:
-            with open(spec_path, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.spec, encoding="utf-8") as handle:
+                text = handle.read(MAX_SPEC_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read spec file: {exc}")
+        if len(text) > MAX_SPEC_CHARS:
+            raise _UsageError(
+                f"cannot read spec file: {args.spec!r} is longer than "
+                f"{MAX_SPEC_CHARS} characters"
+            )
         # The file as written must parse, so a bad prime line is a usage
         # error even when --prime-start replaces it.
         try:
             specs = [parse_field_spec(text)]
         except ValueError as exc:
             raise _UsageError(f"cannot parse spec file: {exc}")
-    return [reprime(spec, start) for spec in specs]
+    return [reprime(spec, args.prime_start) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +360,9 @@ def _verify_all_text(payload: dict) -> list[str]:
     return lines
 
 
-def _run_verify_all(args: _Args, fmt: str) -> int:
-    payload = _verify_all_payload(_resolve_prime_start(args))
-    return _emit([payload], _verify_all_text, fmt)
-
-
 def _reject_unused_options(args: _Args) -> None:
     """An option choosing what genesis or verify-all runs is a usage error."""
-    given = {
-        "--spec": args.spec,
-        "--field": args.field_flag,
-        "field argument": args.field,
-    }
+    given = {"--spec": args.spec, "field argument": args.field}
     if args.command == "genesis":
         given["--prime-start"] = args.prime_start
     for option, value in given.items():
@@ -413,11 +373,11 @@ def _reject_unused_options(args: _Args) -> None:
 def _dispatch(args: _Args) -> int:
     if args.command in ("genesis", "verify-all"):
         _reject_unused_options(args)
-    fmt = _resolve_format(args)
+    fmt = args.format or "text"
     if args.command == "genesis":
         return _emit([_genesis_payload()], genesis.genesis_text, fmt)
     if args.command == "verify-all":
-        return _run_verify_all(args, fmt)
+        return _emit([_verify_all_payload(args.prime_start)], _verify_all_text, fmt)
     specs = _load_specs(args)
     payloads = [
         {"command": args.command, **_field_payload(args.command, spec)}

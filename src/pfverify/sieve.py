@@ -164,6 +164,18 @@ def h2_fundamentals() -> tuple[GaussDyadic, ...]:
     return tuple(values)
 
 
+@cache
+def _h2_factored(spec: PartialFieldSpec) -> dict[GaussDyadic, FactoredElement]:
+    """Each of h2_fundamentals, factored over the spec's generators, by real
+    part, then imaginary part, both over the largest denominator; the
+    Gaussian box checks them and the sieve returns them as its survivors."""
+    scale = max(v.two_exp for v in h2_fundamentals())
+    values = sorted(
+        h2_fundamentals(), key=lambda v: [c << (scale - v.two_exp) for c in v[:2]]
+    )
+    return {v: factor_over_generators(spec, v) for v in values}
+
+
 # ---------------------------------------------------------------------------
 # Exact LP bounds on integer rows.
 #
@@ -419,8 +431,7 @@ def candidate_box(spec: PartialFieldSpec) -> CandidateBox:
         # [-1, 1], the i-exponent a phase in [0, 3], and the norm-2
         # exponent in [0, 1].  Every derived fundamental must lie inside.
         box = CandidateBox(((0, 0), (-1, 1), (0, 3), (0, 1)), True)
-        for x in h2_fundamentals():
-            fe = factor_over_generators(spec, x)
+        for fe in _h2_factored(spec).values():
             if not all(lo <= e <= hi for e, (lo, hi) in zip(fe.exps, box.ranges)):
                 raise VerificationError(f"{spec.name}: {fe} lies outside the box")
         return box
@@ -702,13 +713,8 @@ def fingerprint_sieve(spec: PartialFieldSpec, box: CandidateBox) -> SieveResult:
     so 0 is a new fingerprint unless the box has it.  The Gaussian field's
     survivors are h2_fundamentals, factored, with no candidate expanded."""
     if spec.is_gauss:
-        # By real part, then imaginary part, both over the largest denominator.
-        scale = max(v.two_exp for v in h2_fundamentals())
-        values = sorted(
-            h2_fundamentals(), key=lambda v: [c << (scale - v.two_exp) for c in v[:2]]
-        )
-        fingerprints = {v: factor_over_generators(spec, v) for v in values}
-        return SieveResult(None, fingerprints, len(values), candidate_count(box))
+        fingerprints = _h2_factored(spec)
+        return SieveResult(None, fingerprints, len(fingerprints), candidate_count(box))
     mm, residues = resolve_mod_map(spec, box)
     count = candidate_count(box)
     survivors = _Survivors(residues, mm.prime, len(box.ranges))

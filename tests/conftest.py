@@ -1,6 +1,6 @@
-"""What the test modules share: the session's environment, the one way to
-start a cold process, the recorded probe of a cold command, and the spec
-and symmetry builders that more than one module uses."""
+"""What the test modules share: the one way to start a cold process, the
+recorded probe of a cold command, and the spec and symmetry builders that
+more than one module uses."""
 
 from __future__ import annotations
 
@@ -24,15 +24,6 @@ from pfverify.pfield import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def pytest_configure(config) -> None:
-    # The CLI reads PFVERIFY_* from os.environ, so none of the caller's may
-    # reach a test or a cold process; a test that wants one sets it.
-    environment = pytest.MonkeyPatch()
-    for name in [name for name in os.environ if name.startswith("PFVERIFY_")]:
-        environment.delenv(name)
-    config.add_cleanup(environment.undo)
 
 
 # ---------------------------------------------------------------------------

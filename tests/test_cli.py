@@ -58,16 +58,14 @@ def test_unknown_command_is_a_usage_error(capsys) -> None:
     "args, option",
     [
         (["verify-all", "--spec", "/nonexistent.pfs"], "--spec"),
-        (["verify-all", "--field", "H3"], "--field"),
         (["verify-all", "H3"], "field argument"),
         (["genesis", "--spec", "/nonexistent.pfs"], "--spec"),
-        (["genesis", "--field", "H4"], "--field"),
         (["genesis", "H4"], "field argument"),
         (["genesis", "--prime-start", "59"], "--prime-start"),
     ],
     ids=[
-        "verify-all-spec", "verify-all-field-flag", "verify-all-field",
-        "genesis-spec", "genesis-field-flag", "genesis-field", "genesis-prime-start",
+        "verify-all-spec", "verify-all-field",
+        "genesis-spec", "genesis-field", "genesis-prime-start",
     ],
 )
 def test_an_option_the_command_does_not_use_is_a_usage_error(
@@ -82,16 +80,19 @@ def test_an_option_the_command_does_not_use_is_a_usage_error(
 def test_verify_all_keeps_prime_start_and_both_ignore_the_environment(
     capsys, monkeypatch
 ) -> None:
-    # Environment variables stay defaults, which these two commands ignore.
+    # The environment configures nothing, so neither command reads these.
     for name, value in (("SPEC", "/nonexistent.pfs"), ("FIELD", "H4")):
         monkeypatch.setenv(f"PFVERIFY_{name}", value)
     code, out, _ = run_cli(capsys, "genesis")
     assert code == 0 and "PASS" in out
-    monkeypatch.setattr(cli, "_run_verify_all", lambda args, fmt: args.prime_start)
-    assert cli.main(["verify-all", "--prime-start", "59"]) == 59
+    monkeypatch.setattr(
+        cli, "_verify_all_payload", lambda start: {"start": start, "verdict": "PASS"}
+    )
+    code, out, _ = run_cli(capsys, "verify-all", "--prime-start", "59", "--format=json")
+    assert (code, out) == (0, '{"start":59,"verdict":"PASS"}\n')
 
 
-PARSED = ("command", "field", "field_flag", "format", "prime_start", "spec")
+PARSED = ("command", "field", "format", "prime_start", "spec")
 
 
 @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ PARSED = ("command", "field", "field_flag", "format", "prime_start", "spec")
 def test_options_go_anywhere_in_either_spelling_and_the_last_wins(argv) -> None:
     args = cli._parse_args(argv)
     parsed = tuple(getattr(args, name) for name in PARSED)
-    assert parsed == ("report", "H4", None, "json", 59, None)
+    assert parsed == ("report", "H4", "json", 59, None)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +133,7 @@ def test_help_prints_the_usage_to_stdout_and_exits_0(capsys, argv) -> None:
         (["funs", "H3", "H4"], "unexpected argument 'H4'"),
         (["--format", "json"], "missing command; choose from " + ", ".join(cli.COMMANDS)),
         (["funs", "--format=xml"], "invalid format 'xml'; choose from text, json"),
-        (["funs", "--field", "H6"], "invalid field 'H6'; choose from H2, H3, H4, H5, all"),
+        (["funs", "--field", "H3"], "unrecognized option '--field'"),
     ],
     ids=[
         "abbreviated", "abbreviated-equals", "abbreviated-field", "prime-not-int",
@@ -152,6 +153,38 @@ def test_the_module_without_arguments_is_a_usage_error() -> None:
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error: missing command")
     assert "Traceback" not in proc.stderr
+
+
+# Values no run could accept, so that any one read would show in the output.
+HOSTILE_ENVIRONMENT = {
+    "PFVERIFY_SPEC": "/nonexistent",
+    "PFVERIFY_FORMAT": "xml",
+    "PFVERIFY_FIELD": "H6",
+    "PFVERIFY_PRIME_START": "x",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["funs", "H3"],
+        ["genesis"],
+        ["verify-all", "--format", "json"],
+        ["report", "H4", "--prime-start", "523456789011"],
+    ],
+    ids=["funs-H3", "genesis", "verify-all-json", "report-H4-reprimed"],
+)
+def test_the_environment_configures_nothing(monkeypatch, argv) -> None:
+    for name in HOSTILE_ENVIRONMENT:
+        monkeypatch.delenv(name, raising=False)
+    clean = run_cold("-m", "pfverify.cli", *argv, timeout=60)
+    for name, value in HOSTILE_ENVIRONMENT.items():
+        monkeypatch.setenv(name, value)
+    hostile = run_cold("-m", "pfverify.cli", *argv, timeout=60)
+    assert clean.returncode == 0
+    assert (hostile.returncode, hostile.stdout, hostile.stderr) == (
+        clean.returncode, clean.stdout, clean.stderr
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +258,6 @@ def test_prime_start_beyond_proven_primality_is_a_usage_error(capsys) -> None:
     )
     assert code == 2
     assert out == ""
-
-
-def test_prime_start_env_beyond_proven_primality_is_a_usage_error(
-    capsys, monkeypatch
-) -> None:
-    monkeypatch.setenv("PFVERIFY_PRIME_START", "3300000000000000000000000")
-    code, out, err = run_cli(capsys, "funs", "H3")
-    assert code == 2
-    assert out == ""
-    assert "PFVERIFY_PRIME_START" in err
 
 
 def test_unsuitable_prime_override_fails_honestly(capsys) -> None:
@@ -311,19 +334,6 @@ def test_report_text_has_stage_lines(capsys) -> None:
     assert code == 0
     assert "fundamentals" in out
     assert "PASS" in out
-
-
-def test_field_flag_equals_positional(capsys) -> None:
-    _, out_flag, _ = run_cli(capsys, "report", "--field", "H2", "--format", "json")
-    _, out_pos, _ = run_cli(capsys, "report", "H2", "--format", "json")
-    assert out_flag == out_pos
-
-
-def test_format_env_override(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("PFVERIFY_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "report", "H2")
-    assert code == 0
-    assert json.loads(out)["field"] == "H2"
 
 
 def test_progress_goes_to_stderr_not_stdout(capsys) -> None:
@@ -886,8 +896,8 @@ def test_missing_spec_file_is_a_usage_error(capsys, tmp_path) -> None:
 def test_an_empty_spec_flag_is_a_usage_error_even_over_the_environment(
     capsys, tmp_path, monkeypatch, flag, env
 ) -> None:
-    # A given --spec wins over PFVERIFY_SPEC, and an empty path names no file.
-    monkeypatch.delenv("PFVERIFY_SPEC", raising=False)
+    # An empty path names no file, and a spec file that PFVERIFY_SPEC names
+    # does not stand in for it: the environment configures nothing.
     if env:
         path = tmp_path / "field.pfs"
         path.write_text(builtin_specs()["H3"].source_text)
@@ -898,28 +908,50 @@ def test_an_empty_spec_flag_is_a_usage_error_even_over_the_environment(
     assert err.count("\n") == 1
 
 
-def test_an_empty_spec_variable_counts_as_unset(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("PFVERIFY_SPEC", "")
-    with_empty = run_cli(capsys, "bounds", "H3")
-    monkeypatch.delenv("PFVERIFY_SPEC")
-    assert with_empty == run_cli(capsys, "bounds", "H3")
-    assert with_empty[0] == 0
-
-
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_a_spec_file_that_is_not_utf8_is_a_usage_error(
-    capsys, tmp_path, monkeypatch, via
-) -> None:
+def test_a_spec_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path) -> None:
     path = tmp_path / "image.pfs"
     path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xfe")
-    if via == "env":
-        monkeypatch.setenv("PFVERIFY_SPEC", str(path))
-        code, out, err = run_cli(capsys, "funs")
-    else:
-        code, out, err = run_cli(capsys, "funs", "--spec", str(path))
+    code, out, err = run_cli(capsys, "funs", "--spec", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("usage error: cannot read spec file: 'utf-8' codec ")
     assert err.count("\n") == 1
+
+
+# A cold run whose address space is capped at 1 GiB, so that a reader
+# without a bound fails at once instead of filling the machine's memory.
+_CAPPED_CLI = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from pfverify import cli; cli.run()"
+)
+
+
+def test_an_endless_spec_file_is_a_prompt_usage_error() -> None:
+    started = time.perf_counter()
+    proc = run_cold("-c", _CAPPED_CLI, "funs", "--spec", "/dev/zero", timeout=60)
+    assert time.perf_counter() - started < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage error: cannot read spec file: '/dev/zero' is longer than "
+        f"{cli.MAX_SPEC_CHARS} characters\n"
+    )
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "over-the-cap"])
+def test_a_spec_file_is_read_up_to_the_cap(tmp_path, over) -> None:
+    text = builtin_specs()["H3"].source_text
+    text += "#" * (cli.MAX_SPEC_CHARS - len(text) - 1 + over) + "\n"
+    path = tmp_path / "long.pfs"
+    path.write_text(text)
+    proc = run_cold("-c", _CAPPED_CLI, "bounds", "--spec", str(path), timeout=60)
+    if over:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"usage error: cannot read spec file: {str(path)!r} is longer than "
+            f"{cli.MAX_SPEC_CHARS} characters\n"
+        )
+    else:
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("H3: exponent ranges ")
 
 
 def test_repriming_at_one_prime_builds_its_table_once(capsys, monkeypatch) -> None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfverify import closure, sieve
+from pfverify import closure, pfield, sieve
 from pfverify.exact import (
     ModMap,
     RatFunc,
@@ -195,6 +195,12 @@ def test_the_norm_bound_comes_from_h2_and_is_two() -> None:
     assert [rhs for _, rhs in rows] == [2, 2, 2, 2, 3, 3]
 
 
+def _uncached_h2(specs, comment: str):
+    """H2 with a comment added, so that no per-spec cache holds it yet; each
+    test adds its own."""
+    return specs["H2"]._replace(source_text=f"{specs['H2'].source_text}# {comment}\n")
+
+
 def test_the_gaussian_box_must_hold_every_derived_fundamental(
     specs, monkeypatch
 ) -> None:
@@ -206,7 +212,23 @@ def test_the_gaussian_box_must_hold_every_derived_fundamental(
         VerificationError,
         match=re.escape("H2: FactoredElement(sign=1, exps=(0, 2, 0, 0)) lies outside"),
     ):
-        sieve.candidate_box.__wrapped__(specs["H2"])
+        sieve.candidate_box(_uncached_h2(specs, "four"))
+
+
+def test_the_box_and_the_sieve_factor_h2s_fundamentals_once(
+    specs, monkeypatch
+) -> None:
+    factored = []
+    factor = pfield._factor_gauss
+    monkeypatch.setattr(
+        pfield, "_factor_gauss", lambda spec, x: factored.append(x) or factor(spec, x)
+    )
+    spec = _uncached_h2(specs, "counted")
+    result = sieve.fingerprint_sieve(spec, sieve.candidate_box(spec))
+    assert len(factored) == len(set(factored)) == 11
+    assert list(result.fingerprints.values()) == [
+        factor(spec, x) for x in result.fingerprints
+    ]
 
 
 def test_pinned_coordinate_in_a_trivial_system() -> None:
